@@ -569,10 +569,11 @@ def character_from_components(q: int, labels: dict[int, int]) -> DirichletCharac
 
 
 def character_from_id(char_id: str) -> DirichletCharacter:
-    """Inverse of ``DirichletCharacter.char_id``."""
+    """Inverse of ``DirichletCharacter.char_id``; only canonical ids parse."""
     try:
         qpart, cpart = char_id.split(";", 1)
-        assert qpart.startswith("q=") and cpart.startswith("comps=")
+        if not (qpart.startswith("q=") and cpart.startswith("comps=")):
+            raise ValueError("missing q= or comps=")
         q = int(qpart[2:])
         labels = {}
         body = cpart[len("comps=") :]
@@ -584,9 +585,12 @@ def character_from_id(char_id: str) -> DirichletCharacter:
                     labels[int(p) ** int(a)] = int(tpart)
                 else:
                     labels[int(ppart)] = int(tpart)
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         raise ValueError(f"malformed character id {char_id!r}") from exc
-    return character_from_components(q, labels)
+    chi = character_from_components(q, labels)
+    if chi.char_id != char_id:
+        raise ValueError(f"non-canonical character id {char_id!r}; canonical is {chi.char_id!r}")
+    return chi
 
 
 def all_characters(q: int):

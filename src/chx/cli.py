@@ -8,6 +8,7 @@ values), 3 mathematical constraint or resource-cap violation.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -149,8 +150,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.Q < 1e4:
-        raise ValueError(f"search requires Q >= 1e4, got {args.Q:g}")
+    if not 1e4 <= args.Q < math.inf:
+        raise ValueError(f"search requires a finite Q >= 1e4, got {args.Q:g}")
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
     started = _utcnow()

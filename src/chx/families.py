@@ -474,7 +474,7 @@ def _eval_worker(task: tuple):
     char_id, z, xi_id = task
     chi = character_from_id(char_id)
     xi = character_from_id(xi_id) if xi_id else None
-    return evaluate_character(chi, z=z, xi=xi, fast=True)
+    return evaluate_character(chi, z=z, xi=xi)
 
 
 def _evaluate_many(chars, z, xi, jobs):

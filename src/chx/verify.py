@@ -1,9 +1,11 @@
 """Verification suites: exact identities, censuses, bounds, and moment
 calibrations, each returning deterministic machine-readable check records.
 
-The scans batch per modulus with numpy dot products and tie themselves to
-the compensated production functions on fixed subsamples, so a regression
-in either path fails the suite.
+The scans build the weights of the finite formulas once per modulus and
+evaluate tau(chi) and L(1, chi) with the production dot-product kernel of
+`chx.lfunction`.  Fixed subsamples tie the kernel to its compensated
+oracles `gauss_sum` and `l1_exact`, so a regression in either fails the
+suite.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ from .families import (
 from .lfunction import (
     PrimeSumSpec,
     digamma_weights,
+    finite_weights,
     gauss_sum,
     l1_exact,
     l1_series_oracle,
     l1_truncated_euler,
     prime_sum,
+    tau_l1,
 )
 from .moments import (
     MomentSpec,
@@ -91,7 +95,7 @@ def _check_gauss_modulus(q_max: int = 1000) -> CheckResult:
     for q in range(1, q_max + 1):
         if q > 1 and q % 4 == 2:
             continue  # no primitive characters for q = 2 mod 4
-        e = np.exp((2j * math.pi / q) * np.arange(q))
+        e = finite_weights(q)[0]
         rq = math.sqrt(q)
         for chi in _primitive_characters(q):
             tau = np.dot(chi.value_table(), e)
@@ -145,25 +149,18 @@ def _check_exact_vs_series(q_max: int = 500) -> CheckResult:
         if q % 4 == 2:
             continue
         w = digamma_weights(q)
-        e = np.exp((2j * math.pi / q) * np.arange(q))
-        a = np.arange(1, q, dtype=np.float64)
-        logsin = np.log(np.sin((math.pi / q) * a))
+        weights = finite_weights(q)
         for chi in _primitive_characters(q):
             if chi.is_principal:
                 continue
             vals = chi.value_table()
-            tau = np.dot(vals, e)
-            body = np.conj(vals[1:])
-            if chi.parity() == -1:
-                lex = 1j * math.pi * tau / (q * q) * np.dot(body, a)
-            else:
-                lex = -(tau / q) * np.dot(body, logsin)
+            lex = tau_l1(vals, chi.parity(), weights)[1]
             oracle = np.dot(vals, w)
             rel = abs(lex - oracle) / abs(oracle)
             n += 1
             if rel > worst:
                 worst, worst_id = rel, chi.char_id
-            if n % 499 == 0:  # tie the batch to the production path
+            if n % 499 == 0:  # tie the kernel to its compensated oracles
                 d1 = abs(l1_exact(chi).value - lex)
                 d2 = abs(l1_series_oracle(chi, q * q, tail="digamma").value - oracle)
                 spot_worst = max(spot_worst, d1, d2)
@@ -362,20 +359,13 @@ def _check_euler_calibration(
     spot_worst = 0.0
     moduli = [int(q) for q in sieve_primes(q_hi).primes if q_lo <= q <= q_hi]
     for q in moduli:
-        e = np.exp((2j * math.pi / q) * np.arange(q))
-        a = np.arange(1, q, dtype=np.float64)
-        logsin = np.log(np.sin((math.pi / q) * a))
+        weights = finite_weights(q)
         idx = np.mod(plist, q)
         for chi in all_characters(q):
             if chi.is_principal:
                 continue
             vals = chi.value_table()
-            tau = np.dot(vals, e)
-            body = np.conj(vals[1:])
-            if chi.parity() == -1:
-                lex = 1j * math.pi * tau / (q * q) * np.dot(body, a)
-            else:
-                lex = -(tau / q) * np.dot(body, logsin)
+            lex = tau_l1(vals, chi.parity(), weights)[1]
             # chi(q) = 0 makes the p = q factor equal 1 automatically
             euler = np.prod(1.0 / (1.0 - vals[idx] / pf))
             rel = abs(euler - lex) / abs(lex)

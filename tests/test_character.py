@@ -117,7 +117,10 @@ def test_char_id_roundtrip():
 
 
 def test_char_id_rejects_garbage():
-    for bad in ("", "q=;comps=", "q=10;comps=2:1", "nonsense"):
+    non_canonical = ("q=5;comps=5:1,5:2", "q=5;comps=5^1:2", "q=5;comps=5: 1",
+                     "q= 5;comps=5:1", "q=5;comps=5:01", "q=5;comps=5:+1",
+                     "x=5;comps=5:1")
+    for bad in ("", "q=;comps=", "q=10;comps=2:1", "nonsense") + non_canonical:
         with pytest.raises(ValueError):
             character_from_id(bad)
 

@@ -44,8 +44,9 @@ def test_eval_writes_record(tmp_path, capsys):
     assert man["command"] == "eval"
 
 
-def test_search_small_q_exit_2(capsys):
-    assert main(["search", "--mode", "orderk", "--Q", "100", "--k", "2"]) == 2
+@pytest.mark.parametrize("Q", ["100", "inf", "nan"])
+def test_search_small_q_exit_2(Q, capsys):
+    assert main(["search", "--mode", "orderk", "--Q", Q, "--k", "2"]) == 2
 
 
 def test_search_odd_twist_odd_k_exit_3(capsys):

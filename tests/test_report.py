@@ -7,7 +7,13 @@ import math
 
 import numpy as np
 
-from chx.character import character_from_index, kronecker_character
+from chx.character import (
+    character_from_id,
+    character_from_index,
+    kronecker_character,
+    product_character,
+)
+from chx.lfunction import gauss_sum, l1_exact
 from chx.report import (
     REFERENCE_CONSTANTS,
     canonical_json,
@@ -36,13 +42,17 @@ def test_evaluate_character_known_values():
     assert rec.parity == -1 and rec.order == 2
 
 
-def test_evaluate_character_fast_path_agrees():
-    chi = character_from_index(1009, 7)
-    slow = evaluate_character(chi)
-    fast = evaluate_character(chi, fast=True)
-    assert abs(slow.L1.value - fast.L1.value) < 1e-10
-    assert slow.M == fast.M and slow.argmax == fast.argmax
-    assert abs(slow.tau_abs - fast.tau_abs) < 1e-9
+def test_evaluate_character_matches_oracles():
+    xi = kronecker_character(-3)
+    odd, even = character_from_index(1009, 7), character_from_index(1009, 8)
+    composite = character_from_id("q=40;comps=2^3:3,5:1")
+    assert (odd.parity(), even.parity(), composite.is_primitive) == (-1, 1, True)
+    for chi in (odd, even, composite):
+        rec = evaluate_character(chi, xi=xi)
+        assert abs(rec.L1.value - l1_exact(chi).value) < 1e-10
+        assert abs(rec.tau_abs - abs(gauss_sum(chi))) < 1e-9
+        twisted = l1_exact(product_character(chi, xi)).value
+        assert abs(rec.L1_twisted.value - twisted) < 1e-10
 
 
 def test_evaluate_character_with_twist():
