@@ -118,7 +118,8 @@ def _power_table(p: int, a: int) -> np.ndarray:
     """powers[j] = g^j mod p^a for the canonical generator g, j < phi(p^a)."""
     pa = p**a
     _check_table_size(pa)
-    assert pa < _NUMPY_MODULUS_CAP  # int64 block products below stay exact
+    if pa >= _NUMPY_MODULUS_CAP:  # int64 block products below stay exact
+        raise AssertionError(f"power table modulus {pa} not below 2**31")
     g = smallest_primitive_root_mod_pp(p, a)
     m = pa // p * (p - 1)
     block = min(1024, m)
@@ -222,7 +223,8 @@ class _OddComponent:
         while d % self.p == 0:
             d //= self.p
             c += 1
-        assert (self.p - 1) % d == 0
+        if (self.p - 1) % d != 0:
+            raise AssertionError(f"value order {d} prime to {self.p} does not divide p-1")
         return self.p**c
 
     def index_label(self) -> int:
@@ -233,7 +235,8 @@ class _OddComponent:
         n %= pa
         if pa <= _DLOG_TABLE_CAP:
             j = int(_dlog_table(self.p, self.a)[n])
-            assert j >= 0
+            if j < 0:
+                raise AssertionError(f"dlog of non-unit {n} mod {pa}")
             return j
         return _dlog_bsgs(n, self.generator, self.group_order, pa)
 
@@ -480,38 +483,10 @@ class DirichletCharacter:
                     a0 += 1
                 v = c.eval_rou(smallest_primitive_root_mod_pp(c.p, a0))
                 m0 = f // c.p * (c.p - 1)
-                assert m0 % v.order == 0
+                if m0 % v.order != 0:
+                    raise AssertionError(f"value order {v.order} does not divide {m0}")
                 comps.append(_OddComponent(c.p, a0, v.exponent * (m0 // v.order)))
         return DirichletCharacter(self.conductor, tuple(comps))
-
-    def induced_to(self, modulus: int) -> "DirichletCharacter":
-        """The character mod ``modulus`` induced by this one's primitive part."""
-        if modulus % self.conductor != 0:
-            raise ConstraintError(
-                f"conductor {self.conductor} does not divide target modulus {modulus}"
-            )
-        prim = self.primitive_character() if self.conductor != self.modulus else self
-        by_p = {c.p: c for c in prim.components}
-        comps = []
-        for p, a in factor(modulus).factors:
-            src = by_p.get(p)
-            if src is None:
-                comps.append(_make_component(p, a, 0))
-            elif p == 2:
-                if src.a == a:
-                    comps.append(src)
-                else:
-                    t1 = src.t1 * ((1 << (a - 2)) // src.m5) if a >= 3 and src.a >= 3 else 0
-                    comps.append(_TwoComponent(a, src.t0, t1))
-            else:
-                if src.a == a:
-                    comps.append(src)
-                else:
-                    m = p ** (a - 1) * (p - 1)
-                    v = src.eval_rou(smallest_primitive_root_mod_pp(p, a))
-                    assert m % v.order == 0
-                    comps.append(_OddComponent(p, a, v.exponent * (m // v.order)))
-        return DirichletCharacter(modulus, tuple(comps))
 
     def is_induced_from(self, f: int) -> bool:
         """Direct test: chi(n) = 1 for every n = 1 mod f coprime to q."""
@@ -690,7 +665,8 @@ def kronecker_character(d: int) -> DirichletCharacter:
             v = kronecker(d, crt_lift(g))
             comps.append(_OddComponent(p, a, 0 if v == 1 else m // 2))
     chi = DirichletCharacter(q, tuple(comps))
-    assert chi.conductor == q, f"kronecker character mod {q} came out imprimitive"
+    if chi.conductor != q:
+        raise AssertionError(f"kronecker character mod {q} came out imprimitive")
     return chi
 
 
@@ -703,7 +679,8 @@ def order_witness(q1: int, q2: int, k: int) -> int:
     n = a * q2 + 1
     psi = product_character(psi_q(q1, k), psi_q(q2, k).conjugate())
     val = psi.eval(n)
-    assert val == RootOfUnity(k, 1), f"witness {n} evaluated to {val}"
+    if val != RootOfUnity(k, 1):
+        raise AssertionError(f"witness {n} evaluated to {val}")
     return n
 
 

@@ -68,7 +68,8 @@ def max_partial_sum(chi: DirichletCharacter) -> MsumRecord:
     prefix = np.cumsum(vals)  # prefix[x] = sum_{n<=x} chi(n), since chi(0) = 0
     mags = np.abs(prefix)
     i = int(np.argmax(mags))  # mags[0] = 0, so i >= 1 is the smallest argmax
-    assert abs(prefix[-1]) <= 1e-6 * max(1.0, math.sqrt(q)), "period sum not ~0"
+    if abs(prefix[-1]) > 1e-6 * max(1.0, math.sqrt(q)):
+        raise AssertionError("period sum not ~0")
     half = complex(
         math.fsum(vals[1 : q // 2 + 1].real), math.fsum(vals[1 : q // 2 + 1].imag)
     )
@@ -154,7 +155,8 @@ def bridge_bounds(chi: DirichletCharacter) -> BridgeRecord:
                 "even-parity bridge needs 3 coprime to the modulus"
             )
         twisted = product_character(chi, kronecker_character(-3))
-        assert twisted.is_primitive and twisted.parity() == -1
+        if not (twisted.is_primitive and twisted.parity() == -1):
+            raise AssertionError(f"{twisted.char_id} is not primitive and odd")
         rhs = math.sqrt(3 * q) / (2 * math.pi) * abs(l1_exact(twisted).value)
         kind = "even"
     return BridgeRecord(chi.char_id, kind, M, rhs, violated=M < rhs - _BRIDGE_SLACK)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -21,11 +20,11 @@ from .character import (
 )
 from .errors import ConstraintError, ResourceError
 from .families import extremal_pipeline
-from .ntheory import sieve_primes
+# bench/test_bench.py::test_tracer_patches_every_binding asserts cli.sieve_primes
+from .ntheory import sieve_primes  # noqa: F401
 from .report import (
     RunManifest,
     evaluate_character,
-    file_fingerprint,
     write_csv,
     write_json,
     write_jsonl,
@@ -76,15 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--jobs", type=int, default=1, help="worker processes")
     se.add_argument("--out", default=None,
                     help="directory for manifest.json, records.jsonl, records.csv")
-    se.add_argument("--cache", default=None,
-                    help="prime-table cache directory (default $CHX_CACHE)")
 
     ve = sub.add_parser("verify", help="run verification suites")
     ve.add_argument("suite", choices=SUITE_NAMES + ("all",))
     ve.add_argument("--out", default=None,
                     help="directory for summary.json and manifest.json")
-    ve.add_argument("--cache", default=None,
-                    help="prime-table cache directory (default $CHX_CACHE)")
     return ap
 
 
@@ -92,19 +87,13 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _resolve_cache(args) -> str | None:
-    return args.cache or os.environ.get("CHX_CACHE") or None
-
-
-def _manifest(command, params, cache, started, outputs) -> RunManifest:
+def _manifest(command, params, started, outputs) -> RunManifest:
     from . import __version__
 
-    fp = file_fingerprint(Path(cache) / "primes.bin") if cache else None
     return RunManifest(
         command=command,
         params=params,
         version=__version__,
-        prime_cache_fingerprint=fp,
         started_at=started,
         finished_at=_utcnow(),
         output_paths={k: str(v) for k, v in outputs.items()},
@@ -143,7 +132,7 @@ def cmd_eval(args) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         write_json(outdir / "record.json", rec.to_json_dict())
-        man = _manifest("eval", {"id": rec.char_id, "z": args.z}, None, started,
+        man = _manifest("eval", {"id": rec.char_id, "z": args.z}, started,
                         {"record": outdir / "record.json"})
         write_json(outdir / "manifest.json", man.to_json_dict())
     return EXIT_OK
@@ -155,9 +144,6 @@ def cmd_search(args) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
     started = _utcnow()
-    cache = _resolve_cache(args)
-    if cache:  # warm the table the family construction will need
-        sieve_primes(max(int(2 * args.Q ** (1.0 / 3.0)) + 1, 10**4), cache)
     res = extremal_pipeline(
         args.Q, args.k, args.mode,
         y_mult=args.y_mult, z=args.z, delta=args.delta,
@@ -184,16 +170,13 @@ def cmd_search(args) -> int:
             "y_mult": args.y_mult, "z": args.z, "delta": args.delta,
             "xi": args.xi, "jobs": args.jobs,
         }
-        man = _manifest("search", params, cache, started, paths)
+        man = _manifest("search", params, started, paths)
         write_json(outdir / "manifest.json", man.to_json_dict())
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     started = _utcnow()
-    cache = _resolve_cache(args)
-    if cache:
-        sieve_primes(10**4, cache)
     suites = run_suites(args.suite)
     for s in suites:
         for c in s.checks:
@@ -208,7 +191,7 @@ def cmd_verify(args) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         write_json(outdir / "summary.json", summary)
-        man = _manifest("verify", {"suite": args.suite}, cache, started,
+        man = _manifest("verify", {"suite": args.suite}, started,
                         {"summary": outdir / "summary.json"})
         write_json(outdir / "manifest.json", man.to_json_dict())
     print(f"verify {args.suite}: {'PASS' if passed else 'FAIL'}")

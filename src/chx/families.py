@@ -19,13 +19,14 @@ from typing import Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .character import (
+    _DLOG_TABLE_CAP,
     DirichletCharacter,
     kronecker_character,
     principal_character,
     product_character,
     psi_q,
 )
-from .errors import ConstraintError
+from .errors import ConstraintError, ResourceError
 from .ntheory import sieve_primes, squarefree_mask, factor
 
 Signature = tuple  # per-prime value exponents in Z/k, one entry per p <= y
@@ -55,8 +56,7 @@ class OrderKFamilySpec:
 
     def window_primes(self) -> np.ndarray:
         lo, hi = self.window
-        ps = sieve_primes(max(3, int(math.ceil(hi)))).primes
-        ps = ps[(ps > lo) & (ps < hi)]
+        ps = sieve_primes(max(3, int(math.ceil(hi)))).in_range(lo, hi)
         return ps[ps % self.k == 1]
 
 
@@ -65,7 +65,8 @@ def psi_tilde(q1: int, q2: int, k: int) -> DirichletCharacter:
     if q1 == q2:
         raise ValueError("pair primes must be distinct")
     chi = product_character(psi_q(q1, k), psi_q(q2, k).conjugate())
-    assert chi.order == k and chi.conductor == q1 * q2 and chi.is_primitive
+    if not (chi.order == k and chi.conductor == q1 * q2 and chi.is_primitive):
+        raise AssertionError(f"psi_tilde({q1}, {q2}, {k}) is not primitive of order {k}")
     return chi
 
 
@@ -88,7 +89,8 @@ def signature_of(
     sig = []
     for p in sig_primes:
         rou = psi.eval(int(p))
-        assert not rou.is_zero and k % rou.order == 0
+        if rou.is_zero or k % rou.order != 0:
+            raise AssertionError(f"psi({p}) = {rou} is not a k-th root of unity, k={k}")
         sig.append(rou.exponent * (k // rou.order) % k)
     return tuple(sig)
 
@@ -134,7 +136,8 @@ def _result_from_buckets(
     guarantee = (
         -(-len(ps) // spec.k ** len(sig_primes)) if ps else 0
     )  # ceil division
-    assert len(bucket) >= guarantee
+    if len(bucket) < guarantee:
+        raise AssertionError(f"bucket of {len(bucket)} below the pigeonhole floor {guarantee}")
     pairs = [
         (q1 * q2, psi_tilde(q1, q2, spec.k)) for q1, q2 in combinations(bucket, 2)
     ]
@@ -384,8 +387,10 @@ def twisted_family(spec: QuadTwistSpec) -> TwistedFamily:
             continue
         chi = product_character(psi, kronecker_character(d))
         cond = abs(d) * q1 * q2
-        assert chi.order == spec.k and chi.is_primitive
-        assert chi.conductor == cond and chi.parity() == spec.delta
+        if not (chi.order == spec.k and chi.is_primitive):
+            raise AssertionError(f"twist by d={d} is not primitive of order {spec.k}")
+        if not (chi.conductor == cond and chi.parity() == spec.delta):
+            raise AssertionError(f"twist by d={d} has the wrong conductor or parity")
         members.append(TwistedMember(d, chi, cond, chi.char_id))
     return TwistedFamily(
         spec, psi, q1, q2, y_req, y_used, substituted, members
@@ -430,6 +435,15 @@ def extremal_pipeline(
         raise ValueError(f"unknown search mode {mode!r}")
     if not Q >= 1e4:
         raise ValueError(f"search needs Q >= 1e4, got {Q}")
+    # every member's conductor exceeds a floor: q1 q2 > Q for orderk, and
+    # |d| q1 q2 > 3 Q^{2/3} for the twists (|d| >= 3, q_i > Q^{1/3})
+    min_conductor = Q if mode == "orderk" else 3.0 * Q ** (2.0 / 3.0)
+    if min_conductor >= _DLOG_TABLE_CAP:
+        raise ResourceError(
+            f"--Q {Q:g} is out of scale for {mode}: every member's conductor would "
+            f"exceed {min_conductor:.4g} >= 2**{_DLOG_TABLE_CAP.bit_length() - 1}, "
+            "the value-table cap"
+        )
     if z is None:
         z = math.log(Q) ** 2  # truncation (log Q)^A at the default A = 2
     xi = None
@@ -506,8 +520,7 @@ def random_l1_baseline(
     from .lfunction import l1_exact_batch
 
     rng = np.random.default_rng(seed)
-    ps = sieve_primes(int(4 * Q) + 1).primes
-    ps = ps[(ps > Q) & (ps < 4 * Q)]
+    ps = sieve_primes(int(4 * Q) + 1).in_range(Q, 4 * Q)
     if order is not None:
         ps = ps[ps % order == 1]
     if len(ps) == 0:

@@ -76,9 +76,7 @@ class PrimeSumSpec:
             raise ValueError(f"prime window needs z > y, got ({self.y}, {self.z})")
 
     def primes(self) -> np.ndarray:
-        limit = max(3, int(math.ceil(self.z)))
-        ps = sieve_primes(limit).primes
-        return ps[(ps > self.y) & (ps < self.z)]
+        return sieve_primes(max(3, int(math.ceil(self.z)))).in_range(self.y, self.z)
 
 
 def _fsum_complex(terms: np.ndarray) -> complex:
@@ -128,7 +126,8 @@ def l1_exact(chi: DirichletCharacter) -> LValue:
     else:
         x = (math.pi / q) * a
         # a runs over 1..q-1 so the argument stays inside (0, pi)
-        assert 0.0 < x[0] and x[-1] < math.pi
+        if not (0.0 < x[0] and x[-1] < math.pi):
+            raise AssertionError(f"log sin argument left (0, pi) for q={q}")
         s = _fsum_complex(vals * np.log(np.sin(x)))
         value = -(tau / q) * s
     return _finite_lvalue(value, q)

@@ -160,7 +160,8 @@ def diagonal_terms(r: int, k: int, window: PrimeSumSpec) -> Fraction:
         * math.factorial(r)
         * sum((Fraction(1, p * p) for p in ps), Fraction(0)) ** r
     )
-    assert total <= bound, "diagonal sum exceeds its 2^r r! (sum 1/p^2)^r bound"
+    if total > bound:
+        raise AssertionError("diagonal sum exceeds its 2^r r! (sum 1/p^2)^r bound")
     return total
 
 

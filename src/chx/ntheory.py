@@ -1,5 +1,8 @@
 """Integer kernel: sieving, factorization, primitive roots, Kronecker symbol.
 
+`sieve_primes` is the one prime source: every other module takes its primes
+from it.
+
 Everything here is exact integer arithmetic.  Python integers are unbounded,
 so modular products never overflow; the numpy paths below stay within int64
 by construction (moduli are capped at 2**32).
@@ -9,10 +12,8 @@ from __future__ import annotations
 
 import math
 import random
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -20,8 +21,6 @@ _SIMPLE_SIEVE_CAP = 1 << 24
 _SEGMENT = 1 << 22
 _SIEVE_LIMIT_MAX = 1 << 32
 _TRIAL_BOUND = 10**6
-
-_CACHE_MAGIC = b"CHXPRIMES1"
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -55,12 +54,7 @@ def _segmented_sieve(limit: int) -> np.ndarray:
 
 @dataclass
 class PrimeTable:
-    """Sorted primes up to ``limit`` with a small binary cache format.
-
-    The cache layout is the 10-byte magic ``CHXPRIMES1``, the limit as a
-    little-endian uint64, then the prime gaps as unsigned LEB128 varints
-    (first gap taken from 0).
-    """
+    """Sorted primes up to ``limit`` as an int64 array."""
 
     limit: int
     primes: np.ndarray
@@ -79,72 +73,19 @@ class PrimeTable:
             j -= 1
         return self.primes[i:j]
 
-    def save(self, path: str | Path) -> None:
-        out = bytearray(_CACHE_MAGIC)
-        out += struct.pack("<Q", self.limit)
-        prev = 0
-        for p in self.primes.tolist():
-            gap = p - prev
-            prev = p
-            while True:
-                byte = gap & 0x7F
-                gap >>= 7
-                out.append(byte | (0x80 if gap else 0))
-                if not gap:
-                    break
-        Path(path).write_bytes(bytes(out))
 
-    @classmethod
-    def load(cls, path: str | Path) -> "PrimeTable":
-        raw = Path(path).read_bytes()
-        if raw[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
-            raise ValueError(f"{path}: not a prime-table cache (bad magic)")
-        (limit,) = struct.unpack_from("<Q", raw, len(_CACHE_MAGIC))
-        pos = len(_CACHE_MAGIC) + 8
-        primes = []
-        cur = 0
-        gap = 0
-        shift = 0
-        for byte in raw[pos:]:
-            gap |= (byte & 0x7F) << shift
-            shift += 7
-            if not byte & 0x80:
-                cur += gap
-                primes.append(cur)
-                gap = 0
-                shift = 0
-        if shift:
-            raise ValueError(f"{path}: truncated varint in prime cache")
-        return cls(limit=int(limit), primes=np.asarray(primes, dtype=np.int64))
-
-
-def sieve_primes(limit: int, cache_dir: str | Path | None = None) -> PrimeTable:
-    """All primes up to ``limit`` (2 <= limit <= 2**32), optionally cached.
-
-    With ``cache_dir`` set, a table on disk covering at least ``limit`` is
-    reused (sliced down); otherwise the sieve runs and the result is saved.
-    """
+def sieve_primes(limit: int) -> PrimeTable:
+    """All primes up to ``limit`` (2 <= limit <= 2**32): the package's one
+    prime source."""
     if not isinstance(limit, int):
         raise ValueError(f"sieve limit must be an integer, got {limit!r}")
     if limit < 2 or limit > _SIEVE_LIMIT_MAX:
         raise ValueError(f"sieve limit {limit} outside [2, 2**32]")
-    cache_file = None
-    if cache_dir is not None:
-        cache_file = Path(cache_dir) / "primes.bin"
-        if cache_file.exists():
-            table = PrimeTable.load(cache_file)
-            if table.limit >= limit:
-                cut = int(np.searchsorted(table.primes, limit, side="right"))
-                return PrimeTable(limit=limit, primes=table.primes[:cut])
     if limit <= _SIMPLE_SIEVE_CAP:
         primes = _simple_sieve(limit)
     else:
         primes = _segmented_sieve(limit)
-    table = PrimeTable(limit=limit, primes=primes)
-    if cache_file is not None:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        table.save(cache_file)
-    return table
+    return PrimeTable(limit=limit, primes=primes)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -217,7 +158,7 @@ _small_primes_for_trial: list[int] | None = None
 def _trial_primes() -> list[int]:
     global _small_primes_for_trial
     if _small_primes_for_trial is None:
-        _small_primes_for_trial = _simple_sieve(_TRIAL_BOUND).tolist()
+        _small_primes_for_trial = sieve_primes(_TRIAL_BOUND).primes.tolist()
     return _small_primes_for_trial
 
 
@@ -375,6 +316,6 @@ def squarefree_mask(limit: int) -> np.ndarray:
     mask = np.ones(limit + 1, dtype=bool)
     mask[0] = False
     if limit >= 4:
-        for p in _simple_sieve(math.isqrt(limit)).tolist():
+        for p in sieve_primes(math.isqrt(limit)).primes.tolist():
             mask[p * p :: p * p] = False
     return mask

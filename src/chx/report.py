@@ -7,7 +7,6 @@ that repeated runs produce byte-identical files.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -172,13 +171,6 @@ def write_csv(path, rows: Iterable[list], header=CSV_COLUMNS) -> None:
         writer.writerows(rows)
 
 
-def file_fingerprint(path) -> Optional[str]:
-    p = Path(path)
-    if not p.is_file():
-        return None
-    return hashlib.sha256(p.read_bytes()).hexdigest()
-
-
 @dataclass
 class RunManifest:
     """Reproducibility envelope for one CLI run.  Two runs with the same
@@ -187,7 +179,6 @@ class RunManifest:
     command: str
     params: dict
     version: str
-    prime_cache_fingerprint: Optional[str]
     started_at: str
     finished_at: str
     output_paths: dict
@@ -200,7 +191,6 @@ class RunManifest:
             "command": self.command,
             "params": self.params,
             "version": self.version,
-            "prime_cache_fingerprint": self.prime_cache_fingerprint,
             "started_at": self.started_at,
             "finished_at": self.finished_at,
             "output_paths": self.output_paths,

@@ -196,15 +196,14 @@ def test_criterion_10_verify_determinism(tmp_path):
     outs = []
     for tag in ("r1", "r2"):
         out = tmp_path / tag
-        cache = tmp_path / f"cache_{tag}"  # cold cache for each run
-        code = main(["verify", "all", "--out", str(out), "--cache", str(cache)])
+        code = main(["verify", "all", "--out", str(out)])
         assert code == 0
         outs.append((out / "summary.json").read_bytes())
     dt = time.perf_counter() - t0
     identical = outs[0] == outs[1]
     parsed = json.loads(outs[0])
     ok = identical and parsed["passed"] is True
-    _report(10, ok, f"verify all run twice from cold caches: summary JSONs "
+    _report(10, ok, f"verify all run twice in one process: summary JSONs "
                     f"byte-identical = {identical} ({len(outs[0])} bytes), "
                     f"all suites passed; {dt:.1f}s")
     assert ok

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from chx import cli, families, lfunction, ntheory
 from chx.cli import main
 
 
@@ -49,6 +50,19 @@ def test_search_small_q_exit_2(Q, capsys):
     assert main(["search", "--mode", "orderk", "--Q", Q, "--k", "2"]) == 2
 
 
+@pytest.mark.parametrize("mode,Q", [("orderk", "1e30"), ("even_sum", "1e30"),
+                                    ("orderk", str(2**26))])
+def test_search_out_of_scale_q_exit_3(mode, Q, capsys, monkeypatch):
+    def refuse(limit):
+        raise AssertionError(f"sieve_primes({limit}) ran before the scale check")
+
+    for mod in (ntheory, families, lfunction, cli):
+        monkeypatch.setattr(mod, "sieve_primes", refuse)
+    assert main(["search", "--mode", mode, "--Q", Q, "--k", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "--Q" in err and "2**26" in err
+
+
 def test_search_odd_twist_odd_k_exit_3(capsys):
     assert main(["search", "--mode", "odd_sum", "--Q", "1e4", "--k", "3"]) == 3
     assert "even k" in capsys.readouterr().err
@@ -62,14 +76,11 @@ def test_search_unknown_mode_usage_error(capsys):
 
 def test_search_writes_reports(tmp_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    cache = tmp_path / "cache"
-    args = ["search", "--mode", "orderk", "--Q", "1e4", "--k", "2",
-            "--cache", str(cache)]
+    args = ["search", "--mode", "orderk", "--Q", "1e4", "--k", "2"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2), "--jobs", "2"]) == 0
     stdout = capsys.readouterr().out
     assert "members=3" in stdout
-    assert (cache / "primes.bin").exists()
     # records are byte-identical across runs and pool sizes
     assert (out1 / "records.jsonl").read_bytes() == (out2 / "records.jsonl").read_bytes()
     assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
@@ -80,7 +91,6 @@ def test_search_writes_reports(tmp_path, capsys):
     assert "references" in top
     man = json.loads((out1 / "manifest.json").read_text())
     assert man["params"]["mode"] == "orderk"
-    assert man["prime_cache_fingerprint"]
     header = (out1 / "records.csv").read_text().splitlines()[0]
     assert header == "char_id,q,order,parity,M,argmax,L1_abs,ratio_odd,ratio_even"
 
@@ -93,13 +103,6 @@ def test_search_twisted_mode_defaults(tmp_path, capsys):
     rec = json.loads(lines[0])
     assert rec["xi_id"] == "q=3;comps=3:1"
     assert rec["parity"] == 1
-
-
-def test_cache_env_var(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "envcache"
-    monkeypatch.setenv("CHX_CACHE", str(cache))
-    assert main(["search", "--mode", "orderk", "--Q", "1e4", "--k", "2"]) == 0
-    assert (cache / "primes.bin").exists()
 
 
 def test_verify_moments_suite(tmp_path, capsys):

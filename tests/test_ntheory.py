@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from chx.ntheory import (
-    PrimeTable,
     factor,
     is_fundamental_discriminant,
     is_kth_power,
@@ -49,18 +47,6 @@ def test_prime_table_in_range_strict():
     assert table.in_range(7, 20).tolist() == [11, 13, 17, 19]
     # both endpoints excluded even when prime
     assert table.in_range(7.0, 19.0).tolist() == [11, 13, 17]
-
-
-def test_prime_table_cache_roundtrip(tmp_path):
-    t1 = sieve_primes(5000, cache_dir=tmp_path)
-    assert (tmp_path / "primes.bin").exists()
-    t2 = sieve_primes(5000, cache_dir=tmp_path)
-    assert np.array_equal(t1.primes, t2.primes)
-    # a smaller request reuses the table by slicing
-    t3 = sieve_primes(100, cache_dir=tmp_path)
-    assert t3.primes.tolist() == _naive_primes(100)
-    loaded = PrimeTable.load(tmp_path / "primes.bin")
-    assert loaded.limit == 5000
 
 
 def test_is_prime_against_sieve():

@@ -1,0 +1,58 @@
+"""Property tests of the character machinery on random small moduli.
+
+Hypothesis draws are derandomized and the example counts bounded, so the
+module runs the same cases every time in a few seconds.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from chx.character import all_characters, character_from_id  # noqa: E402
+from chx.ntheory import factor  # noqa: E402
+
+Q_MAX = 200
+_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+@st.composite
+def _characters(draw, count=1):
+    """`count` characters sharing one modulus q <= Q_MAX."""
+    q = draw(st.integers(1, Q_MAX))
+    chars = list(all_characters(q))
+    idx = st.integers(0, len(chars) - 1)
+    return tuple(chars[draw(idx)] for _ in range(count))
+
+
+@_SETTINGS
+@given(_characters())
+def test_conductor_matches_induction_oracle(chars):
+    (chi,) = chars
+    assert chi.conductor == chi.conductor_by_induction()
+
+
+@_SETTINGS
+@given(_characters())
+def test_char_id_roundtrip_property(chars):
+    (chi,) = chars
+    assert character_from_id(chi.char_id) == chi
+
+
+@_SETTINGS
+@given(_characters(), st.integers(0, 10**4), st.integers(0, 10**4))
+def test_completely_multiplicative(chars, m, n):
+    (chi,) = chars
+    assert chi.eval(m * n) == chi.eval(m) * chi.eval(n)
+
+
+@_SETTINGS
+@given(_characters(count=2))
+def test_row_orthogonality(chars):
+    chi, psi = chars
+    q = chi.modulus
+    inner = np.dot(chi.value_table(), np.conj(psi.value_table())) / factor(q).euler_phi()
+    assert abs(inner - (1.0 if chi == psi else 0.0)) < 1e-9

@@ -18,7 +18,6 @@ from chx.report import (
     REFERENCE_CONSTANTS,
     canonical_json,
     evaluate_character,
-    file_fingerprint,
     write_csv,
     write_json,
     write_jsonl,
@@ -89,9 +88,6 @@ def test_write_helpers_roundtrip(tmp_path):
     write_jsonl(tmp_path / "t.jsonl", [{"i": 1}, {"i": 2}])
     lines = (tmp_path / "t.jsonl").read_text().splitlines()
     assert [json.loads(x)["i"] for x in lines] == [1, 2]
-    fp = file_fingerprint(tmp_path / "t.json")
-    assert isinstance(fp, str) and len(fp) == 64
-    assert file_fingerprint(tmp_path / "missing.json") is None
 
 
 def test_csv_row_matches_header():
