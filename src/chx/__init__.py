@@ -2,14 +2,12 @@
 routes, character-sum maxima, and extremal-family searches."""
 
 from .character import (
-    CharProps,
     DirichletCharacter,
     RootOfUnity,
     all_characters,
     character_from_components,
     character_from_id,
     character_from_index,
-    character_props,
     kronecker_character,
     order_k_characters,
     order_witness,

@@ -398,9 +398,6 @@ class DirichletCharacter:
         """chi(-1) as ±1."""
         return self.eval(-1).as_int()
 
-    def is_odd(self) -> bool:
-        return self.parity() == -1
-
     @property
     def char_id(self) -> str:
         comps = ",".join(
@@ -441,7 +438,7 @@ class DirichletCharacter:
             return np.ones(1, dtype=np.complex128)
         _check_table_size(q)
         if len(self.components) == 1:
-            return self.components[0].value_array().copy()
+            return self.components[0].value_array()
         out = np.ones(q, dtype=np.complex128)
         idx = np.arange(q, dtype=np.int64)
         for c in self.components:
@@ -683,19 +680,3 @@ def order_witness(q1: int, q2: int, k: int) -> int:
         raise AssertionError(f"witness {n} evaluated to {val}")
     return n
 
-
-@dataclass(frozen=True)
-class CharProps:
-    order: int
-    parity: int
-    conductor: int
-    is_primitive: bool
-
-
-def character_props(chi: DirichletCharacter) -> CharProps:
-    return CharProps(
-        order=chi.order,
-        parity=chi.parity(),
-        conductor=chi.conductor,
-        is_primitive=chi.is_primitive,
-    )

@@ -1,5 +1,10 @@
 """Character-sum maxima M(chi), the half-sum identity, and the bridges
-from M(chi) to L-values."""
+from M(chi) to L-values.
+
+max_partial_sum is one cumulative sum over a period and returns only M(chi)
+and what is derived from it; half_sum_check builds its own table and sums
+its half period with fsum.
+"""
 
 from __future__ import annotations
 
@@ -12,8 +17,6 @@ import numpy as np
 from .character import DirichletCharacter, kronecker_character, product_character
 from .errors import ConstraintError
 from .lfunction import gauss_sum, l1_exact
-
-_EPS = float(np.finfo(np.float64).eps)
 
 # log log q ratios are meaningless for tiny moduli; suppressed below this
 _RATIO_MIN_MODULUS = 16
@@ -33,24 +36,26 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class MsumRecord:
-    """Scan result for one character: the maximum partial sum and friends.
+    """M(chi) = max_x |sum_{n<=x} chi(n)|, its smallest maximizer, and the
+    normalized ratios
 
     ratio_odd  = M*pi/(sqrt(q)*loglog q)        -- target e^gamma for odd chi
     ratio_even = M*pi*sqrt(3)/(sqrt(q)*loglog q) -- target e^gamma for even chi
-    Both are None for q < 16. prefix_error_bound is the cumulative roundoff
-    budget q*eps of the prefix scan.
+
+    Both ratios are None for q < 16.
     """
 
-    char_id: str
-    q: int
-    order: int
-    parity: int
     M: float
     argmax: int
-    half_sum: complex
-    prefix_error_bound: float
     ratio_odd: Optional[float]
     ratio_even: Optional[float]
+
+
+def _check_period_sum(total: complex, q: int) -> None:
+    """A full period of a non-principal character sums to 0; a table that
+    does not is corrupt."""
+    if abs(total) > 1e-6 * max(1.0, math.sqrt(q)):
+        raise AssertionError("period sum not ~0")
 
 
 def max_partial_sum(chi: DirichletCharacter) -> MsumRecord:
@@ -64,32 +69,17 @@ def max_partial_sum(chi: DirichletCharacter) -> MsumRecord:
             "M(chi) is undefined for principal characters (linear growth)"
         )
     q = chi.modulus
-    vals = chi.value_table()
-    prefix = np.cumsum(vals)  # prefix[x] = sum_{n<=x} chi(n), since chi(0) = 0
+    prefix = np.cumsum(chi.value_table())  # prefix[x] = sum_{n<=x} chi(n), as chi(0) = 0
     mags = np.abs(prefix)
     i = int(np.argmax(mags))  # mags[0] = 0, so i >= 1 is the smallest argmax
-    if abs(prefix[-1]) > 1e-6 * max(1.0, math.sqrt(q)):
-        raise AssertionError("period sum not ~0")
-    half = complex(
-        math.fsum(vals[1 : q // 2 + 1].real), math.fsum(vals[1 : q // 2 + 1].imag)
-    )
+    _check_period_sum(prefix[-1], q)
+    M = float(mags[i])
     ratio_odd = ratio_even = None
     if q >= _RATIO_MIN_MODULUS:
         norm = math.sqrt(q) * math.log(math.log(q))
-        ratio_odd = float(mags[i]) * math.pi / norm
-        ratio_even = float(mags[i]) * math.pi * math.sqrt(3.0) / norm
-    return MsumRecord(
-        char_id=chi.char_id,
-        q=q,
-        order=chi.order,
-        parity=chi.parity(),
-        M=float(mags[i]),
-        argmax=i,
-        half_sum=half,
-        prefix_error_bound=q * _EPS,
-        ratio_odd=ratio_odd,
-        ratio_even=ratio_even,
-    )
+        ratio_odd = M * math.pi / norm
+        ratio_even = M * math.pi * math.sqrt(3.0) / norm
+    return MsumRecord(M=M, argmax=i, ratio_odd=ratio_odd, ratio_even=ratio_even)
 
 
 @dataclass(frozen=True)
@@ -102,15 +92,22 @@ class HalfSumCheck:
 
 def half_sum_check(chi: DirichletCharacter) -> HalfSumCheck:
     """sum_{n<=q/2} chi(n) = (2 - conj(chi)(2)) tau(chi)/(i pi) * conj(L(1,chi))
-    for odd primitive chi of odd modulus; both sides computed independently.
+    for odd primitive chi of odd modulus.
+
+    The lhs is a compensated (fsum) sum over half a period; the rhs comes
+    from the compensated oracles gauss_sum and l1_exact.
     """
     if chi.parity() != -1:
         raise ConstraintError("half-sum identity requires an odd character")
     if not chi.is_primitive:
         raise ConstraintError("half-sum identity requires a primitive character")
-    if chi.modulus % 2 == 0:
+    q = chi.modulus
+    if q % 2 == 0:
         raise ConstraintError("half-sum identity tested on odd moduli only")
-    lhs = max_partial_sum(chi).half_sum
+    vals = chi.value_table()
+    _check_period_sum(vals.sum(), q)
+    half = vals[1 : q // 2 + 1]
+    lhs = complex(math.fsum(half.real), math.fsum(half.imag))
     tau = gauss_sum(chi)
     l1 = l1_exact(chi).value
     chi2 = chi.eval(2).to_complex().conjugate()

@@ -104,8 +104,14 @@ def _fmt_lv(lv) -> str:
     return f"{lv.value.real:+.10f}{lv.value.imag:+.10f}i  |.|={abs(lv.value):.10f}"
 
 
+def _check_z(z) -> None:
+    if z is not None and not 2 <= z < math.inf:
+        raise ValueError(f"--z must be a finite Euler truncation >= 2, got {z:g}")
+
+
 def cmd_eval(args) -> int:
     started = _utcnow()
+    _check_z(args.z)
     chosen = [args.id is not None, args.kronecker is not None,
               args.q is not None or args.t is not None]
     if sum(chosen) != 1:
@@ -141,6 +147,9 @@ def cmd_eval(args) -> int:
 def cmd_search(args) -> int:
     if not 1e4 <= args.Q < math.inf:
         raise ValueError(f"search requires a finite Q >= 1e4, got {args.Q:g}")
+    if not 0 < args.y_mult < math.inf:
+        raise ValueError(f"--y-mult must be finite and > 0, got {args.y_mult:g}")
+    _check_z(args.z)
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
     started = _utcnow()

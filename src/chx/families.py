@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -28,6 +29,7 @@ from .character import (
 )
 from .errors import ConstraintError, ResourceError
 from .ntheory import sieve_primes, squarefree_mask, factor
+from .report import REFERENCE_CONSTANTS, evaluate_character
 
 Signature = tuple  # per-prime value exponents in Z/k, one entry per p <= y
 
@@ -303,7 +305,6 @@ class QuadTwistSpec:
     delta: int
     xi: DirichletCharacter = None
     y: Optional[float] = None
-    psi: Optional[DirichletCharacter] = None
 
     def __post_init__(self):
         if not self.Q >= 16**3:
@@ -350,27 +351,17 @@ class TwistedFamily:
 def twisted_family(spec: QuadTwistSpec) -> TwistedFamily:
     """Build the twist family; every member is primitive of order k,
     conductor |d| q1 q2, and parity delta."""
-    if spec.psi is not None:
-        psi = spec.psi
-        prs = [p for p, _ in factor(psi.conductor).factors]
-        if len(prs) != 2 or not psi.is_primitive:
-            raise ValueError("base character must be primitive with conductor q1*q2")
-        q1, q2 = prs
-        y_req = y_used = float("nan")
-        substituted = False
-    else:
-        base_scale = spec.Q ** (2.0 / 3.0)
-        base_spec = OrderKFamilySpec(base_scale, spec.k)  # y = log Q^{2/3}
-        res = pigeonhole_with_retry(base_spec)
-        if not res.pairs:
-            raise ConstraintError(
-                "no valid base character: window "
-                f"({base_spec.window[0]:.1f}, {base_spec.window[1]:.1f}) has "
-                f"{res.n_window_primes} primes = 1 mod {spec.k}; a pair needs >= 2"
-            )
-        m, psi = res.pairs[0]
-        q1, q2 = res.bucket[0], res.bucket[1]
-        y_req, y_used, substituted = base_spec.y, res.y_used, res.substituted
+    base_scale = spec.Q ** (2.0 / 3.0)
+    base_spec = OrderKFamilySpec(base_scale, spec.k)  # y = log Q^{2/3}
+    res = pigeonhole_with_retry(base_spec)
+    if not res.pairs:
+        raise ConstraintError(
+            "no valid base character: window "
+            f"({base_spec.window[0]:.1f}, {base_spec.window[1]:.1f}) has "
+            f"{res.n_window_primes} primes = 1 mod {spec.k}; a pair needs >= 2"
+        )
+    _, psi = res.pairs[0]
+    q1, q2 = res.bucket[0], res.bucket[1]
     epsilon = psi.parity()
     ell = spec.xi.modulus
     eps_map = {}
@@ -393,7 +384,7 @@ def twisted_family(spec: QuadTwistSpec) -> TwistedFamily:
             raise AssertionError(f"twist by d={d} has the wrong conductor or parity")
         members.append(TwistedMember(d, chi, cond, chi.char_id))
     return TwistedFamily(
-        spec, psi, q1, q2, y_req, y_used, substituted, members
+        spec, psi, q1, q2, base_spec.y, res.y_used, res.substituted, members
     )
 
 
@@ -429,8 +420,6 @@ def extremal_pipeline(
 ) -> PipelineResult:
     """Run one search: orderk ranks pigeonholed psi_tilde by |L(1, .)|;
     odd_sum / even_sum rank twisted characters by M(chi)."""
-    from .report import REFERENCE_CONSTANTS  # deferred: report imports charsum
-
     if mode not in ("orderk", "odd_sum", "even_sum"):
         raise ValueError(f"unknown search mode {mode!r}")
     if not Q >= 1e4:
@@ -481,29 +470,14 @@ def extremal_pipeline(
     )
 
 
-def _eval_worker(task: tuple):
-    from .character import character_from_id
-    from .report import evaluate_character
-
-    char_id, z, xi_id = task
-    chi = character_from_id(char_id)
-    xi = character_from_id(xi_id) if xi_id else None
-    return evaluate_character(chi, z=z, xi=xi)
-
-
 def _evaluate_many(chars, z, xi, jobs):
-    xi_id = xi.char_id if xi is not None and not xi.is_principal else None
-    tasks = [(chi.char_id, z, xi_id) for chi in chars]
-    if jobs > 1 and len(tasks) > 1:
+    evaluate = partial(evaluate_character, z=z, xi=xi)
+    if jobs > 1 and len(chars) > 1:
         import multiprocessing as mp
 
-        with mp.Pool(jobs) as pool:
-            records = pool.map(_eval_worker, tasks)
-    else:
-        records = [_eval_worker(t) for t in tasks]
-    # canonical merge order, independent of pool size
-    records.sort(key=lambda r: r.char_id)
-    return records
+        with mp.Pool(min(jobs, len(chars))) as pool:
+            return pool.map(evaluate, chars)
+    return [evaluate(chi) for chi in chars]
 
 
 def random_l1_baseline(

@@ -7,13 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from chx import character
 from chx.character import (
     RootOfUnity,
     all_characters,
     character_from_components,
     character_from_id,
     character_from_index,
-    character_props,
     kronecker_character,
     order_k_characters,
     order_witness,
@@ -225,7 +225,18 @@ def test_order_witness_exact():
             assert tilde.eval(n) == RootOfUnity(k, 1)
 
 
-def test_character_props_record():
-    props = character_props(character_from_index(13, 4))
-    assert props.order == 3 and props.conductor == 13
-    assert props.is_primitive and props.parity == 1
+def test_character_structure_properties():
+    chi = character_from_index(13, 4)
+    assert chi.order == 3 and chi.conductor == 13
+    assert chi.is_primitive and chi.parity() == 1
+
+
+@pytest.mark.parametrize("q,t,cap", [(1009, 7, 1000), (3**7, 5, 2000)])
+def test_dlog_bsgs_matches_table(q, t, cap, monkeypatch):
+    # above the table cap, dlogs come from baby-step/giant-step
+    chi = character_from_components(q, {q: t})
+    ns = range(3 * q)
+    want = [chi.eval(n) for n in ns]
+    monkeypatch.setattr(character, "_DLOG_TABLE_CAP", cap)
+    monkeypatch.setattr(character, "_dlog_table", None)  # any table use fails
+    assert [chi.eval(n) for n in ns] == want

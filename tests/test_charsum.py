@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from chx.character import (
+    DirichletCharacter,
     all_characters,
     character_from_index,
     kronecker_character,
@@ -15,6 +17,7 @@ from chx.character import (
 )
 from chx.charsum import (
     CSV_COLUMNS,
+    MsumRecord,
     bridge_bounds,
     half_sum_check,
     max_partial_sum,
@@ -75,10 +78,23 @@ def test_msum_ratio_fields():
     assert abs(rec.ratio_even / rec.ratio_odd - math.sqrt(3)) < 1e-12
 
 
-def test_msum_error_budget():
-    chi = character_from_index(997, 1)
-    rec = max_partial_sum(chi)
-    assert rec.prefix_error_bound == 997 * np.finfo(np.float64).eps
+def test_msum_record_fields():
+    assert [f.name for f in dataclasses.fields(MsumRecord)] == [
+        "M", "argmax", "ratio_odd", "ratio_even",
+    ]
+
+
+def test_period_sum_guard_on_both_paths(monkeypatch):
+    # a corrupt table (one unit value doubled) trips the guard in the scan
+    # and in the half-sum check, each of which builds its own table
+    chi = character_from_index(101, 1)
+    table = chi.value_table()
+    table[1] += 1.0
+    monkeypatch.setattr(DirichletCharacter, "value_table", lambda self: table.copy())
+    with pytest.raises(AssertionError, match="period sum"):
+        max_partial_sum(chi)
+    with pytest.raises(AssertionError, match="period sum"):
+        half_sum_check(chi)
 
 
 def test_half_sum_identity_small_sweep():
@@ -88,6 +104,8 @@ def test_half_sum_identity_small_sweep():
             if not chi.is_primitive or chi.parity() != -1:
                 continue
             rec = half_sum_check(chi)
+            half = chi.value_table()[1 : q // 2 + 1]
+            assert rec.lhs == complex(math.fsum(half.real), math.fsum(half.imag))
             worst = max(worst, rec.abs_diff)
     assert worst < 1e-10
 

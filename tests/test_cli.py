@@ -50,6 +50,23 @@ def test_search_small_q_exit_2(Q, capsys):
     assert main(["search", "--mode", "orderk", "--Q", Q, "--k", "2"]) == 2
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["eval", "--q", "13", "--t", "4", "--z", "inf"], "--z"),
+    (["eval", "--q", "13", "--t", "4", "--z", "nan"], "--z"),
+    (["eval", "--q", "13", "--t", "4", "--z", "-5"], "--z"),
+    (["search", "--mode", "orderk", "--Q", "1e4", "--k", "2", "--z", "inf"], "--z"),
+    (["search", "--mode", "even_sum", "--Q", "1e4", "--k", "2", "--z", "inf"], "--z"),
+    (["search", "--mode", "orderk", "--Q", "1e4", "--k", "2", "--y-mult", "inf"], "--y-mult"),
+    (["search", "--mode", "even_sum", "--Q", "1e4", "--k", "2", "--y-mult", "inf"], "--y-mult"),
+    (["search", "--mode", "orderk", "--Q", "1e4", "--k", "2", "--y-mult", "-1"], "--y-mult"),
+    (["search", "--mode", "orderk", "--Q", "1e4", "--k", "2", "--y-mult", "nan"], "--y-mult"),
+])
+def test_bad_float_flag_exit_2(argv, flag, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("mode,Q", [("orderk", "1e30"), ("even_sum", "1e30"),
                                     ("orderk", str(2**26))])
 def test_search_out_of_scale_q_exit_3(mode, Q, capsys, monkeypatch):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from chx.errors import ConstraintError
 from chx.families import (
     OrderKFamilySpec,
     QuadTwistSpec,
+    _evaluate_many,
     _kronecker_column,
     count_fundamental_discriminants,
     extremal_pipeline,
@@ -26,6 +29,7 @@ from chx.families import (
     twisted_family,
 )
 from chx.ntheory import factor, is_kth_power, sieve_primes
+from chx.report import evaluate_character
 
 
 def test_family_spec_validation():
@@ -262,3 +266,40 @@ def test_random_baseline_deterministic():
 def test_random_baseline_order_restricted():
     vals = random_l1_baseline(1e4, count=20, order=3)
     assert vals.shape == (20,)
+
+
+def test_members_pickle_to_equal_records():
+    chi = psi_tilde(557, 859, 2)
+    clone = pickle.loads(pickle.dumps(chi))
+    assert evaluate_character(clone, z=100.0) == evaluate_character(chi, z=100.0)
+
+
+class _RecordingPool:
+    """In-process stand-in for multiprocessing.Pool that records its size
+    and sends the function and each argument through pickle."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        fn = pickle.loads(pickle.dumps(fn))
+        return [fn(pickle.loads(pickle.dumps(x))) for x in items]
+
+
+@pytest.mark.parametrize("n_chars,jobs,sizes", [(2, 8, [2]), (3, 2, [2]), (1, 4, []), (3, 1, [])])
+def test_pool_never_exceeds_members(n_chars, jobs, sizes, monkeypatch):
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    chars = [kronecker_character(d) for d in (-3, -4, 5)][:n_chars]
+    xi = kronecker_character(-7)
+    records = _evaluate_many(chars, 50.0, xi, jobs)
+    assert _RecordingPool.sizes == sizes
+    assert records == [evaluate_character(chi, z=50.0, xi=xi) for chi in chars]

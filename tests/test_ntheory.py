@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
+from chx import ntheory
 from chx.ntheory import (
     factor,
     is_fundamental_discriminant,
@@ -30,10 +32,20 @@ def test_sieve_matches_naive():
 
 
 def test_sieve_segmented_consistent():
-    # large enough to cross the segmented path; spot check pi(x) values
+    # below the simple-sieve cap, so this runs the simple path; spot check pi(x)
     table = sieve_primes(10**6)
     assert table.count() == 78498
     assert int(table.primes[-1]) == 999983
+
+
+@pytest.mark.parametrize("cap,segment", [(1008, 4099), (316, 1 << 12)])
+def test_segmented_sieve_matches_simple(cap, segment, monkeypatch):
+    # shrink the cap and segment so the segmented path runs on a small limit;
+    # each cap + 1 is prime, the first number the segments must keep
+    want = ntheory._simple_sieve(10**5)
+    monkeypatch.setattr(ntheory, "_SIMPLE_SIEVE_CAP", cap)
+    monkeypatch.setattr(ntheory, "_SEGMENT", segment)
+    assert np.array_equal(sieve_primes(10**5).primes, want)
 
 
 def test_sieve_rejects_bad_limits():

@@ -6,6 +6,8 @@ module runs the same cases every time in a few seconds.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -56,3 +58,15 @@ def test_row_orthogonality(chars):
     q = chi.modulus
     inner = np.dot(chi.value_table(), np.conj(psi.value_table())) / factor(q).euler_phi()
     assert abs(inner - (1.0 if chi == psi else 0.0)) < 1e-9
+
+
+@_SETTINGS
+@given(_characters())
+def test_primitive_character_induces(chars):
+    (chi,) = chars
+    q = chi.modulus
+    prim = chi.primitive_character()
+    assert prim.modulus == chi.conductor and prim.is_primitive
+    for n in range(1, 3 * q + 1):
+        if math.gcd(n, q) == 1:
+            assert prim.eval(n) == chi.eval(n)
