@@ -18,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -244,12 +245,15 @@ class _OddComponent:
         m = self.group_order
         return RootOfUnity(m, self.t * self.dlog(n))
 
-    def value_array(self) -> np.ndarray:
-        pa = self.pa
-        _check_table_size(pa)
+    def roots(self) -> np.ndarray:
+        """zeta_m^j for j < m = phi(p^a), shared by every index t."""
         m = self.group_order
-        vals = np.zeros(pa, dtype=np.complex128)
-        roots = np.exp(2j * np.pi * np.arange(m) / m)
+        return np.exp(2j * np.pi * np.arange(m) / m)
+
+    def value_array(self, roots: np.ndarray) -> np.ndarray:
+        """The component's values mod p^a, gathered from `roots` = self.roots()."""
+        m = self.group_order
+        vals = np.zeros(self.pa, dtype=np.complex128)
         vals[_power_table(self.p, self.a)] = roots[self.t * np.arange(m) % m]
         return vals
 
@@ -313,10 +317,14 @@ class _TwoComponent:
         j = int(fivelog[n])
         return RootOfUnity(2, self.t0 * s) * RootOfUnity(self.m5, self.t1 * j)
 
-    def value_array(self) -> np.ndarray:
-        pa = self.pa
-        _check_table_size(pa)
-        vals = np.zeros(pa, dtype=np.complex128)
+    def roots(self) -> np.ndarray:
+        """zeta_m5^j for j < m5, shared by every index pair (a >= 3 reads them)."""
+        m5 = self.m5
+        return np.exp(2j * np.pi * np.arange(m5) / m5)
+
+    def value_array(self, roots: np.ndarray) -> np.ndarray:
+        """The component's values mod 2^a, gathered from `roots` = self.roots()."""
+        vals = np.zeros(self.pa, dtype=np.complex128)
         if self.a == 1:
             vals[1] = 1.0
             return vals
@@ -325,7 +333,6 @@ class _TwoComponent:
             vals[3] = -1.0 if self.t0 else 1.0
             return vals
         m5 = self.m5
-        roots = np.exp(2j * np.pi * np.arange(m5) / m5)
         sign, fivelog = _two_adic_tables(self.a)
         units = np.flatnonzero(sign >= 0)
         vals[units] = roots[self.t1 * fivelog[units] % m5] * np.where(
@@ -433,17 +440,7 @@ class DirichletCharacter:
 
     def value_table(self) -> np.ndarray:
         """chi(n) for n = 0..q-1 as complex128 (0 on non-units)."""
-        q = self.modulus
-        if q == 1:
-            return np.ones(1, dtype=np.complex128)
-        _check_table_size(q)
-        if len(self.components) == 1:
-            return self.components[0].value_array()
-        out = np.ones(q, dtype=np.complex128)
-        idx = np.arange(q, dtype=np.int64)
-        for c in self.components:
-            out *= c.value_array()[idx % c.pa]
-        return out
+        return next(value_tables([self]))
 
     # -- algebra -----------------------------------------------------------
 
@@ -501,6 +498,41 @@ class DirichletCharacter:
             if self.is_induced_from(f):
                 return f
         raise AssertionError("induction scan found no conductor")  # unreachable
+
+
+# ---------------------------------------------------------------------------
+# value tables
+
+
+def value_tables(chars: Sequence[DirichletCharacter]) -> Iterator[np.ndarray]:
+    """The value tables of characters sharing one modulus q, in input order.
+
+    Each component's roots of unity are computed once for all of `chars`;
+    the tables are built one at a time as they are consumed, so a caller
+    that keeps no table alive holds at most one.  Raises ValueError if the
+    moduli differ.
+    """
+    if len({chi.modulus for chi in chars}) > 1:
+        raise ValueError("value_tables needs characters of one modulus")
+    if not chars:
+        return
+    _check_table_size(chars[0].modulus)
+    roots = [c.roots() for c in chars[0].components]
+    for chi in chars:
+        yield _value_table(chi, roots)
+
+
+def _value_table(chi: DirichletCharacter, roots: list) -> np.ndarray:
+    """One table; a function of its own so value_tables' frame keeps no
+    reference to the table it last yielded."""
+    if len(chi.components) == 1:
+        return chi.components[0].value_array(roots[0])
+    q = chi.modulus
+    out = np.ones(q, dtype=np.complex128)
+    idx = np.arange(q, dtype=np.int64)  # per table: held across tables it raised peak RSS
+    for c, r in zip(chi.components, roots):
+        out *= c.value_array(r)[idx % c.pa]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -105,8 +105,8 @@ def _fmt_lv(lv) -> str:
 
 
 def _check_z(z) -> None:
-    if z is not None and not 2 <= z < math.inf:
-        raise ValueError(f"--z must be a finite Euler truncation >= 2, got {z:g}")
+    if z is not None and not 2 <= z <= 2**32:  # 2**32: the prime sieve's limit
+        raise ValueError(f"--z must be an Euler truncation in [2, 2**32], got {z:g}")
 
 
 def cmd_eval(args) -> int:

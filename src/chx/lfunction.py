@@ -7,8 +7,11 @@ extremal-search heuristics.
 
 Production values of tau(chi) and L(1, chi) come from one dot-product
 kernel over the finite formulas (`finite_weights` and `tau_l1`, O(q) per
-character, ~1e-12 relative).  `gauss_sum` and `l1_exact` evaluate the same
-formulas with compensated sums; they are the kernel's oracles.
+character, ~1e-12 relative).  A batch (`l1_exact_batch`) shares the
+weights and the components' roots of unity (`character.value_tables`)
+across the characters of each modulus.  `gauss_sum` and `l1_exact`
+evaluate the same formulas with compensated sums; they are the kernel's
+oracles.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 from scipy.special import digamma
 
-from .character import DirichletCharacter
+from .character import DirichletCharacter, value_tables
 from .errors import ConstraintError
 from .ntheory import sieve_primes
 
@@ -275,8 +278,11 @@ def l1_finite(chi: DirichletCharacter) -> tuple[complex, LValue]:
 
 
 def l1_exact_batch(chars: Sequence[DirichletCharacter]) -> np.ndarray:
-    """L(1, chi) for many characters by the kernel, one set of weights per
-    modulus."""
+    """L(1, chi) for many characters by the kernel, in input order.
+
+    The characters are grouped by modulus; each group shares one set of
+    weights and one set of component roots of unity (`value_tables`).
+    """
     out = np.empty(len(chars), dtype=np.complex128)
     by_q: dict[int, list[int]] = {}
     for i, chi in enumerate(chars):
@@ -284,7 +290,8 @@ def l1_exact_batch(chars: Sequence[DirichletCharacter]) -> np.ndarray:
         by_q.setdefault(chi.modulus, []).append(i)
     for q, idx in by_q.items():
         weights = finite_weights(q)
+        tables = value_tables([chars[i] for i in idx])
         for i in idx:
-            chi = chars[i]
-            out[i] = tau_l1(chi.value_table(), chi.parity(), weights)[1]
+            # the table stays a temporary, so it is freed before the next is built
+            out[i] = tau_l1(next(tables), chars[i].parity(), weights)[1]
     return out

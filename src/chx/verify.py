@@ -1,8 +1,9 @@
 """Verification suites: exact identities, censuses, bounds, and moment
 calibrations, each returning deterministic machine-readable check records.
 
-The scans build the weights of the finite formulas once per modulus and
-evaluate tau(chi) and L(1, chi) with the production dot-product kernel of
+The scans build the weights of the finite formulas and the components'
+roots of unity (`character.value_tables`) once per modulus and evaluate
+tau(chi) and L(1, chi) with the production dot-product kernel of
 `chx.lfunction`.  Fixed subsamples tie the kernel to its compensated
 oracles `gauss_sum` and `l1_exact`, so a regression in either fails the
 suite.
@@ -17,7 +18,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .character import all_characters, order_k_characters, order_witness, psi_q
+from .character import (
+    all_characters,
+    order_k_characters,
+    order_witness,
+    psi_q,
+    value_tables,
+)
 from .charsum import bridge_bounds, half_sum_check, max_partial_sum
 from .families import (
     OrderKFamilySpec,
@@ -97,8 +104,9 @@ def _check_gauss_modulus(q_max: int = 1000) -> CheckResult:
             continue  # no primitive characters for q = 2 mod 4
         e = finite_weights(q)[0]
         rq = math.sqrt(q)
-        for chi in _primitive_characters(q):
-            tau = np.dot(chi.value_table(), e)
+        chars = _primitive_characters(q)
+        for chi, vals in zip(chars, value_tables(chars)):
+            tau = np.dot(vals, e)
             rel = abs(abs(tau) - rq) / rq
             n += 1
             if rel > worst:
@@ -150,10 +158,10 @@ def _check_exact_vs_series(q_max: int = 500) -> CheckResult:
             continue
         w = digamma_weights(q)
         weights = finite_weights(q)
-        for chi in _primitive_characters(q):
+        chars = _primitive_characters(q)
+        for chi, vals in zip(chars, value_tables(chars)):
             if chi.is_principal:
                 continue
-            vals = chi.value_table()
             lex = tau_l1(vals, chi.parity(), weights)[1]
             oracle = np.dot(vals, w)
             rel = abs(lex - oracle) / abs(oracle)
@@ -361,10 +369,8 @@ def _check_euler_calibration(
     for q in moduli:
         weights = finite_weights(q)
         idx = np.mod(plist, q)
-        for chi in all_characters(q):
-            if chi.is_principal:
-                continue
-            vals = chi.value_table()
+        chars = [chi for chi in all_characters(q) if not chi.is_principal]
+        for chi, vals in zip(chars, value_tables(chars)):
             lex = tau_l1(vals, chi.parity(), weights)[1]
             # chi(q) = 0 makes the p = q factor equal 1 automatically
             euler = np.prod(1.0 / (1.0 - vals[idx] / pf))

@@ -68,6 +68,60 @@ def test_value_table_multiplicative():
             _table_props(chi)
 
 
+def _reference_table(chi):
+    """The per-character table formula value_tables replaced: each component
+    exponentiates its own roots of unity."""
+    def component(c):
+        vals = np.zeros(c.pa, dtype=np.complex128)
+        if c.p != 2:
+            m = c.group_order
+            roots = np.exp(2j * np.pi * np.arange(m) / m)
+            vals[character._power_table(c.p, c.a)] = roots[c.t * np.arange(m) % m]
+            return vals
+        if c.a == 1:
+            vals[1] = 1.0
+            return vals
+        if c.a == 2:
+            vals[1] = 1.0
+            vals[3] = -1.0 if c.t0 else 1.0
+            return vals
+        m5 = c.m5
+        roots = np.exp(2j * np.pi * np.arange(m5) / m5)
+        sign, fivelog = character._two_adic_tables(c.a)
+        units = np.flatnonzero(sign >= 0)
+        vals[units] = roots[c.t1 * fivelog[units] % m5] * np.where(
+            (c.t0 * sign[units]) % 2, -1.0, 1.0
+        )
+        return vals
+
+    q = chi.modulus
+    if q == 1:
+        return np.ones(1, dtype=np.complex128)
+    if len(chi.components) == 1:
+        return component(chi.components[0])
+    out = np.ones(q, dtype=np.complex128)
+    idx = np.arange(q, dtype=np.int64)
+    for c in chi.components:
+        out *= component(c)[idx % c.pa]
+    return out
+
+
+@pytest.mark.parametrize("q", [1, 13, 40, 81, 1009])
+def test_value_tables_match_reference(q):
+    chars = [kronecker_character(1)] if q == 1 else list(all_characters(q))
+    tables = list(character.value_tables(chars))
+    assert len(tables) == len(chars)
+    for chi, vals in zip(chars, tables):
+        assert np.array_equal(vals, _reference_table(chi))
+        assert np.array_equal(chi.value_table(), vals)
+
+
+def test_value_tables_edges():
+    assert list(character.value_tables([])) == []
+    with pytest.raises(ValueError):
+        list(character.value_tables([character_from_index(13, 1), character_from_index(17, 1)]))
+
+
 def test_order_matches_brute_force():
     for q in (5, 8, 9, 13, 16, 21, 36, 40):
         for chi in all_characters(q):

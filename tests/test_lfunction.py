@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from chx.lfunction import (
     gauss_sum,
     l1_exact,
     l1_exact_batch,
+    l1_finite,
     l1_series_oracle,
     l1_truncated_euler,
     prime_sum,
@@ -160,13 +162,16 @@ def test_prime_sum_spec_validation():
 
 
 def test_l1_exact_batch_matches_pointwise():
-    chars = []
-    for q in (5, 7, 12, 13, 29, 40):
-        chars.extend(c for c in all_characters(q)
-                     if not c.is_principal and c.is_primitive)
-    batch = l1_exact_batch(chars)
-    for chi, b in zip(chars, batch):
-        assert abs(l1_exact(chi).value - b) < 1e-11
+    groups = [[c for c in all_characters(q) if not c.is_principal and c.is_primitive]
+              for q in (5, 7, 12, 13, 29, 40)]
+    grouped = [chi for g in groups for chi in g]
+    # moduli cycled entry by entry, as random_l1_baseline draws them
+    interleaved = [chi for row in itertools.zip_longest(*groups) for chi in row if chi is not None]
+    for chars in (grouped, interleaved):
+        batch = l1_exact_batch(chars)
+        for chi, b in zip(chars, batch, strict=True):
+            assert b == l1_finite(chi)[1].value
+            assert abs(l1_exact(chi).value - b) < 1e-11
 
 
 def test_lvalue_as_dict_keys():
