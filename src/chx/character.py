@@ -8,7 +8,10 @@ indexed by (t0, t1).
 
 Values are roots of unity carried as exact (order, exponent) pairs; nothing
 is embedded into floating point until a caller asks for a complex value or a
-bulk value table.
+bulk value table.  Each component has one point evaluator, `exponents(n)`
+for an int array n (dlog-table gather up to p^a = 2**26, baby-step/giant-step
+above), read by `values_at`, `eval` and `complex_at`; the odd value tables
+gather from the same dlog table.  The parity is read from the indices.
 """
 
 from __future__ import annotations
@@ -114,7 +117,6 @@ def _check_table_size(size: int) -> None:
         raise ResourceError(f"value table of size {size} exceeds cap 2**26")
 
 
-@lru_cache(maxsize=8)
 def _power_table(p: int, a: int) -> np.ndarray:
     """powers[j] = g^j mod p^a for the canonical generator g, j < phi(p^a)."""
     pa = p**a
@@ -156,6 +158,7 @@ def _dlog_table(p: int, a: int) -> np.ndarray:
 def _two_adic_tables(a: int) -> tuple[np.ndarray, np.ndarray]:
     """(sign[n], five_log[n]) with n = (-1)^sign * 5^five_log mod 2^a, a >= 3."""
     pa = 1 << a
+    _check_table_size(pa)
     m5 = 1 << (a - 2)
     sign = np.full(pa, -1, dtype=np.int64)
     fivelog = np.full(pa, -1, dtype=np.int64)
@@ -208,10 +211,6 @@ class _OddComponent:
     def group_order(self) -> int:
         return self.pa // self.p * (self.p - 1)
 
-    @property
-    def generator(self) -> int:
-        return smallest_primitive_root_mod_pp(self.p, self.a)
-
     def value_order(self) -> int:
         m = self.group_order
         return m // math.gcd(self.t, m)
@@ -231,19 +230,18 @@ class _OddComponent:
     def index_label(self) -> int:
         return self.t
 
-    def dlog(self, n: int) -> int:
-        pa = self.pa
-        n %= pa
+    def exponents(self, n: np.ndarray) -> np.ndarray:
+        """e with chi(n) = zeta_m^e, m = phi(p^a), for an int array n >= 0;
+        entries at non-units are meaningless."""
+        m, pa = self.group_order, self.pa
+        n = n % pa
         if pa <= _DLOG_TABLE_CAP:
-            j = int(_dlog_table(self.p, self.a)[n])
-            if j < 0:
-                raise AssertionError(f"dlog of non-unit {n} mod {pa}")
-            return j
-        return _dlog_bsgs(n, self.generator, self.group_order, pa)
-
-    def eval_rou(self, n: int) -> RootOfUnity:
-        m = self.group_order
-        return RootOfUnity(m, self.t * self.dlog(n))
+            return self.t * _dlog_table(self.p, self.a)[n.astype(np.int64, copy=False)] % m
+        units = n % self.p != 0
+        j = np.zeros_like(n)
+        g = smallest_primitive_root_mod_pp(self.p, self.a)
+        j[units] = [_dlog_bsgs(int(x), g, m, pa) for x in n[units]]
+        return self.t * j % m
 
     def roots(self) -> np.ndarray:
         """zeta_m^j for j < m = phi(p^a), shared by every index t."""
@@ -252,9 +250,8 @@ class _OddComponent:
 
     def value_array(self, roots: np.ndarray) -> np.ndarray:
         """The component's values mod p^a, gathered from `roots` = self.roots()."""
-        m = self.group_order
-        vals = np.zeros(self.pa, dtype=np.complex128)
-        vals[_power_table(self.p, self.a)] = roots[self.t * np.arange(m) % m]
+        vals = roots[self.t * _dlog_table(self.p, self.a) % self.group_order]  # exponents(0..pa-1)
+        vals[:: self.p] = 0
         return vals
 
     def scaled(self, e: int) -> "_OddComponent":
@@ -277,6 +274,10 @@ class _TwoComponent:
     @property
     def pa(self) -> int:
         return 1 << self.a
+
+    @property
+    def group_order(self) -> int:
+        return self.pa // 2
 
     @property
     def m5(self) -> int:
@@ -305,17 +306,18 @@ class _TwoComponent:
             return self.t0
         return self.t0 * self.m5 + self.t1
 
-    def eval_rou(self, n: int) -> RootOfUnity:
-        pa = self.pa
-        n %= pa
+    def exponents(self, n: np.ndarray) -> np.ndarray:
+        """e with chi(n) = zeta_m^e, m = phi(2^a), for an int array n >= 0;
+        entries at non-units are meaningless."""
+        n = n % self.pa
         if self.a == 1:
-            return RootOfUnity.one()
+            return np.zeros_like(n)
         if self.a == 2:
-            return RootOfUnity(2, self.t0 * (n // 2))  # n in {1, 3}
+            return self.t0 * (n // 2)  # n in {1, 3}
         sign, fivelog = _two_adic_tables(self.a)
-        s = int(sign[n])
-        j = int(fivelog[n])
-        return RootOfUnity(2, self.t0 * s) * RootOfUnity(self.m5, self.t1 * j)
+        n = n.astype(np.int64, copy=False)
+        # -1 = zeta_m^m5 and zeta_m5 = zeta_m^2, m = 2 m5
+        return (self.t0 * self.m5 * sign[n] + 2 * self.t1 * fivelog[n]) % self.group_order
 
     def roots(self) -> np.ndarray:
         """zeta_m5^j for j < m5, shared by every index pair (a >= 3 reads them)."""
@@ -402,8 +404,9 @@ class DirichletCharacter:
         return self.conductor == self.modulus
 
     def parity(self) -> int:
-        """chi(-1) as ±1."""
-        return self.eval(-1).as_int()
+        """chi(-1) from the indices: (-1)^t per odd component, (-1)^t0 on 2^a."""
+        odd = sum(c.t0 if c.p == 2 else c.t for c in self.components) % 2
+        return -1 if odd else 1
 
     @property
     def char_id(self) -> str:
@@ -428,13 +431,33 @@ class DirichletCharacter:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, n: int) -> RootOfUnity:
-        if math.gcd(n, self.modulus) != 1:
-            return RootOfUnity.zero()
-        out = RootOfUnity.one()
+    def values_at(self, n) -> tuple[np.ndarray, np.ndarray]:
+        """(e, units) for an int array n: chi(n) = zeta_order^e exactly where
+        `units`, and chi(n) = 0 (with e = 0) elsewhere."""
+        q = self.modulus
+        # int64 products stay exact below the cap; above it, Python ints
+        n = np.asarray(n, dtype=np.int64 if q < _NUMPY_MODULUS_CAP else object) % q
+        lam = math.lcm(1, *(c.group_order for c in self.components))
+        e = np.zeros_like(n)
         for c in self.components:
-            out = out * c.eval_rou(n)
+            e += c.exponents(n).astype(n.dtype, copy=False) * (lam // c.group_order)
+        units = np.gcd(n, q) == 1
+        # on units chi(n) is an order-th root of unity, so lam/order divides e
+        return np.where(units, e % lam // (lam // self.order), 0), units
+
+    def complex_at(self, n) -> np.ndarray:
+        """chi(n) as complex128, each value bit-identical to its to_complex()."""
+        e, units = self.values_at(n)
+        distinct, where = np.unique(e, return_inverse=True)
+        roots = [RootOfUnity(self.order, int(x)).to_complex() for x in distinct]
+        out = np.array(roots, dtype=np.complex128)[where]
+        out[~units] = 0
         return out
+
+    def eval(self, n: int) -> RootOfUnity:
+        n %= self.modulus  # in Python: n may be negative or past int64
+        e, units = self.values_at([n])
+        return RootOfUnity(self.order, int(e[0])) if units[0] else RootOfUnity.zero()
 
     __call__ = eval
 
@@ -475,29 +498,13 @@ class DirichletCharacter:
                 while ff > 1:
                     ff //= c.p
                     a0 += 1
-                v = c.eval_rou(smallest_primitive_root_mod_pp(c.p, a0))
-                m0 = f // c.p * (c.p - 1)
-                if m0 % v.order != 0:
-                    raise AssertionError(f"value order {v.order} does not divide {m0}")
-                comps.append(_OddComponent(c.p, a0, v.exponent * (m0 // v.order)))
+                g0 = smallest_primitive_root_mod_pp(c.p, a0)
+                e = int(c.exponents(np.array([g0], dtype=object))[0])  # c(g0) = zeta_m^e
+                m, m0 = c.group_order, f // c.p * (c.p - 1)
+                if e * m0 % m != 0:
+                    raise AssertionError(f"zeta_{m}^{e} is not an {m0}-th root of unity")
+                comps.append(_OddComponent(c.p, a0, e * m0 // m))
         return DirichletCharacter(self.conductor, tuple(comps))
-
-    def is_induced_from(self, f: int) -> bool:
-        """Direct test: chi(n) = 1 for every n = 1 mod f coprime to q."""
-        if self.modulus % f != 0:
-            return False
-        one = RootOfUnity.one()
-        for n in range(1 + f, self.modulus, f):
-            if math.gcd(n, self.modulus) == 1 and self.eval(n) != one:
-                return False
-        return True
-
-    def conductor_by_induction(self) -> int:
-        """Smallest f | q the character is induced from (scan oracle)."""
-        for f in factor(self.modulus).divisors():
-            if self.is_induced_from(f):
-                return f
-        raise AssertionError("induction scan found no conductor")  # unreachable
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .character import (
 )
 from .errors import ConstraintError, ResourceError
 from .families import extremal_pipeline
+from .lfunction import check_euler_truncation
 # bench/test_bench.py::test_tracer_patches_every_binding asserts cli.sieve_primes
 from .ntheory import sieve_primes  # noqa: F401
 from .report import (
@@ -107,6 +108,8 @@ def _fmt_lv(lv) -> str:
 def _check_z(z) -> None:
     if z is not None and not 2 <= z <= 2**32:  # 2**32: the prime sieve's limit
         raise ValueError(f"--z must be an Euler truncation in [2, 2**32], got {z:g}")
+    if z is not None:
+        check_euler_truncation(z)  # exit 3 past the table cap, before any sieve
 
 
 def cmd_eval(args) -> int:

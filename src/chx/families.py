@@ -88,13 +88,10 @@ def signature_of(
     psi: DirichletCharacter, k: int, sig_primes: Sequence[int]
 ) -> Signature:
     """Exponent vector of psi on the signature primes, entries in Z/k."""
-    sig = []
-    for p in sig_primes:
-        rou = psi.eval(int(p))
-        if rou.is_zero or k % rou.order != 0:
-            raise AssertionError(f"psi({p}) = {rou} is not a k-th root of unity, k={k}")
-        sig.append(rou.exponent * (k // rou.order) % k)
-    return tuple(sig)
+    e, units = psi.values_at(sig_primes)
+    if not units.all() or k % psi.order != 0:
+        raise AssertionError(f"{psi.char_id} is not k-th root valued on {sig_primes}, k={k}")
+    return tuple((e * (k // psi.order)).tolist())
 
 
 @dataclass(frozen=True)
@@ -364,12 +361,10 @@ def twisted_family(spec: QuadTwistSpec) -> TwistedFamily:
     q1, q2 = res.bucket[0], res.bucket[1]
     epsilon = psi.parity()
     ell = spec.xi.modulus
-    eps_map = {}
-    for p in sieve_primes(max(2, int(spec.y))).primes:
-        p = int(p)
-        if p <= spec.y and ell % p != 0:
-            v = spec.xi.eval(p)
-            eps_map[p] = v.as_int()  # xi is real: +-1 away from ell
+    ps = sieve_primes(max(2, int(spec.y))).primes
+    ps = ps[(ps <= spec.y) & (ell % ps != 0)]
+    e, _ = spec.xi.values_at(ps)  # xi is real: xi(p) = (-1)^e away from ell
+    eps_map = dict(zip(ps.tolist(), (1 - 2 * e).tolist()))
     sig = signature_discriminants(spec.D, epsilon * spec.delta, spec.y, eps_map)
     members = []
     for d in sig.d_values:

@@ -23,8 +23,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 from scipy.special import digamma
 
-from .character import DirichletCharacter, value_tables
-from .errors import ConstraintError
+from .character import _DLOG_TABLE_CAP, DirichletCharacter, value_tables
+from .errors import ConstraintError, ResourceError
 from .ntheory import sieve_primes
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -195,21 +195,28 @@ def l1_series_oracle(chi: DirichletCharacter, N: int, tail: str = "bound") -> LV
     return LValue(value, DIRICHLET_SERIES, float(N), 2.0 * M / N, rigorous=True)
 
 
+def check_euler_truncation(z: float) -> None:
+    """Refuse an Euler truncation z past the table cap before it is sieved."""
+    if z > _DLOG_TABLE_CAP:
+        raise ResourceError(f"--z {z:g} is out of scale: Euler truncation above 2**26")
+
+
 def l1_truncated_euler(chi: DirichletCharacter, z: float) -> LValue:
     """prod_{p<=z, p not dividing q} (1 - chi(p)/p)^{-1} by direct product.
 
-    The error band is an empirical ~3 sigma estimate of the omitted factor,
-    sized like the standard deviation of sum_{p>z} chi(p)/p; non-rigorous.
+    One `complex_at` call gives every chi(p); the factors divide in left to
+    right.  z > 2**26 raises ResourceError before the sieve.  The error band
+    is an empirical ~3 sigma estimate of the omitted factor, sized like the
+    standard deviation of sum_{p>z} chi(p)/p; non-rigorous.
     """
+    check_euler_truncation(z)
     q = chi.modulus
     value = 1.0 + 0.0j
     if z >= 2:
         ps = sieve_primes(max(3, int(math.floor(z)))).primes
-        ps = ps[ps <= z]
-        for p in ps:
-            if q % int(p) == 0:
-                continue
-            value /= 1.0 - chi.eval(int(p)).to_complex() / int(p)
+        ps = ps[(ps <= z) & (q % ps != 0)]
+        for v, p in zip(chi.complex_at(ps).tolist(), ps.tolist()):
+            value /= 1.0 - v / p
     if z >= 3:
         band = 3.0 * abs(value) / math.sqrt(z * math.log(z))
     else:
@@ -217,27 +224,27 @@ def l1_truncated_euler(chi: DirichletCharacter, z: float) -> LValue:
     return LValue(value, EULER_TRUNCATED, float(z), band, rigorous=False)
 
 
+def weight_vector(primes: np.ndarray, weights: Optional[Mapping[int, complex]]) -> np.ndarray:
+    """a(p) for each of `primes`, 1 where `weights` has none; |a(p)| <= 1."""
+    w = np.array([weights.get(p, 1.0) if weights else 1.0 for p in primes.tolist()], complex)
+    over = np.flatnonzero(np.abs(w) > 1.0 + 1e-12)
+    if len(over):
+        raise ValueError(f"weight at p={primes[over[0]]} has |a(p)| = {abs(w[over[0]])} > 1")
+    return w
+
+
 def prime_sum(
     chi: DirichletCharacter,
     spec: PrimeSumSpec,
     weights: Optional[Mapping[int, complex]] = None,
 ) -> complex:
-    """sum over primes y < p < z of a(p) * chi(p) / p, |a(p)| <= 1.
+    """sum over primes y < p < z of a(p) * chi(p) / p, |a(p)| <= 1, by fsum.
 
     Primes missing from `weights` get a(p) = 1.
     """
-    terms_re, terms_im = [], []
-    for p in spec.primes():
-        p = int(p)
-        a_p = 1.0 + 0.0j
-        if weights is not None and p in weights:
-            a_p = complex(weights[p])
-            if abs(a_p) > 1.0 + 1e-12:
-                raise ValueError(f"weight at p={p} has |a(p)| = {abs(a_p)} > 1")
-        t = a_p * chi.eval(p).to_complex() / p
-        terms_re.append(t.real)
-        terms_im.append(t.imag)
-    return complex(math.fsum(terms_re), math.fsum(terms_im))
+    ps = spec.primes()
+    a, vals = weight_vector(ps, weights).tolist(), chi.complex_at(ps).tolist()
+    return _fsum_complex(np.array([a_p * v / p for a_p, v, p in zip(a, vals, ps.tolist())]))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .families import (
     _kronecker_column,
     psi_q,
 )
-from .lfunction import PrimeSumSpec
+from .lfunction import PrimeSumSpec, weight_vector
 from .ntheory import factor, is_kth_power
 
 _B_IDENTITY_MAX_PRIMES = 8
@@ -182,18 +182,6 @@ class MomentRecord:
     regime_warned: bool
 
 
-def _weight_vector(primes: np.ndarray, weights) -> np.ndarray:
-    w = np.ones(len(primes), dtype=np.complex128)
-    if weights is not None:
-        for i, p in enumerate(primes):
-            if int(p) in weights:
-                a_p = complex(weights[int(p)])
-                if abs(a_p) > 1.0 + 1e-12:
-                    raise ValueError(f"weight at p={p} has modulus > 1")
-                w[i] = a_p
-    return w
-
-
 def _orderk_prime_sums(
     spec: OrderKFamilySpec, primes: np.ndarray, w: np.ndarray
 ) -> np.ndarray:
@@ -202,10 +190,7 @@ def _orderk_prime_sums(
     qs = [int(q) for q in spec.window_primes()]
     if len(qs) < 2:
         return np.zeros(0, dtype=np.complex128)
-    rows = np.empty((len(qs), len(primes)), dtype=np.complex128)
-    for i, q in enumerate(qs):
-        psi = psi_q(q, spec.k)
-        rows[i] = [psi.eval(int(p)).to_complex() for p in primes]
+    rows = np.array([psi_q(q, spec.k).complex_at(primes) for q in qs])
     t = rows * (w / primes)  # row i scaled by a(p)/p
     gram = t @ rows.conj().T  # gram[i, j] = S_{q_i q_j}
     iu = np.triu_indices(len(qs), k=1)
@@ -234,7 +219,7 @@ def empirical_moment(spec: MomentSpec) -> MomentRecord:
     (2r)!/r! (sum 1/p^2)^r; implied_constant = lhs_avg / rhs_main.
     """
     primes = spec.window.primes()
-    w = _weight_vector(primes, spec.weights)
+    w = weight_vector(primes, spec.weights)
     p2 = float(np.sum(1.0 / primes.astype(np.float64) ** 2)) if len(primes) else 0.0
     r = spec.r
     loglogQ = math.log(max(math.e, math.log(spec.family.Q)))

@@ -21,8 +21,8 @@ from chx.character import (
     product_character,
     psi_q,
 )
-from chx.errors import ConstraintError
-from chx.ntheory import factor, kronecker, sieve_primes
+from chx.errors import ConstraintError, ResourceError
+from chx.ntheory import factor, kronecker, sieve_primes, smallest_primitive_root_mod_pp
 
 
 def test_root_of_unity_lowest_terms():
@@ -250,9 +250,70 @@ def test_product_and_conjugate():
 
 
 def test_parity_is_sign_at_minus_one():
-    for q in (5, 8, 13, 21, 40):
+    for q in (4, 5, 8, 13, 16, 21, 40, 64, 81, 120):
         for chi in all_characters(q):
-            assert chi.parity() == chi.eval(q - 1).as_int()
+            assert chi.parity() == chi.eval(q - 1).as_int() == chi.eval(-1).as_int()
+
+
+def test_parity_builds_no_table(monkeypatch):
+    chars = [character_from_index(1009, 7), kronecker_character(-8),
+             character_from_components(120, {8: 3, 3: 1, 5: 2})]
+
+    def refuse(*args):
+        raise AssertionError("parity built a table")
+
+    monkeypatch.setattr(character, "_dlog_table", refuse)
+    monkeypatch.setattr(character, "_power_table", refuse)
+    monkeypatch.setattr(character, "_two_adic_tables", refuse)
+    assert [chi.parity() for chi in chars] == [-1, -1, 1]
+
+
+@pytest.mark.parametrize("d", [-4, 8, -8, 5, -7, -20, 24, -24, 40, -163])
+def test_values_at_matches_kronecker_symbol(d):
+    chi = kronecker_character(d)
+    ns = np.arange(-3 * abs(d), 3 * abs(d) + 1)
+    e, units = chi.values_at(ns)
+    got = np.where(units, 1 - 2 * e, 0)
+    assert got.tolist() == [kronecker(d, int(n)) for n in ns]
+
+
+@pytest.mark.parametrize("q", [13, 40, 64, 81, 120, 1009])
+def test_values_at_matches_value_table(q):
+    ns = np.arange(-q, 2 * q)
+    for chi in all_characters(q):
+        vals = chi.value_table()[ns % q]
+        e, units = chi.values_at(ns)
+        exact = np.where(units, np.exp(2j * np.pi * e / chi.order), 0)
+        assert np.max(np.abs(exact - vals)) < 1e-12
+        assert np.max(np.abs(chi.complex_at(ns) - vals)) < 1e-12
+        assert np.array_equal(units, np.gcd(ns, q) == 1)
+
+
+def test_complex_at_is_to_complex():
+    chi = character_from_components(120, {8: 3, 3: 1, 5: 1})
+    ns = list(range(-130, 250))
+    want = [chi.eval(n).to_complex() if math.gcd(n, 120) == 1 else 0j for n in ns]
+    assert chi.complex_at(ns).tolist() == want
+
+
+def test_eval_reduces_large_and_negative_n():
+    chi = character_from_components(81, {81: 5})
+    assert chi.eval(-1) == chi.eval(80) == RootOfUnity(2, 1)
+    assert chi.eval(10**30 + 1) == chi.eval((10**30 + 1) % 81)
+    assert chi.eval(-(10**30) - 1) == chi.eval(-(10**30 + 1) % 81)
+    assert chi.eval(3 * 10**30).is_zero
+
+
+def test_values_at_past_int64_products():
+    # q above 2**31: exponents are exact Python ints, dlogs by baby-step/giant-step
+    q = 2147483659
+    g = smallest_primitive_root_mod_pp(q, 1)
+    chi = character_from_index(q, 3)
+    assert chi.eval(pow(g, 12345, q)) == RootOfUnity(q - 1, 3 * 12345)
+    assert chi.eval(10**40) == chi.eval(10) ** 40
+    e, units = chi.values_at([g, q - 1, 0, 2 * q])
+    assert chi.order == (q - 1) // 3 and e.tolist() == [1, chi.order // 2, 0, 0]
+    assert units.tolist() == [True, True, False, False]
 
 
 def test_eval_exact_vs_table():
@@ -285,12 +346,25 @@ def test_character_structure_properties():
     assert chi.is_primitive and chi.parity() == 1
 
 
+def test_two_adic_tables_refuse_past_cap(monkeypatch):
+    # 2-adic logs come only from tables, so past the cap they are refused
+    monkeypatch.setattr(character, "_DLOG_TABLE_CAP", 1 << 9)
+    character._two_adic_tables.cache_clear()
+    chi = character_from_components(1 << 10, {1 << 10: 3})
+    assert chi.parity() == 1
+    with pytest.raises(ResourceError):
+        chi.eval(3)
+
+
 @pytest.mark.parametrize("q,t,cap", [(1009, 7, 1000), (3**7, 5, 2000)])
 def test_dlog_bsgs_matches_table(q, t, cap, monkeypatch):
     # above the table cap, dlogs come from baby-step/giant-step
     chi = character_from_components(q, {q: t})
     ns = range(3 * q)
     want = [chi.eval(n) for n in ns]
+    want_e, want_units = chi.values_at(np.array(ns))
     monkeypatch.setattr(character, "_DLOG_TABLE_CAP", cap)
     monkeypatch.setattr(character, "_dlog_table", None)  # any table use fails
     assert [chi.eval(n) for n in ns] == want
+    e, units = chi.values_at(np.array(ns))
+    assert np.array_equal(e, want_e) and np.array_equal(units, want_units)

@@ -82,6 +82,23 @@ def test_search_out_of_scale_q_exit_3(mode, Q, capsys, monkeypatch):
     assert "--Q" in err and "2**26" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--q", "13", "--t", "4", "--z", "4294967296"],
+    ["eval", "--kronecker", "-4", "--z", str(2**26 + 1)],
+    ["search", "--mode", "orderk", "--Q", "1e4", "--k", "2", "--z", "4294967296"],
+    ["search", "--mode", "even_sum", "--Q", "1e4", "--k", "2", "--z", "4294967296"],
+])
+def test_huge_z_exit_3(argv, capsys, monkeypatch):
+    def refuse(limit):
+        raise AssertionError(f"sieve_primes({limit}) ran before the --z check")
+
+    for mod in (ntheory, families, lfunction, cli):
+        monkeypatch.setattr(mod, "sieve_primes", refuse)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "--z" in err and "2**26" in err
+
+
 def test_search_odd_twist_odd_k_exit_3(capsys):
     assert main(["search", "--mode", "odd_sum", "--Q", "1e4", "--k", "3"]) == 3
     assert "even k" in capsys.readouterr().err

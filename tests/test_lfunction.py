@@ -8,13 +8,16 @@ import math
 import numpy as np
 import pytest
 
+from chx import lfunction
 from chx.character import (
     all_characters,
+    character_from_id,
     character_from_index,
     kronecker_character,
     principal_character,
 )
-from chx.errors import ConstraintError
+from chx.errors import ConstraintError, ResourceError
+from chx.ntheory import sieve_primes
 from chx.lfunction import (
     PrimeSumSpec,
     digamma_weights,
@@ -130,6 +133,25 @@ def test_euler_truncation_approaches_exact():
     assert not lv.rigorous and lv.error_bound > 0
 
 
+def test_euler_truncation_is_the_pointwise_product():
+    # the vectorized chi(p) and the left-to-right division leave every bit
+    for chi in (character_from_index(1009, 7), character_from_id("q=40;comps=2^3:3,5:1")):
+        want = 1.0 + 0.0j
+        for p in sieve_primes(5000).primes.tolist():
+            if chi.modulus % p:
+                want /= 1.0 - chi.eval(p).to_complex() / p
+        assert l1_truncated_euler(chi, 5000).value == want
+
+
+def test_euler_truncation_refuses_huge_z(monkeypatch):
+    def refuse(limit):
+        raise AssertionError(f"sieve_primes({limit}) ran before the z check")
+
+    monkeypatch.setattr(lfunction, "sieve_primes", refuse)
+    with pytest.raises(ResourceError, match="2\\*\\*26"):
+        l1_truncated_euler(kronecker_character(-4), 2**26 + 1)
+
+
 def test_euler_truncation_below_first_prime_is_one():
     lv = l1_truncated_euler(kronecker_character(5), 1.5)
     assert lv.value == 1.0
@@ -151,6 +173,16 @@ def test_prime_sum_weights_and_caps():
     assert abs(full - 2 * half) < 1e-15
     with pytest.raises(ValueError):
         prime_sum(chi, w, weights={ps[0]: 2.0})  # |a(p)| <= 1 required
+
+
+def test_prime_sum_is_the_pointwise_fsum():
+    chi = character_from_index(1009, 7)
+    w = PrimeSumSpec(3, 3000)
+    weights = {p: complex(math.cos(p), math.sin(p)) for p in w.primes().tolist()[::3]}
+    terms = [weights.get(p, 1.0 + 0.0j) * chi.eval(p).to_complex() / p
+             for p in w.primes().tolist()]
+    want = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    assert prime_sum(chi, w, weights) == want
 
 
 def test_prime_sum_spec_validation():
@@ -177,3 +209,29 @@ def test_l1_exact_batch_matches_pointwise():
 def test_lvalue_as_dict_keys():
     d = l1_exact(kronecker_character(-4)).as_dict()
     assert set(d) == {"re", "im", "abs", "method", "param", "err"}
+
+
+def _l1_digamma_oracle(chi, mpmath):
+    """L(1, chi) = -(1/q) sum_a chi(a) digamma(a/q) at the working precision,
+    chi(a) = exp(2 pi i e/order) from the exact exponents."""
+    q = chi.modulus
+    e, units = chi.values_at(np.arange(q))
+    total = mpmath.mpc(0)
+    for a in np.flatnonzero(units).tolist():
+        root = mpmath.expjpi(mpmath.mpf(2 * int(e[a])) / chi.order)
+        total += root * mpmath.digamma(mpmath.mpf(a) / q)
+    return complex(-total / q)
+
+
+def test_l1_against_high_precision_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    sample = [kronecker_character(-163), character_from_index(4001, 1000)]
+    for q in (8, 40, 64, 81, 1009, 2003, 4001):
+        for parity in (1, -1):
+            sample.append(next(c for c in all_characters(q)
+                               if c.is_primitive and c.order > 1 and c.parity() == parity))
+    with mpmath.workdps(30):
+        for chi in sample:
+            want = _l1_digamma_oracle(chi, mpmath)
+            for lv in (l1_exact(chi), l1_finite(chi)[1]):
+                assert abs(lv.value - want) <= lv.error_bound, chi.char_id

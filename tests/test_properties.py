@@ -30,11 +30,20 @@ def _characters(draw, count=1):
     return tuple(chars[draw(idx)] for _ in range(count))
 
 
+def _conductor_by_induction(chi):
+    """Scan oracle: the least f | q with chi(n) = 1 for every unit n = 1 mod f."""
+    for f in factor(chi.modulus).divisors():
+        e, units = chi.values_at(np.arange(1 + f, chi.modulus, f))
+        if not e[units].any():
+            return f
+    raise AssertionError("induction scan found no conductor")
+
+
 @_SETTINGS
 @given(_characters())
 def test_conductor_matches_induction_oracle(chars):
     (chi,) = chars
-    assert chi.conductor == chi.conductor_by_induction()
+    assert chi.conductor == _conductor_by_induction(chi)
 
 
 @_SETTINGS
@@ -49,6 +58,13 @@ def test_char_id_roundtrip_property(chars):
 def test_completely_multiplicative(chars, m, n):
     (chi,) = chars
     assert chi.eval(m * n) == chi.eval(m) * chi.eval(n)
+
+
+@_SETTINGS
+@given(_characters())
+def test_parity_is_value_at_minus_one(chars):
+    (chi,) = chars
+    assert chi.parity() == chi.eval(chi.modulus - 1).as_int()
 
 
 @_SETTINGS
