@@ -173,22 +173,34 @@ def _two_adic_tables(a: int) -> tuple[np.ndarray, np.ndarray]:
     return sign, fivelog
 
 
-def _dlog_bsgs(n: int, g: int, m: int, pa: int) -> int:
-    """x < m with g^x = n mod p^a, by baby-step/giant-step."""
-    s = math.isqrt(m - 1) + 1
+def _baby_steps(g: int, s: int, pa: int) -> dict:
+    """{g^j mod p^a: j} for j < s (the least j for repeated values)."""
     baby = {}
     x = 1
     for j in range(s):
         baby.setdefault(x, j)
         x = x * g % pa
+    return baby
+
+
+def _dlog_bsgs(ns, g: int, m: int, pa: int) -> list[int]:
+    """x < m with g^x = n mod p^a for each n of `ns`, by baby-step/giant-step
+    over one shared baby-step table."""
+    s = math.isqrt(m - 1) + 1
+    baby = _baby_steps(g, s, pa)
     step = pow(g, -s, pa)
-    cur = n % pa
-    for i in range(s + 1):
-        j = baby.get(cur)
-        if j is not None:
-            return (i * s + j) % m
-        cur = cur * step % pa
-    raise ArithmeticError(f"no discrete log of {n} mod {pa}")
+    out = []
+    for n in ns:
+        cur = n % pa
+        for i in range(s + 1):
+            j = baby.get(cur)
+            if j is not None:
+                out.append((i * s + j) % m)
+                break
+            cur = cur * step % pa
+        else:
+            raise ArithmeticError(f"no discrete log of {n} mod {pa}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +252,7 @@ class _OddComponent:
         units = n % self.p != 0
         j = np.zeros_like(n)
         g = smallest_primitive_root_mod_pp(self.p, self.a)
-        j[units] = [_dlog_bsgs(int(x), g, m, pa) for x in n[units]]
+        j[units] = _dlog_bsgs([int(x) for x in n[units]], g, m, pa)
         return self.t * j % m
 
     def roots(self) -> np.ndarray:
@@ -540,6 +552,112 @@ def _value_table(chi: DirichletCharacter, roots: list) -> np.ndarray:
     for c, r in zip(chi.components, roots):
         out *= c.value_array(r)[idx % c.pa]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the value matrix of all characters of one modulus
+
+_BLOCK_ELEMENTS = 1 << 14  # entries per row block (256 KB): 16 MB blocks measured slower
+
+
+def _label_facts(c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(value order, primitive, odd) for every index label of the component
+    mod p^a, in label order; `c` is any component of that p^a."""
+    if c.p != 2:
+        m = c.group_order
+        t = np.arange(m)
+        order = m // np.gcd(t, m)
+        # conductor p^(1 + v_p(order)) for t != 0, and v_p(order) <= a - 1
+        return order, (order > 1) & (order % (c.pa // c.p) == 0), t % 2 == 1
+    if c.a <= 2:
+        t0 = np.arange(c.a)  # one label mod 2, two mod 4
+        return 1 + t0, (c.a == 2) & (t0 == 1), t0 == 1
+    m5 = c.m5
+    t0, t1 = np.divmod(np.arange(2 * m5), m5)
+    five = m5 // np.gcd(t1, m5)
+    return np.lcm(1 + t0, five), five == m5, t0 == 1
+
+
+def _component_rows(c, labels: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The values mod p^a of the component characters with index `labels`,
+    one row each, every row equal to that label's `value_array(roots)`."""
+    if c.p == 2:
+        return np.stack([_make_component(2, c.a, int(t)).value_array(roots) for t in labels])
+    vals = roots[labels[:, None] * _dlog_table(c.p, c.a) % c.group_order]
+    vals[:, :: c.p] = 0
+    return vals
+
+
+class CharacterMatrix:
+    """The value tables of all phi(q) characters mod q as the rows of one
+    matrix, in `all_characters(q)` order.
+
+    Row r has the component index labels np.unravel_index(r, shape); its
+    exact facts `primitive`, `parity` (chi(-1)) and `order` are arrays read
+    from the labels, built with no table.  The values come from `blocks`, in
+    row blocks of at most _BLOCK_ELEMENTS entries, and each row equals the
+    table `value_tables` gives for the row's `character`.
+    """
+
+    def __init__(self, q: int):
+        _check_table_size(q)
+        self.modulus = q
+        self._base = principal_character(q).components
+        facts = [_label_facts(c) for c in self._base]
+        self.shape = tuple(len(f[0]) for f in facts)
+        order = np.ones(self.shape, dtype=np.int64)
+        primitive = np.ones(self.shape, dtype=bool)
+        odd = np.zeros(self.shape, dtype=bool)
+        for axis, (o, prim, od) in enumerate(facts):
+            along = [-1 if i == axis else 1 for i in range(len(facts))]
+            order = np.lcm(order, o.reshape(along))
+            primitive = primitive & prim.reshape(along)
+            odd = odd ^ od.reshape(along)
+        self.order = order.ravel()
+        self.primitive = primitive.ravel()
+        self.parity = np.where(odd.ravel(), -1, 1)
+
+    def _labels(self, rows) -> tuple:
+        return np.unravel_index(rows, self.shape) if self.shape else ()
+
+    def character(self, row: int) -> DirichletCharacter:
+        """The character of one row."""
+        labels = self._labels(int(row))
+        comps = tuple(_make_component(c.p, c.a, int(t)) for c, t in zip(self._base, labels))
+        return DirichletCharacter(self.modulus, comps)
+
+    def blocks(self, rows) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(rows, values) for the row indices `rows`, in blocks of at most
+        _BLOCK_ELEMENTS entries: values[i] is the table of row rows[i].
+
+        The components multiply in the order `value_tables` multiplies
+        them, so each row equals that table exactly.
+        """
+        q = self.modulus
+        rows = np.asarray(rows, dtype=np.int64)
+        step = max(1, _BLOCK_ELEMENTS // q)
+        roots = [c.roots() for c in self._base]
+        # the product below indexes column n by its residues (n mod p^a, ...),
+        # in mixed radix with the last component fastest
+        crt = np.zeros(q, dtype=np.int64)
+        for c in self._base:
+            crt = crt * c.pa + np.arange(q) % c.pa
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo : lo + step]
+            out = None
+            for c, r, lab in zip(self._base, roots, self._labels(chunk)):
+                if len(self._base) == 1:
+                    vals = _component_rows(c, lab, r)
+                else:
+                    u, inv = np.unique(lab, return_inverse=True)
+                    vals = _component_rows(c, u, r)[inv]
+                if out is None:
+                    out = vals  # 1 * v == v: value_tables' first product
+                else:
+                    out = (out[:, :, None] * vals[:, None, :]).reshape(len(chunk), -1)
+            if out is None:  # q = 1
+                out = np.ones((len(chunk), 1), dtype=np.complex128)
+            yield chunk, out if len(self._base) <= 1 else out[:, crt]
 
 
 # ---------------------------------------------------------------------------

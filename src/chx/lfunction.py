@@ -9,9 +9,11 @@ Production values of tau(chi) and L(1, chi) come from one dot-product
 kernel over the finite formulas (`finite_weights` and `tau_l1`, O(q) per
 character, ~1e-12 relative).  A batch (`l1_exact_batch`) shares the
 weights and the components' roots of unity (`character.value_tables`)
-across the characters of each modulus.  `gauss_sum` and `l1_exact`
-evaluate the same formulas with compensated sums; they are the kernel's
-oracles.
+across the characters of each modulus; `tau_l1_rows` is the same kernel
+as one matrix product (with `row_weights`) over the rows of a
+`character.CharacterMatrix`.
+`gauss_sum` and `l1_exact` evaluate the same formulas with compensated
+sums; they are the kernel's oracles.
 """
 
 from __future__ import annotations
@@ -273,6 +275,27 @@ def tau_l1(vals: np.ndarray, parity: int, weights) -> tuple[complex, complex]:
     else:
         value = -(tau / q) * np.dot(body, logsin)
     return complex(tau), complex(value)
+
+
+def row_weights(q: int) -> np.ndarray:
+    """finite_weights(q) as the columns of one (q, 3) matrix, for
+    tau_l1_rows: e(a/q), then a and log sin(pi a/q) with a zero at a = 0."""
+    e, a, logsin = finite_weights(q)
+    zero = np.zeros(1)
+    return np.column_stack([e, np.concatenate([zero, a]), np.concatenate([zero, logsin])])
+
+
+def tau_l1_rows(W: np.ndarray, parity, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tau_l1 for every row of W, the value tables of primitive non-principal
+    characters mod q with chi(-1) = parity (one per row, or one for all),
+    as one matrix product with `weights` = row_weights(q)."""
+    q = W.shape[1]
+    T = W @ weights
+    tau = T[:, 0]
+    odd = parity == -1
+    # sum_a conj(chi(a)) w[a] = conj(sum_a chi(a) w[a]) for real w
+    s = np.conj(np.where(odd, T[:, 1], T[:, 2]))
+    return tau, np.where(odd, 1j * math.pi * tau / (q * q), -(tau / q)) * s
 
 
 def l1_finite(chi: DirichletCharacter) -> tuple[complex, LValue]:

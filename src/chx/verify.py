@@ -1,12 +1,15 @@
 """Verification suites: exact identities, censuses, bounds, and moment
 calibrations, each returning deterministic machine-readable check records.
 
-The scans build the weights of the finite formulas and the components'
-roots of unity (`character.value_tables`) once per modulus and evaluate
-tau(chi) and L(1, chi) with the production dot-product kernel of
-`chx.lfunction`.  Fixed subsamples tie the kernel to its compensated
-oracles `gauss_sum` and `l1_exact`, so a regression in either fails the
-suite.
+The character scans take all characters of one modulus at once, as the rows
+of its `character.CharacterMatrix`, and check each identity as row
+operations: tau(chi) and L(1, chi) in one matrix product with the weights
+of the finite formulas (`lfunction.tau_l1_rows`), M(chi) as a row-wise
+cumulative sum, the Euler product as a row-wise product.  Fixed spot
+samples tie each scan to the per-character functions that stay the
+authority (`gauss_sum`, `l1_exact`, the digamma series, `half_sum_check`,
+`max_partial_sum`, `bridge_bounds`, `l1_truncated_euler`), so a regression
+in either side fails the suite.
 """
 
 from __future__ import annotations
@@ -18,14 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .character import (
-    all_characters,
-    order_k_characters,
-    order_witness,
-    psi_q,
-    value_tables,
-)
-from .charsum import bridge_bounds, half_sum_check, max_partial_sum
+from .character import CharacterMatrix, order_k_characters, order_witness
+from .charsum import _BRIDGE_SLACK, bridge_bounds, half_sum_check, max_partial_sum
 from .families import (
     OrderKFamilySpec,
     count_fundamental_discriminants,
@@ -35,13 +32,13 @@ from .families import (
 from .lfunction import (
     PrimeSumSpec,
     digamma_weights,
-    finite_weights,
     gauss_sum,
     l1_exact,
     l1_series_oracle,
     l1_truncated_euler,
     prime_sum,
-    tau_l1,
+    row_weights,
+    tau_l1_rows,
 )
 from .moments import (
     MomentSpec,
@@ -87,8 +84,57 @@ class SuiteResult:
         }
 
 
-def _primitive_characters(q: int):
-    return [chi for chi in all_characters(q) if chi.is_primitive]
+# ---------------------------------------------------------------------------
+# scans over the character matrix of each modulus
+
+
+class _Spot:
+    """The spot ties of a vectorized scan to its per-character oracle.
+
+    The sample is every `every`-th scanned character, counting from 1, or
+    the first scanned character when the scan holds fewer than `every`.
+    `tie(chi, *values)` gives the discrepancy of one sampled character from
+    its values in the scan.  `n` counts the scanned characters.
+    """
+
+    def __init__(self, every: int, tie):
+        self.every, self.tie = every, tie
+        self.n = 0
+        self._diffs: list = []
+        self._first = None
+
+    def add(self, cm: CharacterMatrix, rows: np.ndarray, *values) -> None:
+        """Scan one block of rows of cm, with the per-row values of the scan."""
+        if self.n == 0:
+            self._first = (cm.character(rows[0]), *(v[0] for v in values))
+        for i in range((-self.n - 1) % self.every, len(rows), self.every):
+            self._diffs.append(float(self.tie(cm.character(rows[i]), *(v[i] for v in values))))
+        self.n += len(rows)
+
+    def diffs(self) -> list:
+        """The discrepancies of the sample."""
+        if self._diffs or self._first is None:
+            return self._diffs
+        return [float(self.tie(*self._first))]
+
+
+class _Worst:
+    """The largest of a scanned quantity (NaN counts as +inf) and the id of
+    the first character that reaches it."""
+
+    def __init__(self):
+        self.value, self.char_id = 0.0, None
+
+    def add(self, cm: CharacterMatrix, rows: np.ndarray, x: np.ndarray) -> None:
+        x = np.where(np.isnan(x), np.inf, x)
+        i = int(np.argmax(x))
+        if x[i] > self.value:
+            self.value, self.char_id = float(x[i]), cm.character(rows[i]).char_id
+
+
+def _max_partial_sums(W: np.ndarray) -> np.ndarray:
+    """M(chi) = max_x |sum_{n<=x} chi(n)| for each row of value tables W."""
+    return np.abs(np.cumsum(W, axis=1)).max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -97,89 +143,98 @@ def _primitive_characters(q: int):
 
 def _check_gauss_modulus(q_max: int = 1000) -> CheckResult:
     """|tau(chi)| = sqrt(q) within 1e-9 relative for all primitive chi."""
-    worst, worst_id, n = 0.0, None, 0
-    spot = []
+    worst = _Worst()
+    spot = _Spot(
+        997, lambda chi: abs(abs(gauss_sum(chi)) - math.sqrt(chi.modulus)) / math.sqrt(chi.modulus)
+    )
     for q in range(1, q_max + 1):
         if q > 1 and q % 4 == 2:
             continue  # no primitive characters for q = 2 mod 4
-        e = finite_weights(q)[0]
+        cm = CharacterMatrix(q)
+        e = row_weights(q)[:, 0]
         rq = math.sqrt(q)
-        chars = _primitive_characters(q)
-        for chi, vals in zip(chars, value_tables(chars)):
-            tau = np.dot(vals, e)
-            rel = abs(abs(tau) - rq) / rq
-            n += 1
-            if rel > worst:
-                worst, worst_id = rel, chi.char_id
-            if n % 997 == 0:
-                spot.append(chi)
-    spot_worst = max(
-        abs(abs(gauss_sum(chi)) - math.sqrt(chi.modulus)) / math.sqrt(chi.modulus)
-        for chi in spot
-    )
+        for rows, W in cm.blocks(np.flatnonzero(cm.primitive)):
+            worst.add(cm, rows, np.abs(np.abs(W @ e) - rq) / rq)
+            spot.add(cm, rows)
+    ties = spot.diffs()
+    spot_worst = max(ties, default=0.0)
     return CheckResult(
         "gauss_modulus",
-        worst <= 1e-9 and spot_worst <= 1e-9,
+        worst.value <= 1e-9 and spot_worst <= 1e-9,
         {
             "q_max": q_max,
-            "n_characters": n,
-            "worst_rel": worst,
-            "worst_char": worst_id,
-            "spot_sample": len(spot),
+            "n_characters": spot.n,
+            "worst_rel": worst.value,
+            "worst_char": worst.char_id,
+            "spot_sample": len(ties),
             "spot_worst_rel": spot_worst,
         },
     )
 
 
+def _half_sum_tie(chi, lhs, rhs) -> float:
+    rec = half_sum_check(chi)
+    return max(abs(lhs - rec.lhs), abs(rhs - rec.rhs))
+
+
 def _check_half_sum(q_max: int = 400) -> CheckResult:
-    """Half-sum identity abs_diff < 1e-8 for odd primitive chi, odd q."""
-    worst, worst_id, n = 0.0, None, 0
+    """Half-sum identity abs_diff < 1e-8 for odd primitive chi, odd q;
+    every 499th character is also tied to half_sum_check."""
+    worst = _Worst()
+    spot = _Spot(499, _half_sum_tie)
     for q in range(3, q_max + 1, 2):
-        for chi in _primitive_characters(q):
-            if chi.parity() != -1:
-                continue
-            rec = half_sum_check(chi)
-            n += 1
-            if rec.abs_diff > worst:
-                worst, worst_id = rec.abs_diff, chi.char_id
+        cm = CharacterMatrix(q)
+        weights = row_weights(q)
+        for rows, W in cm.blocks(np.flatnonzero(cm.primitive & (cm.parity == -1))):
+            tau, l1 = tau_l1_rows(W, cm.parity[rows], weights)
+            lhs = W[:, 1 : q // 2 + 1].sum(axis=1)
+            rhs = (2.0 - np.conj(W[:, 2])) * tau / (1j * math.pi) * np.conj(l1)
+            worst.add(cm, rows, np.abs(lhs - rhs))
+            spot.add(cm, rows, lhs, rhs)
+    spot_worst = max(spot.diffs(), default=0.0)
     return CheckResult(
         "half_sum_identity",
-        worst < 1e-8,
-        {"q_max": q_max, "n_characters": n, "worst_abs_diff": worst, "worst_char": worst_id},
+        worst.value < 1e-8 and spot_worst <= 1e-10,
+        {
+            "q_max": q_max,
+            "n_characters": spot.n,
+            "worst_abs_diff": worst.value,
+            "worst_char": worst.char_id,
+            "spot_worst_abs": spot_worst,
+        },
     )
+
+
+def _exact_vs_series_tie(chi, lex, oracle) -> float:
+    d1 = abs(l1_exact(chi).value - lex)
+    d2 = abs(l1_series_oracle(chi, chi.modulus**2, tail="digamma").value - oracle)
+    return max(d1, d2)
 
 
 def _check_exact_vs_series(q_max: int = 500) -> CheckResult:
     """l1_exact vs the digamma-tailed series oracle, <= 1e-8 relative."""
-    worst, worst_id, n = 0.0, None, 0
-    spot_worst = 0.0
+    worst = _Worst()
+    spot = _Spot(499, _exact_vs_series_tie)  # ties the kernel to its compensated oracles
     for q in range(3, q_max + 1):
         if q % 4 == 2:
             continue
+        cm = CharacterMatrix(q)
         w = digamma_weights(q)
-        weights = finite_weights(q)
-        chars = _primitive_characters(q)
-        for chi, vals in zip(chars, value_tables(chars)):
-            if chi.is_principal:
-                continue
-            lex = tau_l1(vals, chi.parity(), weights)[1]
-            oracle = np.dot(vals, w)
-            rel = abs(lex - oracle) / abs(oracle)
-            n += 1
-            if rel > worst:
-                worst, worst_id = rel, chi.char_id
-            if n % 499 == 0:  # tie the kernel to its compensated oracles
-                d1 = abs(l1_exact(chi).value - lex)
-                d2 = abs(l1_series_oracle(chi, q * q, tail="digamma").value - oracle)
-                spot_worst = max(spot_worst, d1, d2)
+        weights = row_weights(q)
+        for rows, W in cm.blocks(np.flatnonzero(cm.primitive)):
+            lex = tau_l1_rows(W, cm.parity[rows], weights)[1]
+            oracle = W @ w
+            worst.add(cm, rows, np.abs(lex - oracle) / np.abs(oracle))
+            spot.add(cm, rows, lex, oracle)
+    spot_worst = max(spot.diffs(), default=0.0)
     return CheckResult(
         "exact_vs_series",
-        worst <= 1e-8 and spot_worst <= 1e-10,
+        worst.value <= 1e-8 and spot_worst <= 1e-10,
         {
             "q_max": q_max,
-            "n_characters": n,
-            "worst_rel": worst,
-            "worst_char": worst_id,
+            "n_characters": spot.n,
+            "worst_rel": worst.value,
+            "worst_char": worst.char_id,
             "spot_worst_abs": spot_worst,
         },
     )
@@ -319,37 +374,57 @@ def suite_census() -> SuiteResult:
 # bounds suite
 
 
+_CHI_MINUS_3 = np.array([0.0, 1.0, -1.0])  # (-3 | n) by n mod 3
+
+
+def _bridge_tie(chi, M, rhs) -> float:
+    rec = bridge_bounds(chi)
+    return max(abs(M - rec.lhs), abs(rhs - rec.rhs))
+
+
 def _check_bridges(q_max: int = 400) -> CheckResult:
     """M(chi) >= (sqrt(q)/pi)|L(1,chi)| (odd) and
     M(chi) >= (sqrt(3q)/(2pi))|L(1, chi*(./3))| (even, 3 coprime to q),
-    for every primitive even-order chi with q <= q_max."""
-    n_odd = n_even = violations = 0
+    for every primitive even-order chi with q <= q_max; every 499th
+    character is also tied to bridge_bounds."""
+    n_odd = violations = 0
     min_margin = float("inf")
+    spot = _Spot(499, _bridge_tie)
     for q in range(3, q_max + 1):
         if q % 4 == 2:
             continue
-        for chi in _primitive_characters(q):
-            if chi.is_principal or chi.order % 2 != 0:
-                continue
-            if chi.parity() == 1 and q % 3 == 0:
-                continue
-            rec = bridge_bounds(chi)
-            if rec.violated:
-                violations += 1
-            min_margin = min(min_margin, rec.margin)
-            if rec.bound_kind == "odd":
-                n_odd += 1
-            else:
-                n_even += 1
+        cm = CharacterMatrix(q)
+        keep = cm.primitive & (cm.order % 2 == 0)
+        if q % 3 == 0:
+            keep &= cm.parity == -1  # the even bridge needs 3 coprime to q
+        weights = row_weights(q)
+        twist_weights = row_weights(3 * q) if q % 3 else None
+        n = np.arange(3 * q)
+        for rows, W in cm.blocks(np.flatnonzero(keep)):
+            parity = cm.parity[rows]
+            odd = parity == -1
+            rhs = math.sqrt(q) / math.pi * np.abs(tau_l1_rows(W, parity, weights)[1])
+            if not odd.all():
+                # chi * (./3) mod 3q, odd and primitive for even chi with 3 coprime to q
+                twisted = W[~odd][:, n % q] * _CHI_MINUS_3[n % 3]
+                l1 = tau_l1_rows(twisted, -1, twist_weights)[1]
+                rhs[~odd] = math.sqrt(3 * q) / (2 * math.pi) * np.abs(l1)
+            M = _max_partial_sums(W)
+            violations += int(np.count_nonzero(~(M >= rhs - _BRIDGE_SLACK)))
+            min_margin = min(min_margin, float((M - rhs).min()))
+            n_odd += int(np.count_nonzero(odd))
+            spot.add(cm, rows, M, rhs)
+    spot_worst = max(spot.diffs(), default=0.0)
     return CheckResult(
         "bridge_bounds",
-        violations == 0,
+        violations == 0 and spot_worst <= 1e-10,
         {
             "q_max": q_max,
             "n_odd_branch": n_odd,
-            "n_even_branch": n_even,
+            "n_even_branch": spot.n - n_odd,
             "violations": violations,
             "min_margin": min_margin,
+            "spot_worst_abs": spot_worst,
         },
     )
 
@@ -361,59 +436,69 @@ def _check_euler_calibration(
     Euler product misses l1_exact by more than 5% must be below 1%."""
     plist = sieve_primes(int(z)).primes.astype(np.int64)
     plist = plist[plist <= z]
-    pf = plist.astype(np.float64)
-    n_chars = n_bad = 0
-    worst = 0.0
-    spot_worst = 0.0
+    inv_p = 1.0 / plist.astype(np.float64)
+    n_bad = 0
+    worst = _Worst()
+
+    def tie(chi, euler, lex):
+        d1 = abs(l1_truncated_euler(chi, z).value - euler)
+        d2 = abs(l1_exact(chi).value - lex)
+        return max(d1, d2)
+
+    spot = _Spot(9973, tie)
     moduli = [int(q) for q in sieve_primes(q_hi).primes if q_lo <= q <= q_hi]
     for q in moduli:
-        weights = finite_weights(q)
+        cm = CharacterMatrix(q)
+        weights = row_weights(q)
         idx = np.mod(plist, q)
-        chars = [chi for chi in all_characters(q) if not chi.is_principal]
-        for chi, vals in zip(chars, value_tables(chars)):
-            lex = tau_l1(vals, chi.parity(), weights)[1]
-            # chi(q) = 0 makes the p = q factor equal 1 automatically
-            euler = np.prod(1.0 / (1.0 - vals[idx] / pf))
-            rel = abs(euler - lex) / abs(lex)
-            n_chars += 1
-            worst = max(worst, rel)
-            if rel > rel_tol:
-                n_bad += 1
-            if n_chars % 9973 == 0:
-                d1 = abs(l1_truncated_euler(chi, z).value - euler)
-                d2 = abs(l1_exact(chi).value - lex)
-                spot_worst = max(spot_worst, d1, d2)
-    frac = n_bad / n_chars
+        for rows, W in cm.blocks(np.flatnonzero(cm.order > 1)):
+            lex = tau_l1_rows(W, cm.parity[rows], weights)[1]
+            # chi(q) = 0 makes the p = q factor equal 1 automatically; one
+            # reciprocal per character, not per factor
+            euler = 1.0 / np.prod(1.0 - W[:, idx] * inv_p, axis=1)
+            rel = np.abs(euler - lex) / np.abs(lex)
+            worst.add(cm, rows, rel)
+            n_bad += int(np.count_nonzero(~(rel <= rel_tol)))
+            spot.add(cm, rows, euler, lex)
+    spot_worst = max(spot.diffs(), default=0.0)
+    frac = n_bad / spot.n
     return CheckResult(
         "euler_calibration",
         frac < 0.01 and spot_worst <= 1e-10,
         {
             "q_range": [q_lo, q_hi],
             "z": z,
-            "n_characters": n_chars,
+            "n_characters": spot.n,
             "n_over_5pct": n_bad,
             "fraction": frac,
-            "worst_rel": worst,
+            "worst_rel": worst.value,
             "spot_worst_abs": spot_worst,
         },
     )
 
 
 def _check_polya_vinogradov(q_max: int = 1000) -> CheckResult:
-    """Empirical sanity M(chi) <= sqrt(q) log q for all non-principal chi."""
-    worst_ratio, n = 0.0, 0
+    """Empirical sanity M(chi) <= sqrt(q) log q for all non-principal chi;
+    every 9973rd character is also tied to max_partial_sum."""
+    worst = _Worst()
+    spot = _Spot(9973, lambda chi, M: abs(M - max_partial_sum(chi).M))
     for q in range(3, q_max + 1):
         bound = math.sqrt(q) * math.log(q)
-        for chi in all_characters(q):
-            if chi.is_principal:
-                continue
-            rec = max_partial_sum(chi)
-            worst_ratio = max(worst_ratio, rec.M / bound)
-            n += 1
+        cm = CharacterMatrix(q)
+        for rows, W in cm.blocks(np.flatnonzero(cm.order > 1)):
+            M = _max_partial_sums(W)
+            worst.add(cm, rows, M / bound)
+            spot.add(cm, rows, M)
+    spot_worst = max(spot.diffs(), default=0.0)
     return CheckResult(
         "polya_vinogradov_sanity",
-        worst_ratio <= 1.0,
-        {"q_max": q_max, "n_characters": n, "worst_ratio": worst_ratio},
+        worst.value <= 1.0 and spot_worst <= 1e-10,
+        {
+            "q_max": q_max,
+            "n_characters": spot.n,
+            "worst_ratio": worst.value,
+            "spot_worst_abs": spot_worst,
+        },
     )
 
 

@@ -116,6 +116,48 @@ def test_value_tables_match_reference(q):
         assert np.array_equal(chi.value_table(), vals)
 
 
+MATRIX_MODULI = [1, 3, 4, 8, 9, 12, 13, 40, 64, 81, 120, 360]
+
+
+@pytest.mark.parametrize("q", MATRIX_MODULI)
+def test_character_matrix_matches_value_tables(q):
+    chars = list(all_characters(q))
+    cm = character.CharacterMatrix(q)
+    assert cm.order.size == len(chars)
+    blocks = list(cm.blocks(np.arange(len(chars))))
+    W = np.concatenate([w for _, w in blocks])
+    assert np.array_equal(np.concatenate([r for r, _ in blocks]), np.arange(len(chars)))
+    for i, (chi, table) in enumerate(zip(chars, character.value_tables(chars))):
+        assert np.array_equal(W[i], table)
+        assert cm.character(i) == chi
+    assert cm.primitive.tolist() == [chi.is_primitive for chi in chars]
+    assert cm.parity.tolist() == [chi.parity() for chi in chars]
+    assert cm.order.tolist() == [chi.order for chi in chars]
+
+
+@pytest.mark.parametrize("q", [13, 120, 360])
+def test_character_matrix_blocks_stay_in_budget(q, monkeypatch):
+    cm = character.CharacterMatrix(q)
+    rows = np.arange(cm.order.size)
+    full = np.concatenate([w for _, w in cm.blocks(rows)])
+    picked = rows[cm.primitive | (cm.parity == -1)]
+    for budget in (q, 5 * q + 3, 4096):
+        monkeypatch.setattr(character, "_BLOCK_ELEMENTS", budget)
+        blocks = list(cm.blocks(picked))
+        assert len(blocks) == -(-len(picked) // (budget // q))
+        assert all(w.size <= budget for _, w in blocks)
+        assert np.array_equal(np.concatenate([r for r, _ in blocks]), picked)
+        assert np.array_equal(np.concatenate([w for _, w in blocks]), full[picked])
+    monkeypatch.setattr(character, "_BLOCK_ELEMENTS", q // 2)  # below one row: one row a block
+    assert [w.shape for _, w in cm.blocks(rows[:3])] == [(1, q)] * 3
+
+
+def test_character_matrix_checks_table_size(monkeypatch):
+    monkeypatch.setattr(character, "_DLOG_TABLE_CAP", 1 << 9)
+    with pytest.raises(ResourceError):
+        character.CharacterMatrix(1 << 9 | 1)
+
+
 def test_value_tables_edges():
     assert list(character.value_tables([])) == []
     with pytest.raises(ValueError):
@@ -365,6 +407,12 @@ def test_dlog_bsgs_matches_table(q, t, cap, monkeypatch):
     want_e, want_units = chi.values_at(np.array(ns))
     monkeypatch.setattr(character, "_DLOG_TABLE_CAP", cap)
     monkeypatch.setattr(character, "_dlog_table", None)  # any table use fails
+    built = []
+    baby_steps = character._baby_steps
+    monkeypatch.setattr(character, "_baby_steps", lambda *a: built.append(a) or baby_steps(*a))
     assert [chi.eval(n) for n in ns] == want
+    assert len(built) == len(ns)  # one table per call
+    built.clear()
     e, units = chi.values_at(np.array(ns))
     assert np.array_equal(e, want_e) and np.array_equal(units, want_units)
+    assert len(built) == 1

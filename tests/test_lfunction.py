@@ -10,6 +10,7 @@ import pytest
 
 from chx import lfunction
 from chx.character import (
+    CharacterMatrix,
     all_characters,
     character_from_id,
     character_from_index,
@@ -204,6 +205,19 @@ def test_l1_exact_batch_matches_pointwise():
         for chi, b in zip(chars, batch, strict=True):
             assert b == l1_finite(chi)[1].value
             assert abs(l1_exact(chi).value - b) < 1e-11
+
+
+@pytest.mark.parametrize("q", [5, 12, 13, 40, 81, 120])
+def test_tau_l1_rows_matches_the_kernel(q):
+    cm = CharacterMatrix(q)
+    rows = np.flatnonzero(cm.primitive)
+    for r, W in cm.blocks(rows):
+        tau, l1 = lfunction.tau_l1_rows(W, cm.parity[r], lfunction.row_weights(q))
+        for i, row in enumerate(r):
+            chi = cm.character(row)
+            want_tau, want_l1 = l1_finite(chi)
+            assert abs(tau[i] - want_tau) < 1e-12 and abs(l1[i] - want_l1.value) < 1e-12
+            assert abs(l1[i] - l1_exact(chi).value) < 1e-11
 
 
 def test_lvalue_as_dict_keys():

@@ -1,0 +1,85 @@
+"""The verify scans over character matrices: counts, pass flags, and that a
+corrupted weight or matrix row fails the check it feeds."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from chx import verify
+from chx.character import CharacterMatrix
+
+# (check, arguments, the detail counts of the per-character loops they replaced)
+SMALL = [
+    (verify._check_gauss_modulus, (130,), {"n_characters": 3104, "spot_sample": 3}),
+    (verify._check_half_sum, (41,), {"n_characters": 147}),
+    (verify._check_exact_vs_series, (60,), {"n_characters": 661}),
+    (verify._check_bridges, (60,), {"n_odd_branch": 333, "n_even_branch": 112, "violations": 0}),
+    (verify._check_polya_vinogradov, (60,), {"n_characters": 1042}),
+    (verify._check_euler_calibration, (100, 200, 1e3), {"n_characters": 3125, "n_over_5pct": 0}),
+]
+IDS = [check.__name__ for check, _, _ in SMALL]
+
+
+@pytest.mark.parametrize("check,args,counts", SMALL, ids=IDS)
+def test_scan_counts_and_pass(check, args, counts):
+    res = check(*args)
+    assert res.passed, res.detail
+    assert {k: res.detail[k] for k in counts} == counts
+
+
+def test_gauss_modulus_below_one_spot_period():
+    # fewer than 997 characters: the first scanned one is tied instead
+    res = verify._check_gauss_modulus(30)
+    assert res.passed and res.detail["n_characters"] == 168
+    assert res.detail["spot_sample"] == 1
+
+
+def test_spot_sample_ordinals():
+    seen = []
+    spot = verify._Spot(3, lambda chi, x: seen.append((chi.char_id, x)) or 0.0)
+    cm = CharacterMatrix(13)
+    rows = np.arange(1, 12)
+    spot.add(cm, rows[:4], rows[:4] * 10)  # ordinals 1..4
+    spot.add(cm, rows[4:], rows[4:] * 10)  # ordinals 5..11
+    assert spot.n == 11 and spot.diffs() == [0.0] * 3
+    assert seen == [(cm.character(r).char_id, 10 * r) for r in (3, 6, 9)]
+    short = verify._Spot(3, lambda chi, x: float(x))
+    short.add(cm, rows[:2], np.array([7.0, 8.0]))
+    assert short.diffs() == [7.0]  # the first scanned character
+    assert verify._Spot(3, None).diffs() == []
+
+
+def _corrupt_rows(monkeypatch):
+    blocks = CharacterMatrix.blocks
+
+    def corrupt(self, rows):
+        for r, W in blocks(self, rows):
+            W = W.copy()
+            W[:, min(1, W.shape[1] - 1)] *= 1 + 1e-6  # chi(1); chi(0) mod 1
+            yield r, W
+
+    monkeypatch.setattr(CharacterMatrix, "blocks", corrupt)
+
+
+@pytest.mark.parametrize("check,args,counts", SMALL, ids=IDS)
+def test_corrupted_rows_fail(check, args, counts, monkeypatch):
+    _corrupt_rows(monkeypatch)
+    assert not check(*args).passed
+
+
+@pytest.mark.parametrize(
+    "check,args,weights",
+    [
+        (verify._check_gauss_modulus, (60,), "row_weights"),
+        (verify._check_half_sum, (41,), "row_weights"),
+        (verify._check_exact_vs_series, (60,), "row_weights"),
+        (verify._check_exact_vs_series, (60,), "digamma_weights"),
+        (verify._check_bridges, (60,), "row_weights"),
+        (verify._check_euler_calibration, (100, 200, 1e3), "row_weights"),
+    ],
+)
+def test_corrupted_weights_fail(check, args, weights, monkeypatch):
+    original = getattr(verify, weights)
+    monkeypatch.setattr(verify, weights, lambda q: original(q) * (1 + 1e-6))
+    assert not check(*args).passed
