@@ -10,8 +10,14 @@ Values are roots of unity carried as exact (order, exponent) pairs; nothing
 is embedded into floating point until a caller asks for a complex value or a
 bulk value table.  Each component has one point evaluator, `exponents(n)`
 for an int array n (dlog-table gather up to p^a = 2**26, baby-step/giant-step
-above), read by `values_at`, `eval` and `complex_at`; the odd value tables
-gather from the same dlog table.  The parity is read from the indices.
+above), read by `values_at`, `eval` and `complex_at`.  The parity is read
+from the indices.
+
+Value tables have one builder, `_table_rows`: each component's rows come
+from its roots of unity by a gather over its log tables (`_component_rows`),
+and the components multiply in, gathered to n mod p^a.  `value_tables`
+(one character at a time) and `CharacterMatrix.blocks` (row blocks of all
+characters mod q) both call it.
 """
 
 from __future__ import annotations
@@ -260,12 +266,6 @@ class _OddComponent:
         m = self.group_order
         return np.exp(2j * np.pi * np.arange(m) / m)
 
-    def value_array(self, roots: np.ndarray) -> np.ndarray:
-        """The component's values mod p^a, gathered from `roots` = self.roots()."""
-        vals = roots[self.t * _dlog_table(self.p, self.a) % self.group_order]  # exponents(0..pa-1)
-        vals[:: self.p] = 0
-        return vals
-
     def scaled(self, e: int) -> "_OddComponent":
         return _OddComponent(self.p, self.a, self.t * e % self.group_order)
 
@@ -335,24 +335,6 @@ class _TwoComponent:
         """zeta_m5^j for j < m5, shared by every index pair (a >= 3 reads them)."""
         m5 = self.m5
         return np.exp(2j * np.pi * np.arange(m5) / m5)
-
-    def value_array(self, roots: np.ndarray) -> np.ndarray:
-        """The component's values mod 2^a, gathered from `roots` = self.roots()."""
-        vals = np.zeros(self.pa, dtype=np.complex128)
-        if self.a == 1:
-            vals[1] = 1.0
-            return vals
-        if self.a == 2:
-            vals[1] = 1.0
-            vals[3] = -1.0 if self.t0 else 1.0
-            return vals
-        m5 = self.m5
-        sign, fivelog = _two_adic_tables(self.a)
-        units = np.flatnonzero(sign >= 0)
-        vals[units] = roots[self.t1 * fivelog[units] % m5] * np.where(
-            (self.t0 * sign[units]) % 2, -1.0, 1.0
-        )
-        return vals
 
     def scaled(self, e: int) -> "_TwoComponent":
         return _TwoComponent(self.a, self.t0 * e % 2, self.t1 * e % self.m5)
@@ -523,6 +505,45 @@ class DirichletCharacter:
 # value tables
 
 
+def _component_rows(c, labels: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The values mod p^a of the component characters with index `labels`,
+    one row each, from the roots of unity `roots` = c.roots(); `c` is any
+    component of that p^a."""
+    if c.p != 2:
+        vals = roots[labels[:, None] * _dlog_table(c.p, c.a) % c.group_order]
+        vals[:, :: c.p] = 0
+        return vals
+    vals = np.zeros((len(labels), c.pa), dtype=np.complex128)
+    vals[:, 1] = 1.0
+    if c.a == 2:
+        vals[:, 3] = np.where(labels == 1, -1.0, 1.0)
+    if c.a <= 2:
+        return vals
+    t0, t1 = np.divmod(labels, c.m5)
+    sign, fivelog = _two_adic_tables(c.a)
+    units = np.flatnonzero(sign >= 0)
+    vals[:, units] = roots[t1[:, None] * fivelog[units] % c.m5] * np.where(
+        (t0[:, None] * sign[units]) % 2, -1.0, 1.0
+    )
+    return vals
+
+
+def _table_rows(comps: tuple, labels: np.ndarray, roots: list, q: int) -> np.ndarray:
+    """The value tables mod q of the characters with components like `comps`
+    and index labels `labels` (one row per component, one column per
+    character), one table per row, from `roots` = [c.roots() for c in comps].
+
+    Each component's rows are gathered to n mod p^a and multiplied in, in
+    component order."""
+    if len(comps) == 1:
+        return _component_rows(comps[0], labels[0], roots[0])
+    out = np.ones((labels.shape[1], q), dtype=np.complex128)
+    idx = np.arange(q, dtype=np.int64)
+    for c, lab, r in zip(comps, labels, roots):
+        out *= _component_rows(c, lab, r).take(idx % c.pa, axis=1)
+    return out
+
+
 def value_tables(chars: Sequence[DirichletCharacter]) -> Iterator[np.ndarray]:
     """The value tables of characters sharing one modulus q, in input order.
 
@@ -535,23 +556,12 @@ def value_tables(chars: Sequence[DirichletCharacter]) -> Iterator[np.ndarray]:
         raise ValueError("value_tables needs characters of one modulus")
     if not chars:
         return
-    _check_table_size(chars[0].modulus)
-    roots = [c.roots() for c in chars[0].components]
+    q, comps = chars[0].modulus, chars[0].components
+    _check_table_size(q)
+    roots = [c.roots() for c in comps]
     for chi in chars:
-        yield _value_table(chi, roots)
-
-
-def _value_table(chi: DirichletCharacter, roots: list) -> np.ndarray:
-    """One table; a function of its own so value_tables' frame keeps no
-    reference to the table it last yielded."""
-    if len(chi.components) == 1:
-        return chi.components[0].value_array(roots[0])
-    q = chi.modulus
-    out = np.ones(q, dtype=np.complex128)
-    idx = np.arange(q, dtype=np.int64)  # per table: held across tables it raised peak RSS
-    for c, r in zip(chi.components, roots):
-        out *= c.value_array(r)[idx % c.pa]
-    return out
+        labels = np.array([c.index_label() for c in chi.components], dtype=np.int64)
+        yield _table_rows(comps, labels.reshape(-1, 1), roots, q)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -578,16 +588,6 @@ def _label_facts(c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.lcm(1 + t0, five), five == m5, t0 == 1
 
 
-def _component_rows(c, labels: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """The values mod p^a of the component characters with index `labels`,
-    one row each, every row equal to that label's `value_array(roots)`."""
-    if c.p == 2:
-        return np.stack([_make_component(2, c.a, int(t)).value_array(roots) for t in labels])
-    vals = roots[labels[:, None] * _dlog_table(c.p, c.a) % c.group_order]
-    vals[:, :: c.p] = 0
-    return vals
-
-
 class CharacterMatrix:
     """The value tables of all phi(q) characters mod q as the rows of one
     matrix, in `all_characters(q)` order.
@@ -595,8 +595,7 @@ class CharacterMatrix:
     Row r has the component index labels np.unravel_index(r, shape); its
     exact facts `primitive`, `parity` (chi(-1)) and `order` are arrays read
     from the labels, built with no table.  The values come from `blocks`, in
-    row blocks of at most _BLOCK_ELEMENTS entries, and each row equals the
-    table `value_tables` gives for the row's `character`.
+    row blocks of at most _BLOCK_ELEMENTS entries, built like `value_tables`.
     """
 
     def __init__(self, q: int):
@@ -617,47 +616,28 @@ class CharacterMatrix:
         self.primitive = primitive.ravel()
         self.parity = np.where(odd.ravel(), -1, 1)
 
-    def _labels(self, rows) -> tuple:
-        return np.unravel_index(rows, self.shape) if self.shape else ()
+    def _labels(self, rows: np.ndarray) -> np.ndarray:
+        """The index labels of `rows`: one row per component, one column per row."""
+        if not self.shape:  # q = 1
+            return np.zeros((0, len(rows)), dtype=np.int64)
+        return np.array(np.unravel_index(rows, self.shape), dtype=np.int64)
 
     def character(self, row: int) -> DirichletCharacter:
         """The character of one row."""
-        labels = self._labels(int(row))
+        labels = self._labels(np.array([row]))[:, 0]
         comps = tuple(_make_component(c.p, c.a, int(t)) for c, t in zip(self._base, labels))
         return DirichletCharacter(self.modulus, comps)
 
     def blocks(self, rows) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(rows, values) for the row indices `rows`, in blocks of at most
-        _BLOCK_ELEMENTS entries: values[i] is the table of row rows[i].
-
-        The components multiply in the order `value_tables` multiplies
-        them, so each row equals that table exactly.
-        """
+        _BLOCK_ELEMENTS entries: values[i] is the table of row rows[i]."""
         q = self.modulus
         rows = np.asarray(rows, dtype=np.int64)
         step = max(1, _BLOCK_ELEMENTS // q)
         roots = [c.roots() for c in self._base]
-        # the product below indexes column n by its residues (n mod p^a, ...),
-        # in mixed radix with the last component fastest
-        crt = np.zeros(q, dtype=np.int64)
-        for c in self._base:
-            crt = crt * c.pa + np.arange(q) % c.pa
         for lo in range(0, len(rows), step):
             chunk = rows[lo : lo + step]
-            out = None
-            for c, r, lab in zip(self._base, roots, self._labels(chunk)):
-                if len(self._base) == 1:
-                    vals = _component_rows(c, lab, r)
-                else:
-                    u, inv = np.unique(lab, return_inverse=True)
-                    vals = _component_rows(c, u, r)[inv]
-                if out is None:
-                    out = vals  # 1 * v == v: value_tables' first product
-                else:
-                    out = (out[:, :, None] * vals[:, None, :]).reshape(len(chunk), -1)
-            if out is None:  # q = 1
-                out = np.ones((len(chunk), 1), dtype=np.complex128)
-            yield chunk, out if len(self._base) <= 1 else out[:, crt]
+            yield chunk, _table_rows(self._base, self._labels(chunk), roots, q)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,10 @@ def cmd_search(args) -> int:
     _check_z(args.z)
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
+    if args.mode == "orderk":
+        for flag, value in (("--delta", args.delta), ("--xi", args.xi)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to the twisted modes only, not --mode orderk")
     started = _utcnow()
     res = extremal_pipeline(
         args.Q, args.k, args.mode,

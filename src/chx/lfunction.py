@@ -7,11 +7,10 @@ extremal-search heuristics.
 
 Production values of tau(chi) and L(1, chi) come from one dot-product
 kernel over the finite formulas (`finite_weights` and `tau_l1`, O(q) per
-character, ~1e-12 relative).  A batch (`l1_exact_batch`) shares the
-weights and the components' roots of unity (`character.value_tables`)
-across the characters of each modulus; `tau_l1_rows` is the same kernel
-as one matrix product (with `row_weights`) over the rows of a
-`character.CharacterMatrix`.
+character, ~1e-12 relative).  It takes one value table or a block of them
+(the rows of a `character.CharacterMatrix` block).  A batch
+(`l1_exact_batch`) shares the weights and the components' roots of unity
+(`character.value_tables`) across the characters of each modulus.
 `gauss_sum` and `l1_exact` evaluate the same formulas with compensated
 sums; they are the kernel's oracles.
 """
@@ -263,39 +262,23 @@ def finite_weights(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return e, a, logsin
 
 
-def tau_l1(vals: np.ndarray, parity: int, weights) -> tuple[complex, complex]:
-    """(tau(chi), L(1, chi)) from the value table `vals` of a primitive
-    non-principal chi mod q with chi(-1) = `parity`, and finite_weights(q)."""
+def tau_l1(W: np.ndarray, parity, weights) -> tuple:
+    """(tau(chi), L(1, chi)) from W, the value table of a primitive
+    non-principal chi mod q with chi(-1) = `parity`, and finite_weights(q).
+
+    W may also be a 2-D block of such tables, one per row, with one parity
+    for all or one per row; tau and L(1, chi) are then arrays over the rows.
+    """
     e, a, logsin = weights
-    q = len(vals)
-    tau = np.dot(vals, e)
-    body = np.conj(vals[1:])
-    if parity == -1:
-        value = 1j * math.pi * tau / (q * q) * np.dot(body, a)
-    else:
-        value = -(tau / q) * np.dot(body, logsin)
-    return complex(tau), complex(value)
-
-
-def row_weights(q: int) -> np.ndarray:
-    """finite_weights(q) as the columns of one (q, 3) matrix, for
-    tau_l1_rows: e(a/q), then a and log sin(pi a/q) with a zero at a = 0."""
-    e, a, logsin = finite_weights(q)
-    zero = np.zeros(1)
-    return np.column_stack([e, np.concatenate([zero, a]), np.concatenate([zero, logsin])])
-
-
-def tau_l1_rows(W: np.ndarray, parity, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """tau_l1 for every row of W, the value tables of primitive non-principal
-    characters mod q with chi(-1) = parity (one per row, or one for all),
-    as one matrix product with `weights` = row_weights(q)."""
-    q = W.shape[1]
-    T = W @ weights
-    tau = T[:, 0]
-    odd = parity == -1
-    # sum_a conj(chi(a)) w[a] = conj(sum_a chi(a) w[a]) for real w
-    s = np.conj(np.where(odd, T[:, 1], T[:, 2]))
-    return tau, np.where(odd, 1j * math.pi * tau / (q * q), -(tau / q)) * s
+    q = W.shape[-1]
+    tau = np.dot(W, e)
+    body = np.conj(W[..., 1:])
+    odd = 1j * math.pi * tau / (q * q) * np.dot(body, a)
+    even = -(tau / q) * np.dot(body, logsin)
+    value = np.where(parity == -1, odd, even)
+    if W.ndim == 1:
+        return complex(tau), complex(value)
+    return tau, value
 
 
 def l1_finite(chi: DirichletCharacter) -> tuple[complex, LValue]:

@@ -3,13 +3,14 @@ calibrations, each returning deterministic machine-readable check records.
 
 The character scans take all characters of one modulus at once, as the rows
 of its `character.CharacterMatrix`, and check each identity as row
-operations: tau(chi) and L(1, chi) in one matrix product with the weights
-of the finite formulas (`lfunction.tau_l1_rows`), M(chi) as a row-wise
-cumulative sum, the Euler product as a row-wise product.  Fixed spot
-samples tie each scan to the per-character functions that stay the
-authority (`gauss_sum`, `l1_exact`, the digamma series, `half_sum_check`,
-`max_partial_sum`, `bridge_bounds`, `l1_truncated_euler`), so a regression
-in either side fails the suite.
+operations: tau(chi) and L(1, chi) by the one finite-formula kernel
+(`lfunction.tau_l1` on a row block, with `lfunction.finite_weights`), M(chi)
+as a row-wise cumulative sum, the Euler product as a row-wise product.
+Fixed spot samples tie each scan to the per-character functions that stay
+the authority (`gauss_sum`, `l1_exact`, the digamma series,
+`half_sum_check`, `max_partial_sum`, `bridge_bounds`, `l1_truncated_euler`),
+so a regression in either side fails the suite.  A scan that reaches no
+character fails.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ from .families import (
 from .lfunction import (
     PrimeSumSpec,
     digamma_weights,
+    finite_weights,
     gauss_sum,
     l1_exact,
     l1_series_oracle,
     l1_truncated_euler,
     prime_sum,
-    row_weights,
-    tau_l1_rows,
+    tau_l1,
 )
 from .moments import (
     MomentSpec,
@@ -117,6 +118,11 @@ class _Spot:
             return self._diffs
         return [float(self.tie(*self._first))]
 
+    def passed(self, ok: bool) -> bool:
+        """The scan's verdict: `ok`, and at least one character scanned (a
+        scan of nothing checks nothing, so it fails)."""
+        return ok and self.n > 0
+
 
 class _Worst:
     """The largest of a scanned quantity (NaN counts as +inf) and the id of
@@ -151,7 +157,7 @@ def _check_gauss_modulus(q_max: int = 1000) -> CheckResult:
         if q > 1 and q % 4 == 2:
             continue  # no primitive characters for q = 2 mod 4
         cm = CharacterMatrix(q)
-        e = row_weights(q)[:, 0]
+        e = finite_weights(q)[0]
         rq = math.sqrt(q)
         for rows, W in cm.blocks(np.flatnonzero(cm.primitive)):
             worst.add(cm, rows, np.abs(np.abs(W @ e) - rq) / rq)
@@ -160,7 +166,7 @@ def _check_gauss_modulus(q_max: int = 1000) -> CheckResult:
     spot_worst = max(ties, default=0.0)
     return CheckResult(
         "gauss_modulus",
-        worst.value <= 1e-9 and spot_worst <= 1e-9,
+        spot.passed(worst.value <= 1e-9 and spot_worst <= 1e-9),
         {
             "q_max": q_max,
             "n_characters": spot.n,
@@ -184,9 +190,9 @@ def _check_half_sum(q_max: int = 400) -> CheckResult:
     spot = _Spot(499, _half_sum_tie)
     for q in range(3, q_max + 1, 2):
         cm = CharacterMatrix(q)
-        weights = row_weights(q)
+        weights = finite_weights(q)
         for rows, W in cm.blocks(np.flatnonzero(cm.primitive & (cm.parity == -1))):
-            tau, l1 = tau_l1_rows(W, cm.parity[rows], weights)
+            tau, l1 = tau_l1(W, cm.parity[rows], weights)
             lhs = W[:, 1 : q // 2 + 1].sum(axis=1)
             rhs = (2.0 - np.conj(W[:, 2])) * tau / (1j * math.pi) * np.conj(l1)
             worst.add(cm, rows, np.abs(lhs - rhs))
@@ -194,7 +200,7 @@ def _check_half_sum(q_max: int = 400) -> CheckResult:
     spot_worst = max(spot.diffs(), default=0.0)
     return CheckResult(
         "half_sum_identity",
-        worst.value < 1e-8 and spot_worst <= 1e-10,
+        spot.passed(worst.value < 1e-8 and spot_worst <= 1e-10),
         {
             "q_max": q_max,
             "n_characters": spot.n,
@@ -220,16 +226,16 @@ def _check_exact_vs_series(q_max: int = 500) -> CheckResult:
             continue
         cm = CharacterMatrix(q)
         w = digamma_weights(q)
-        weights = row_weights(q)
+        weights = finite_weights(q)
         for rows, W in cm.blocks(np.flatnonzero(cm.primitive)):
-            lex = tau_l1_rows(W, cm.parity[rows], weights)[1]
+            lex = tau_l1(W, cm.parity[rows], weights)[1]
             oracle = W @ w
             worst.add(cm, rows, np.abs(lex - oracle) / np.abs(oracle))
             spot.add(cm, rows, lex, oracle)
     spot_worst = max(spot.diffs(), default=0.0)
     return CheckResult(
         "exact_vs_series",
-        worst.value <= 1e-8 and spot_worst <= 1e-10,
+        spot.passed(worst.value <= 1e-8 and spot_worst <= 1e-10),
         {
             "q_max": q_max,
             "n_characters": spot.n,
@@ -397,17 +403,17 @@ def _check_bridges(q_max: int = 400) -> CheckResult:
         keep = cm.primitive & (cm.order % 2 == 0)
         if q % 3 == 0:
             keep &= cm.parity == -1  # the even bridge needs 3 coprime to q
-        weights = row_weights(q)
-        twist_weights = row_weights(3 * q) if q % 3 else None
+        weights = finite_weights(q)
+        twist_weights = finite_weights(3 * q) if q % 3 else None
         n = np.arange(3 * q)
         for rows, W in cm.blocks(np.flatnonzero(keep)):
             parity = cm.parity[rows]
             odd = parity == -1
-            rhs = math.sqrt(q) / math.pi * np.abs(tau_l1_rows(W, parity, weights)[1])
+            rhs = math.sqrt(q) / math.pi * np.abs(tau_l1(W, parity, weights)[1])
             if not odd.all():
                 # chi * (./3) mod 3q, odd and primitive for even chi with 3 coprime to q
                 twisted = W[~odd][:, n % q] * _CHI_MINUS_3[n % 3]
-                l1 = tau_l1_rows(twisted, -1, twist_weights)[1]
+                l1 = tau_l1(twisted, -1, twist_weights)[1]
                 rhs[~odd] = math.sqrt(3 * q) / (2 * math.pi) * np.abs(l1)
             M = _max_partial_sums(W)
             violations += int(np.count_nonzero(~(M >= rhs - _BRIDGE_SLACK)))
@@ -417,7 +423,7 @@ def _check_bridges(q_max: int = 400) -> CheckResult:
     spot_worst = max(spot.diffs(), default=0.0)
     return CheckResult(
         "bridge_bounds",
-        violations == 0 and spot_worst <= 1e-10,
+        spot.passed(violations == 0 and spot_worst <= 1e-10),
         {
             "q_max": q_max,
             "n_odd_branch": n_odd,
@@ -449,10 +455,10 @@ def _check_euler_calibration(
     moduli = [int(q) for q in sieve_primes(q_hi).primes if q_lo <= q <= q_hi]
     for q in moduli:
         cm = CharacterMatrix(q)
-        weights = row_weights(q)
+        weights = finite_weights(q)
         idx = np.mod(plist, q)
         for rows, W in cm.blocks(np.flatnonzero(cm.order > 1)):
-            lex = tau_l1_rows(W, cm.parity[rows], weights)[1]
+            lex = tau_l1(W, cm.parity[rows], weights)[1]
             # chi(q) = 0 makes the p = q factor equal 1 automatically; one
             # reciprocal per character, not per factor
             euler = 1.0 / np.prod(1.0 - W[:, idx] * inv_p, axis=1)
@@ -461,10 +467,10 @@ def _check_euler_calibration(
             n_bad += int(np.count_nonzero(~(rel <= rel_tol)))
             spot.add(cm, rows, euler, lex)
     spot_worst = max(spot.diffs(), default=0.0)
-    frac = n_bad / spot.n
+    frac = n_bad / max(spot.n, 1)
     return CheckResult(
         "euler_calibration",
-        frac < 0.01 and spot_worst <= 1e-10,
+        spot.passed(frac < 0.01 and spot_worst <= 1e-10),
         {
             "q_range": [q_lo, q_hi],
             "z": z,
@@ -492,7 +498,7 @@ def _check_polya_vinogradov(q_max: int = 1000) -> CheckResult:
     spot_worst = max(spot.diffs(), default=0.0)
     return CheckResult(
         "polya_vinogradov_sanity",
-        worst.value <= 1.0 and spot_worst <= 1e-10,
+        spot.passed(worst.value <= 1.0 and spot_worst <= 1e-10),
         {
             "q_max": q_max,
             "n_characters": spot.n,

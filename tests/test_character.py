@@ -69,8 +69,8 @@ def test_value_table_multiplicative():
 
 
 def _reference_table(chi):
-    """The per-character table formula value_tables replaced: each component
-    exponentiates its own roots of unity."""
+    """An independent table formula: each component exponentiates its own
+    roots of unity and scatters them over its power table."""
     def component(c):
         vals = np.zeros(c.pa, dtype=np.complex128)
         if c.p != 2:
@@ -129,6 +129,7 @@ def test_character_matrix_matches_value_tables(q):
     assert np.array_equal(np.concatenate([r for r, _ in blocks]), np.arange(len(chars)))
     for i, (chi, table) in enumerate(zip(chars, character.value_tables(chars))):
         assert np.array_equal(W[i], table)
+        assert np.array_equal(W[i], _reference_table(chi))
         assert cm.character(i) == chi
     assert cm.primitive.tolist() == [chi.is_primitive for chi in chars]
     assert cm.parity.tolist() == [chi.parity() for chi in chars]

@@ -99,6 +99,16 @@ def test_huge_z_exit_3(argv, capsys, monkeypatch):
     assert "--z" in err and "2**26" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--delta", "1"), ("--delta", "-1"), ("--xi", "3")])
+def test_orderk_refuses_twist_flags_exit_2(flag, value, tmp_path, capsys):
+    argv = ["search", "--mode", "orderk", "--Q", "1e4", "--k", "2", flag, value,
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_search_odd_twist_odd_k_exit_3(capsys):
     assert main(["search", "--mode", "odd_sum", "--Q", "1e4", "--k", "3"]) == 3
     assert "even k" in capsys.readouterr().err

@@ -207,17 +207,47 @@ def test_l1_exact_batch_matches_pointwise():
             assert abs(l1_exact(chi).value - b) < 1e-11
 
 
+def _reference_tau_l1(vals, parity, weights):
+    """The one-table formula of tau_l1 before it took row blocks."""
+    e, a, logsin = weights
+    q = len(vals)
+    tau = np.dot(vals, e)
+    body = np.conj(vals[1:])
+    if parity == -1:
+        value = 1j * math.pi * tau / (q * q) * np.dot(body, a)
+    else:
+        value = -(tau / q) * np.dot(body, logsin)
+    return complex(tau), complex(value)
+
+
+# prime, odd composite, 2-adic, and composite with a 2-adic component
+@pytest.mark.parametrize("q", [13, 45, 64, 120, 1009])
+def test_tau_l1_one_table_matches_the_reference_formula(q):
+    weights = lfunction.finite_weights(q)
+    chars = [chi for chi in all_characters(q) if chi.is_primitive]
+    assert {chi.parity() for chi in chars} == {1, -1}
+    for chi in chars:
+        vals = chi.value_table()
+        got = lfunction.tau_l1(vals, chi.parity(), weights)
+        assert got == _reference_tau_l1(vals, chi.parity(), weights)
+        assert all(type(x) is complex for x in got)
+
+
 @pytest.mark.parametrize("q", [5, 12, 13, 40, 81, 120])
 def test_tau_l1_rows_matches_the_kernel(q):
+    """tau_l1 on a row block, with one parity per row, agrees with one
+    tau_l1 call per row."""
     cm = CharacterMatrix(q)
-    rows = np.flatnonzero(cm.primitive)
-    for r, W in cm.blocks(rows):
-        tau, l1 = lfunction.tau_l1_rows(W, cm.parity[r], lfunction.row_weights(q))
+    weights = lfunction.finite_weights(q)
+    for r, W in cm.blocks(np.flatnonzero(cm.primitive)):
+        tau, l1 = lfunction.tau_l1(W, cm.parity[r], weights)
         for i, row in enumerate(r):
-            chi = cm.character(row)
-            want_tau, want_l1 = l1_finite(chi)
-            assert abs(tau[i] - want_tau) < 1e-12 and abs(l1[i] - want_l1.value) < 1e-12
-            assert abs(l1[i] - l1_exact(chi).value) < 1e-11
+            want_tau, want_l1 = lfunction.tau_l1(W[i], int(cm.parity[row]), weights)
+            assert abs(tau[i] - want_tau) < 1e-12 and abs(l1[i] - want_l1) < 1e-12
+            assert abs(l1[i] - l1_exact(cm.character(row)).value) < 1e-11
+        odd = cm.parity[r] == -1
+        scalar = lfunction.tau_l1(W[odd], -1, weights)
+        assert all(np.array_equal(x, y[odd]) for x, y in zip(scalar, (tau, l1)))
 
 
 def test_lvalue_as_dict_keys():

@@ -71,15 +71,40 @@ def test_corrupted_rows_fail(check, args, counts, monkeypatch):
 @pytest.mark.parametrize(
     "check,args,weights",
     [
-        (verify._check_gauss_modulus, (60,), "row_weights"),
-        (verify._check_half_sum, (41,), "row_weights"),
-        (verify._check_exact_vs_series, (60,), "row_weights"),
+        (verify._check_gauss_modulus, (60,), "finite_weights"),
+        (verify._check_half_sum, (41,), "finite_weights"),
+        (verify._check_exact_vs_series, (60,), "finite_weights"),
         (verify._check_exact_vs_series, (60,), "digamma_weights"),
-        (verify._check_bridges, (60,), "row_weights"),
-        (verify._check_euler_calibration, (100, 200, 1e3), "row_weights"),
+        (verify._check_bridges, (60,), "finite_weights"),
+        (verify._check_euler_calibration, (100, 200, 1e3), "finite_weights"),
     ],
 )
 def test_corrupted_weights_fail(check, args, weights, monkeypatch):
     original = getattr(verify, weights)
-    monkeypatch.setattr(verify, weights, lambda q: original(q) * (1 + 1e-6))
+
+    def corrupt(q):
+        w = original(q)
+        if isinstance(w, tuple):  # finite_weights: e(a/q), a, log sin(pi a/q)
+            return tuple(x * (1 + 1e-6) for x in w)
+        return w * (1 + 1e-6)
+
+    monkeypatch.setattr(verify, weights, corrupt)
     assert not check(*args).passed
+
+
+# (check, arguments of a range that holds no character to scan, its zero counts)
+EMPTY = [
+    (verify._check_gauss_modulus, (0,), {"n_characters": 0}),
+    (verify._check_half_sum, (2,), {"n_characters": 0}),
+    (verify._check_exact_vs_series, (2,), {"n_characters": 0}),
+    (verify._check_bridges, (2,), {"n_odd_branch": 0, "n_even_branch": 0}),
+    (verify._check_polya_vinogradov, (2,), {"n_characters": 0}),
+    (verify._check_euler_calibration, (1000, 1008), {"n_characters": 0}),
+]
+
+
+@pytest.mark.parametrize("check,args,counts", EMPTY, ids=[c.__name__ for c, _, _ in EMPTY])
+def test_empty_scan_fails(check, args, counts):
+    res = check(*args)
+    assert not res.passed
+    assert {k: res.detail[k] for k in counts} == counts
