@@ -68,8 +68,14 @@ def max_partial_sum(chi: DirichletCharacter) -> MsumRecord:
         raise ConstraintError(
             "M(chi) is undefined for principal characters (linear growth)"
         )
-    q = chi.modulus
-    prefix = np.cumsum(chi.value_table())  # prefix[x] = sum_{n<=x} chi(n), as chi(0) = 0
+    return _msum_from_table(chi.value_table())
+
+
+def _msum_from_table(W: np.ndarray) -> MsumRecord:
+    """max_partial_sum for a non-principal chi whose value table W the
+    caller holds."""
+    q = len(W)
+    prefix = np.cumsum(W)  # prefix[x] = sum_{n<=x} chi(n), as chi(0) = 0
     mags = np.abs(prefix)
     i = int(np.argmax(mags))  # mags[0] = 0, so i >= 1 is the smallest argmax
     _check_period_sum(prefix[-1], q)

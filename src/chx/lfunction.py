@@ -6,19 +6,24 @@ else is checked against), and the truncated Euler product used by the
 extremal-search heuristics.
 
 Production values of tau(chi) and L(1, chi) come from one dot-product
-kernel over the finite formulas (`finite_weights` and `tau_l1`, O(q) per
-character, ~1e-12 relative).  It takes one value table or a block of them
-(the rows of a `character.CharacterMatrix` block).  A batch
-(`l1_exact_batch`) shares the weights and the components' roots of unity
-(`character.value_tables`) across the characters of each modulus.
-`gauss_sum` and `l1_exact` evaluate the same formulas with compensated
-sums; they are the kernel's oracles.
+kernel over the finite formulas (`finite_weights` and `tau_l1`, ~1e-12
+relative).  It takes one value table or a block of them (the rows of a
+`character.CharacterMatrix` block).  tau is a product of one short dot per
+prime power q_i || q, over the table's entries at the CRT lifts of n q/q_i
+(O(sum q_i)); L(1, chi) is one length-(q-1) dot for the character's parity.
+The weights are built on first use, so a caller pays only for what it
+reads.  A batch (`l1_exact_batch`) shares the weights and the components'
+roots of unity (`character.value_tables`) across the characters of each
+modulus.  `gauss_sum` and `l1_exact` evaluate the same formulas with
+compensated sums; they are the kernel's oracles.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -26,7 +31,7 @@ from scipy.special import digamma
 
 from .character import _DLOG_TABLE_CAP, DirichletCharacter, value_tables
 from .errors import ConstraintError, ResourceError
-from .ntheory import sieve_primes
+from .ntheory import factor, sieve_primes
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -253,29 +258,86 @@ def prime_sum(
 # products (~1e-12 relative accuracy)
 
 
-def finite_weights(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-modulus weights of the finite formulas: e(a/q) for a = 0..q-1,
-    then a and log sin(pi a/q) for a = 1..q-1."""
-    e = np.exp((2j * math.pi / q) * np.arange(q))
-    a = np.arange(1, q, dtype=np.float64)
-    logsin = np.log(np.sin((math.pi / q) * a))
-    return e, a, logsin
+def _phases(n: int) -> np.ndarray:
+    """e(k/n) = exp(2 pi i k/n) for k = 0..n-1."""
+    return np.exp((2j * math.pi / n) * np.arange(n))
 
 
-def tau_l1(W: np.ndarray, parity, weights) -> tuple:
+class FiniteWeights:
+    """Per-modulus weights of the finite formulas, each built on first use,
+    so a caller pays only for what it reads.
+
+    `tau_pieces`: one (m, e) pair per prime power q_i || q, with
+    m[n] = n (q/q_i) mod q_i and m[n] = 1 mod q/q_i, and e[n] = e(n/q_i) for
+    n < q_i.  For chi's table W, sum_n W[m[n]] e[n] = chi_i(q/q_i) tau(chi_i),
+    so tau(chi) = prod_i sum_n W[m[n]] e[n], in O(sum q_i).  For a prime
+    power (and q = 1) m is None, the identity: tau = W @ e(n/q).
+    `a` and `logsin`: a and log sin(pi a/q) for a = 1..q-1.
+    """
+
+    def __init__(self, q: int):
+        self.q = q
+
+    @cached_property
+    def tau_pieces(self) -> list[tuple]:
+        q = self.q
+        prime_powers = [p**a for p, a in factor(q).factors]
+        if len(prime_powers) <= 1:
+            return [(None, _phases(q))]
+        pieces = []
+        for qi in prime_powers:
+            c = q // qi
+            # n c is n c mod q_i and 0 mod c; q_i (q_i^-1 mod c) is 0 mod q_i and 1 mod c
+            m = (np.arange(qi, dtype=np.int64) * c + qi * pow(qi, -1, c)) % q
+            pieces.append((m, _phases(qi)))
+        return pieces
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        return np.arange(1, self.q, dtype=np.float64)
+
+    @cached_property
+    def logsin(self) -> np.ndarray:
+        return np.log(np.sin((math.pi / self.q) * np.arange(1, self.q, dtype=np.float64)))
+
+    def tau(self, W: np.ndarray):
+        """tau(chi) from chi's value table W, or one per row of a block."""
+        # take keeps a block C-ordered, so each row's dot does not depend on the block
+        dots = (np.dot(W if m is None else W.take(m, axis=-1), e) for m, e in self.tau_pieces)
+        return reduce(operator.mul, dots)
+
+
+def finite_weights(q: int) -> FiniteWeights:
+    """The weights of the finite formulas mod q (built lazily)."""
+    return FiniteWeights(q)
+
+
+def tau_l1(W: np.ndarray, parity, weights: FiniteWeights) -> tuple:
     """(tau(chi), L(1, chi)) from W, the value table of a primitive
     non-principal chi mod q with chi(-1) = `parity`, and finite_weights(q).
 
     W may also be a 2-D block of such tables, one per row, with one parity
     for all or one per row; tau and L(1, chi) are then arrays over the rows.
+    A scalar parity computes one branch; per-row parities compute both and
+    select.
     """
-    e, a, logsin = weights
     q = W.shape[-1]
-    tau = np.dot(W, e)
-    body = np.conj(W[..., 1:])
-    odd = 1j * math.pi * tau / (q * q) * np.dot(body, a)
-    even = -(tau / q) * np.dot(body, logsin)
-    value = np.where(parity == -1, odd, even)
+    tau = weights.tau(W)
+
+    def l1(odd: bool):
+        w = weights.a if odd else weights.logsin
+        if W.ndim == 1:
+            # (sum w re chi, sum w im chi) from W's float view: no conj copy, no cast of w
+            re, im = w @ W[1:].view(np.float64).reshape(-1, 2)
+            s = complex(re, -im)
+        else:
+            s = np.conj(np.dot(W[:, 1:], w))  # sum_a conj(chi(a)) w[a], as w is real
+        return 1j * math.pi * tau / (q * q) * s if odd else -(tau / q) * s
+
+    if np.ndim(parity) == 0:
+        value = l1(parity == -1)
+    else:
+        value = np.where(parity == -1, l1(True), l1(False))
     if W.ndim == 1:
         return complex(tau), complex(value)
     return tau, value
@@ -284,9 +346,13 @@ def tau_l1(W: np.ndarray, parity, weights) -> tuple:
 def l1_finite(chi: DirichletCharacter) -> tuple[complex, LValue]:
     """(tau(chi), L(1, chi)) for one character by the kernel."""
     _require_primitive_nonprincipal(chi)
+    return _l1_from_table(chi, chi.value_table())
+
+
+def _l1_from_table(chi: DirichletCharacter, W: np.ndarray) -> tuple[complex, LValue]:
+    """l1_finite for a checked chi whose value table W the caller holds."""
     q = chi.modulus
-    weights = finite_weights(q)  # before the table: the other order raised peak RSS
-    tau, value = tau_l1(chi.value_table(), chi.parity(), weights)
+    tau, value = tau_l1(W, chi.parity(), finite_weights(q))
     return tau, _finite_lvalue(value, q)
 
 

@@ -1,7 +1,8 @@
 """Evaluation records, reference constants, and deterministic serialization.
 
 All floats in serialized reports are rounded to 15 significant digits so
-that repeated runs produce byte-identical files.
+that repeated runs produce byte-identical files; a non-finite float is
+written as null, so every report is strict JSON.
 """
 
 from __future__ import annotations
@@ -16,8 +17,14 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .character import DirichletCharacter, product_character
-from .charsum import CSV_COLUMNS, max_partial_sum
-from .lfunction import LValue, l1_finite, l1_truncated_euler
+from .charsum import CSV_COLUMNS, _msum_from_table
+from .lfunction import (
+    LValue,
+    _l1_from_table,
+    _require_primitive_nonprincipal,
+    l1_finite,
+    l1_truncated_euler,
+)
 # bench/test_bench.py::test_tracer_patches_every_binding asserts report.l1_exact
 from .lfunction import l1_exact  # noqa: F401
 
@@ -94,9 +101,15 @@ def evaluate_character(
     xi: Optional[DirichletCharacter] = None,
 ) -> EvalRecord:
     """Evaluate L(1, chi) (exact and optionally Euler-truncated), M(chi),
-    tau(chi), and optionally L(1, chi*xi) for a companion character xi."""
-    msum = max_partial_sum(chi)
-    tau, l1 = l1_finite(chi)
+    tau(chi), and optionally L(1, chi*xi) for a companion character xi.
+
+    chi's value table is built once: M(chi) and L(1, chi) both read it.
+    """
+    _require_primitive_nonprincipal(chi)
+    W = chi.value_table()
+    msum = _msum_from_table(W)
+    tau, l1 = _l1_from_table(chi, W)
+    del W  # freed before chi*xi's (larger) table is built
     l1_euler = l1_truncated_euler(chi, z) if z is not None else None
     l1_twisted = None
     xi_id = None
@@ -132,11 +145,16 @@ def _f15(x: float) -> float:
     return float(f"{x:.15g}")
 
 
+def _json_float(x: float) -> Optional[float]:
+    """_f15(x), or None (JSON null) for a non-finite x, which JSON cannot hold."""
+    return _f15(x) if math.isfinite(x) else None
+
+
 def _round_floats(obj):
     if isinstance(obj, float):
-        return _f15(obj)
+        return _json_float(obj)
     if isinstance(obj, complex):
-        return {"re": _f15(obj.real), "im": _f15(obj.imag)}
+        return {"re": _json_float(obj.real), "im": _json_float(obj.imag)}
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -146,12 +164,13 @@ def _round_floats(obj):
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
-        return _f15(float(obj))
+        return _json_float(float(obj))
     return obj
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(_round_floats(obj), sort_keys=True, separators=(",", ":"))
+    """Strict JSON: sorted keys, 15-digit floats, null for a non-finite float."""
+    return json.dumps(_round_floats(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def write_json(path, obj) -> None:

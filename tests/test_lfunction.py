@@ -207,36 +207,35 @@ def test_l1_exact_batch_matches_pointwise():
             assert abs(l1_exact(chi).value - b) < 1e-11
 
 
-def _reference_tau_l1(vals, parity, weights):
-    """The one-table formula of tau_l1 before it took row blocks."""
-    e, a, logsin = weights
-    q = len(vals)
-    tau = np.dot(vals, e)
-    body = np.conj(vals[1:])
-    if parity == -1:
-        value = 1j * math.pi * tau / (q * q) * np.dot(body, a)
-    else:
-        value = -(tau / q) * np.dot(body, logsin)
-    return complex(tau), complex(value)
+def _assert_tied_to_oracles(chi, tau, l1):
+    """tau within 1e-13 relative of gauss_sum, L(1) within error_bound of l1_exact."""
+    want = l1_exact(chi)
+    assert abs(tau - gauss_sum(chi)) <= 1e-13 * math.sqrt(chi.modulus), chi.char_id
+    assert abs(l1 - want.value) <= want.error_bound, chi.char_id
 
 
-# prime, odd composite, 2-adic, and composite with a 2-adic component
-@pytest.mark.parametrize("q", [13, 45, 64, 120, 1009])
+# primes (13, 1009), odd composite (45), 2-adic (64), and composites with a
+# 2-adic component whose tau has three or four prime-power factors (120, 360, 840)
+KERNEL_MODULI = [13, 45, 64, 120, 360, 840, 1009]
+
+
+@pytest.mark.parametrize("q", KERNEL_MODULI)
 def test_tau_l1_one_table_matches_the_reference_formula(q):
+    """tau_l1 on one table agrees with the compensated reference formulas
+    gauss_sum and l1_exact on every primitive character."""
     weights = lfunction.finite_weights(q)
     chars = [chi for chi in all_characters(q) if chi.is_primitive]
     assert {chi.parity() for chi in chars} == {1, -1}
     for chi in chars:
-        vals = chi.value_table()
-        got = lfunction.tau_l1(vals, chi.parity(), weights)
-        assert got == _reference_tau_l1(vals, chi.parity(), weights)
+        got = lfunction.tau_l1(chi.value_table(), chi.parity(), weights)
         assert all(type(x) is complex for x in got)
+        _assert_tied_to_oracles(chi, *got)
 
 
-@pytest.mark.parametrize("q", [5, 12, 13, 40, 81, 120])
+@pytest.mark.parametrize("q", sorted({5, 12, 40, 81, *KERNEL_MODULI}))
 def test_tau_l1_rows_matches_the_kernel(q):
     """tau_l1 on a row block, with one parity per row, agrees with one
-    tau_l1 call per row."""
+    tau_l1 call per row and with the reference formulas."""
     cm = CharacterMatrix(q)
     weights = lfunction.finite_weights(q)
     for r, W in cm.blocks(np.flatnonzero(cm.primitive)):
@@ -244,10 +243,25 @@ def test_tau_l1_rows_matches_the_kernel(q):
         for i, row in enumerate(r):
             want_tau, want_l1 = lfunction.tau_l1(W[i], int(cm.parity[row]), weights)
             assert abs(tau[i] - want_tau) < 1e-12 and abs(l1[i] - want_l1) < 1e-12
-            assert abs(l1[i] - l1_exact(cm.character(row)).value) < 1e-11
+            _assert_tied_to_oracles(cm.character(row), tau[i], l1[i])
         odd = cm.parity[r] == -1
         scalar = lfunction.tau_l1(W[odd], -1, weights)
         assert all(np.array_equal(x, y[odd]) for x, y in zip(scalar, (tau, l1)))
+
+
+def test_finite_weights_factor_tau_and_build_on_first_use():
+    # q = 840 = 2^3 * 3 * 5 * 7: tau from 8 + 3 + 5 + 7 phases, not 840
+    weights = lfunction.finite_weights(840)
+    assert vars(weights) == {"q": 840}
+    assert [len(e) for _, e in weights.tau_pieces] == [8, 3, 5, 7]
+    assert [len(m) for m, _ in weights.tau_pieces] == [8, 3, 5, 7]
+    for q in (64, 1009):  # a prime power: one piece, tau = W @ e(n/q)
+        (m, e), = lfunction.finite_weights(q).tau_pieces
+        assert m is None and len(e) == q
+    # an odd character reads the phases and a, never log sin
+    chi = next(c for c in all_characters(840) if c.is_primitive and c.parity() == -1)
+    lfunction.tau_l1(chi.value_table(), -1, weights)
+    assert set(vars(weights)) == {"q", "tau_pieces", "a"}
 
 
 def test_lvalue_as_dict_keys():

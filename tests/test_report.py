@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from chx import character, cli, verify
 from chx.character import (
     character_from_id,
     character_from_index,
@@ -54,6 +55,23 @@ def test_evaluate_character_matches_oracles():
         assert abs(rec.L1_twisted.value - twisted) < 1e-10
 
 
+def test_evaluate_character_builds_one_table_per_character(monkeypatch):
+    built = []
+    table_rows = character._table_rows
+
+    def counting(comps, labels, roots, q):
+        built.append(q)
+        return table_rows(comps, labels, roots, q)
+
+    monkeypatch.setattr(character, "_table_rows", counting)
+    chi = character_from_id("q=40;comps=2^3:3,5:1")
+    evaluate_character(chi, z=100.0)
+    assert built == [40]  # M(chi) and L(1, chi) read one table
+    built.clear()
+    evaluate_character(chi, z=100.0, xi=kronecker_character(-3))
+    assert built == [40, 120]  # chi*xi gets its own
+
+
 def test_evaluate_character_with_twist():
     rec = evaluate_character(character_from_index(5, 1), xi=kronecker_character(-3))
     assert rec.xi_id == "q=3;comps=3:1"
@@ -95,3 +113,30 @@ def test_csv_row_matches_header():
 
     rec = evaluate_character(kronecker_character(-4))
     assert len(rec.csv_row()) == len(CSV_COLUMNS)
+
+
+def _strict_loads(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_canonical_json_writes_non_finite_as_null():
+    obj = {"a": math.inf, "b": [np.float64(-math.inf)], "c": complex(math.nan, 1.0)}
+    assert _strict_loads(canonical_json(obj)) == {"a": None, "b": [None], "c": {"re": None, "im": 1.0}}
+
+
+def test_eval_record_is_strict_json(tmp_path, capsys):
+    # below z = 3 the Euler band is infinite
+    assert cli.main(["eval", "--q", "13", "--t", "4", "--z", "2.5", "--out", str(tmp_path)]) == 0
+    rec = _strict_loads((tmp_path / "record.json").read_text())
+    assert rec["L1_euler"]["err"] is None
+    _strict_loads((tmp_path / "manifest.json").read_text())
+
+
+def test_empty_bridge_scan_is_strict_json():
+    # no character to scan leaves min_margin at +inf
+    detail = _strict_loads(canonical_json(verify._check_bridges(2).detail))
+    assert detail["min_margin"] is None

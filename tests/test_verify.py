@@ -84,9 +84,12 @@ def test_corrupted_weights_fail(check, args, weights, monkeypatch):
 
     def corrupt(q):
         w = original(q)
-        if isinstance(w, tuple):  # finite_weights: e(a/q), a, log sin(pi a/q)
-            return tuple(x * (1 + 1e-6) for x in w)
-        return w * (1 + 1e-6)
+        if isinstance(w, np.ndarray):  # digamma_weights
+            return w * (1 + 1e-6)
+        # finite_weights: every phase of each (m, e(n/q_i)) pair, a and log sin(pi a/q)
+        w.tau_pieces = [(m, e * (1 + 1e-6)) for m, e in w.tau_pieces]
+        w.a, w.logsin = w.a * (1 + 1e-6), w.logsin * (1 + 1e-6)
+        return w
 
     monkeypatch.setattr(verify, weights, corrupt)
     assert not check(*args).passed
