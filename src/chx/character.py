@@ -1,17 +1,20 @@
 """Dirichlet characters as exact objects.
 
 A character mod q is stored componentwise over the prime powers p^a || q.
-For odd p the unit group mod p^a is cyclic with canonical generator g (the
-least one); the component is the index t with chi(g) = zeta_m^t, m = phi(p^a).
-For p = 2 the group is trivial (a = 1), {±1} (a = 2), or <-1> x <5> (a >= 3),
-indexed by (t0, t1).
+`_factors(p, a)` writes the unit group mod p^a once, as cyclic factors
+(g_j, m_j): <g> of order phi(p^a) for odd p (g the least generator), <1>
+mod 2, <3> mod 4, and <-1> x <5> mod 2^a, a >= 3.  A component is one label
+t whose mixed-radix digits d_j over the m_j give chi(g_j) = zeta_{m_j}^{d_j}
+(t0 * 2^(a-2) + t1 on 2^a).  Order, parity, products and powers are digit
+rules over the factors, on one label or on an array of labels; only the
+conductor has a closed form per p.
 
 Values are roots of unity carried as exact (order, exponent) pairs; nothing
 is embedded into floating point until a caller asks for a complex value or a
 bulk value table.  Each component has one point evaluator, `exponents(n)`
-for an int array n (dlog-table gather up to p^a = 2**26, baby-step/giant-step
-above), read by `values_at`, `eval` and `complex_at`.  The parity is read
-from the indices.
+for an int array n (a gather from one cached set of digit-log tables up to
+p^a = 2**26, baby-step/giant-step above for odd p), read by `values_at`,
+`eval` and `complex_at`.  The parity is read from the labels.
 
 Value tables have one builder, `_table_rows`: each component's rows come
 from its roots of unity by a gather over its log tables (`_component_rows`),
@@ -115,7 +118,76 @@ class RootOfUnity:
 
 
 # ---------------------------------------------------------------------------
-# per prime-power tables
+# the unit group mod p^a as cyclic factors
+
+
+@lru_cache(maxsize=None)
+def _factors(p: int, a: int) -> tuple[tuple[int, int], ...]:
+    """(Z/p^a)^x as a product of cyclic factors (generator g_j, order m_j).
+
+    The trivial group mod 2 is one factor of order 1, so every component
+    has at least one digit."""
+    if p != 2:
+        return ((smallest_primitive_root_mod_pp(p, a), p ** (a - 1) * (p - 1)),)
+    if a == 1:
+        return ((1, 1),)
+    if a == 2:
+        return ((3, 2),)
+    return ((2**a - 1, 2), (5, 2 ** (a - 2)))
+
+
+def _digits(factors, t) -> list:
+    """The mixed-radix digits d_j of label(s) t over the orders m_j (the last
+    digit least significant); t is an int or an int array."""
+    out = []
+    for _, m in factors[:0:-1]:
+        t, d = divmod(t, m)
+        out.append(d)
+    return [t, *out[::-1]]
+
+
+def _label(factors, digits) -> int:
+    """The label of the digits d_j, each reduced mod m_j."""
+    t = 0
+    for (_, m), d in zip(factors, digits):
+        t = t * m + d % m
+    return t
+
+
+def _gcd(x, m):
+    """gcd of a label's int (of any size) or of a label array, with m."""
+    return math.gcd(x, m) if isinstance(x, int) else np.gcd(x, m)
+
+
+def _facts(p: int, a: int, t) -> tuple:
+    """(order, conductor, first digit) of the character(s) with label(s) t
+    mod p^a, for an int or an int array t.
+
+    The order is lcm_j m_j / gcd(d_j, m_j).  The conductor is 1 for the
+    principal character, else the least p^c with the character trivial on
+    the units 1 mod p^c."""
+    factors = _factors(p, a)
+    digits = _digits(factors, t)
+    orders = [m // _gcd(d, m) for (_, m), d in zip(factors, digits)]
+    order = orders[0]
+    for o in orders[1:]:
+        order = order * o // _gcd(o, order)
+    if p == 2:  # 1 + 2^c Z = <5^(2^(c-2))> for c >= 2
+        f = 4 * math.prod(orders[1:])
+    else:  # 1 + p^c Z = <g^(p^(c-1) (p-1))> for c >= 1
+        f = p * _gcd(order, p ** (a - 1))
+    return order, f ** (order > 1), digits[0]
+
+
+def _exponents(factors, digits, logs):
+    """e with chi(n) = zeta_phi^e, phi = prod m_j, from the digit logs
+    log_j[n] of the points: e = sum_j d_j (phi / m_j) log_j[n] mod phi."""
+    phi = math.prod(m for _, m in factors)
+    e = None
+    for (_, m), d, log in zip(factors, digits, logs):
+        term = d * (phi // m) * log
+        e = term if e is None else e + term
+    return e % phi
 
 
 def _check_table_size(size: int) -> None:
@@ -123,14 +195,11 @@ def _check_table_size(size: int) -> None:
         raise ResourceError(f"value table of size {size} exceeds cap 2**26")
 
 
-def _power_table(p: int, a: int) -> np.ndarray:
-    """powers[j] = g^j mod p^a for the canonical generator g, j < phi(p^a)."""
-    pa = p**a
+def _power_table(g: int, m: int, pa: int) -> np.ndarray:
+    """powers[j] = g^j mod p^a for j < m."""
     _check_table_size(pa)
     if pa >= _NUMPY_MODULUS_CAP:  # int64 block products below stay exact
         raise AssertionError(f"power table modulus {pa} not below 2**31")
-    g = smallest_primitive_root_mod_pp(p, a)
-    m = pa // p * (p - 1)
     block = min(1024, m)
     head = np.empty(block, dtype=np.int64)
     x = 1
@@ -151,32 +220,21 @@ def _power_table(p: int, a: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _dlog_table(p: int, a: int) -> np.ndarray:
-    """dlog[n] = j with g^j = n mod p^a (units only; -1 elsewhere)."""
+def _log_tables(p: int, a: int) -> tuple[np.ndarray, ...]:
+    """One digit table per cyclic factor: n = prod_j g_j^log_j[n] mod p^a
+    (units only; -1 elsewhere)."""
     pa = p**a
-    powers = _power_table(p, a)
-    table = np.full(pa, -1, dtype=np.int64)
-    table[powers] = np.arange(powers.size, dtype=np.int64)
-    return table
-
-
-@lru_cache(maxsize=8)
-def _two_adic_tables(a: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sign[n], five_log[n]) with n = (-1)^sign * 5^five_log mod 2^a, a >= 3."""
-    pa = 1 << a
-    _check_table_size(pa)
-    m5 = 1 << (a - 2)
-    sign = np.full(pa, -1, dtype=np.int64)
-    fivelog = np.full(pa, -1, dtype=np.int64)
-    x = 1
-    for j in range(m5):
-        sign[x] = 0
-        fivelog[x] = j
-        y = pa - x
-        sign[y] = 1
-        fivelog[y] = j
-        x = x * 5 % pa
-    return sign, fivelog
+    factors = _factors(p, a)
+    units = _power_table(*factors[0], pa)  # units[d_0, d_1, ...] = prod_j g_j^d_j
+    for g, m in factors[1:]:
+        units = units[..., None] * _power_table(g, m, pa) % pa
+    tables = []
+    for j, (_, m) in enumerate(factors):
+        table = np.full(pa, -1, dtype=np.int64)
+        # the digit d_j, broadcast along axis j of `units`
+        table[units] = np.arange(m, dtype=np.int64).reshape((m,) + (1,) * (units.ndim - 1 - j))
+        tables.append(table)
+    return tuple(tables)
 
 
 def _baby_steps(g: int, s: int, pa: int) -> dict:
@@ -214,8 +272,10 @@ def _dlog_bsgs(ns, g: int, m: int, pa: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class _OddComponent:
-    """Character on the cyclic unit group mod p^a, p odd."""
+class _Component:
+    """Character on the unit group mod p^a with chi(g_j) = zeta_{m_j}^{d_j}
+    on the cyclic factors (g_j, m_j) of `_factors(p, a)`; d_j are the
+    mixed-radix digits of the label t."""
 
     p: int
     a: int
@@ -226,138 +286,49 @@ class _OddComponent:
         return self.p**self.a
 
     @property
+    def factors(self) -> tuple:
+        return _factors(self.p, self.a)
+
+    @property
     def group_order(self) -> int:
         return self.pa // self.p * (self.p - 1)
 
+    @property
+    def digits(self) -> list:
+        return _digits(self.factors, self.t)
+
     def value_order(self) -> int:
-        m = self.group_order
-        return m // math.gcd(self.t, m)
+        return _facts(self.p, self.a, self.t)[0]
 
     def conductor(self) -> int:
-        if self.t == 0:
-            return 1
-        d = self.value_order()
-        c = 1
-        while d % self.p == 0:
-            d //= self.p
-            c += 1
-        if (self.p - 1) % d != 0:
-            raise AssertionError(f"value order {d} prime to {self.p} does not divide p-1")
-        return self.p**c
-
-    def index_label(self) -> int:
-        return self.t
+        return _facts(self.p, self.a, self.t)[1]
 
     def exponents(self, n: np.ndarray) -> np.ndarray:
-        """e with chi(n) = zeta_m^e, m = phi(p^a), for an int array n >= 0;
-        entries at non-units are meaningless."""
-        m, pa = self.group_order, self.pa
-        n = n % pa
-        if pa <= _DLOG_TABLE_CAP:
-            return self.t * _dlog_table(self.p, self.a)[n.astype(np.int64, copy=False)] % m
-        units = n % self.p != 0
-        j = np.zeros_like(n)
-        g = smallest_primitive_root_mod_pp(self.p, self.a)
-        j[units] = _dlog_bsgs([int(x) for x in n[units]], g, m, pa)
-        return self.t * j % m
+        """e with chi(n) = zeta_phi^e, phi = phi(p^a), for an int array n >= 0;
+        entries at non-units are meaningless.  The digit logs are gathered
+        from the tables up to the cap; above it a cyclic group's come by
+        baby-step/giant-step, and a 2-adic one's are refused."""
+        n = n % self.pa
+        if self.pa <= _DLOG_TABLE_CAP or len(self.factors) > 1:
+            at = n.astype(np.int64, copy=False)
+            logs = [table[at] for table in _log_tables(self.p, self.a)]
+        else:
+            ((g, m),) = self.factors
+            logs = [np.zeros_like(n)]
+            units = n % self.p != 0
+            logs[0][units] = _dlog_bsgs([int(x) for x in n[units]], g, m, self.pa)
+        return _exponents(self.factors, self.digits, logs)
 
     def roots(self) -> np.ndarray:
-        """zeta_m^j for j < m = phi(p^a), shared by every index t."""
+        """zeta_phi^j for j < phi = phi(p^a), shared by every label."""
         m = self.group_order
         return np.exp(2j * np.pi * np.arange(m) / m)
 
-    def scaled(self, e: int) -> "_OddComponent":
-        return _OddComponent(self.p, self.a, self.t * e % self.group_order)
+    def with_digits(self, digits) -> "_Component":
+        return _Component(self.p, self.a, _label(self.factors, digits))
 
-
-@dataclass(frozen=True)
-class _TwoComponent:
-    """Character on the unit group mod 2^a: trivial (a=1), {±1} (a=2),
-    or <-1> x <5> (a>=3) with index pair (t0, t1)."""
-
-    a: int
-    t0: int
-    t1: int
-
-    @property
-    def p(self) -> int:
-        return 2
-
-    @property
-    def pa(self) -> int:
-        return 1 << self.a
-
-    @property
-    def group_order(self) -> int:
-        return self.pa // 2
-
-    @property
-    def m5(self) -> int:
-        return 1 << (self.a - 2) if self.a >= 3 else 1
-
-    def value_order(self) -> int:
-        if self.a == 1:
-            return 1
-        if self.a == 2:
-            return 2 if self.t0 else 1
-        five = self.m5 // math.gcd(self.t1, self.m5)
-        return math.lcm(2 if self.t0 else 1, five)
-
-    def conductor(self) -> int:
-        if self.a == 1:
-            return 1
-        if self.a == 2:
-            return 4 if self.t0 else 1
-        five = self.m5 // math.gcd(self.t1, self.m5)
-        if five > 1:
-            return 4 * five
-        return 4 if self.t0 else 1
-
-    def index_label(self) -> int:
-        if self.a <= 2:
-            return self.t0
-        return self.t0 * self.m5 + self.t1
-
-    def exponents(self, n: np.ndarray) -> np.ndarray:
-        """e with chi(n) = zeta_m^e, m = phi(2^a), for an int array n >= 0;
-        entries at non-units are meaningless."""
-        n = n % self.pa
-        if self.a == 1:
-            return np.zeros_like(n)
-        if self.a == 2:
-            return self.t0 * (n // 2)  # n in {1, 3}
-        sign, fivelog = _two_adic_tables(self.a)
-        n = n.astype(np.int64, copy=False)
-        # -1 = zeta_m^m5 and zeta_m5 = zeta_m^2, m = 2 m5
-        return (self.t0 * self.m5 * sign[n] + 2 * self.t1 * fivelog[n]) % self.group_order
-
-    def roots(self) -> np.ndarray:
-        """zeta_m5^j for j < m5, shared by every index pair (a >= 3 reads them)."""
-        m5 = self.m5
-        return np.exp(2j * np.pi * np.arange(m5) / m5)
-
-    def scaled(self, e: int) -> "_TwoComponent":
-        return _TwoComponent(self.a, self.t0 * e % 2, self.t1 * e % self.m5)
-
-
-def _make_component(p: int, a: int, label: int):
-    if p == 2:
-        if a == 1:
-            if label != 0:
-                raise ValueError("the unit group mod 2 is trivial")
-            return _TwoComponent(1, 0, 0)
-        if a == 2:
-            if label not in (0, 1):
-                raise ValueError(f"index {label} out of range for modulus 4")
-            return _TwoComponent(2, label, 0)
-        m5 = 1 << (a - 2)
-        if not 0 <= label < 2 * m5:
-            raise ValueError(f"index {label} out of range for modulus 2^{a}")
-        return _TwoComponent(a, label // m5, label % m5)
-    comp = _OddComponent(p, a, label)
-    if not 0 <= label < comp.group_order:
-        raise ValueError(f"index {label} out of range for modulus {p}^{a}")
-    return comp
+    def scaled(self, e: int) -> "_Component":
+        return self.with_digits([d * e for d in self.digits])
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +369,15 @@ class DirichletCharacter:
         return self.conductor == self.modulus
 
     def parity(self) -> int:
-        """chi(-1) from the indices: (-1)^t per odd component, (-1)^t0 on 2^a."""
-        odd = sum(c.t0 if c.p == 2 else c.t for c in self.components) % 2
+        """chi(-1) from the labels: -1 is g_0^(m_0/2) on each component, so
+        (-1)^d_0 there, d_0 the first digit."""
+        odd = sum(c.digits[0] for c in self.components) % 2
         return -1 if odd else 1
 
     @property
     def char_id(self) -> str:
         comps = ",".join(
-            (f"{c.p}:{c.index_label()}" if c.a == 1 else f"{c.p}^{c.a}:{c.index_label()}")
+            (f"{c.p}:{c.t}" if c.a == 1 else f"{c.p}^{c.a}:{c.t}")
             for c in self.components
         )
         return f"q={self.modulus};comps={comps}"
@@ -479,25 +451,16 @@ class DirichletCharacter:
             f = c.conductor()
             if f == 1:
                 continue
-            if c.p == 2:
-                a0 = f.bit_length() - 1
-                if a0 == 2:
-                    comps.append(_TwoComponent(2, c.t0, 0))
-                else:
-                    m5_0 = 1 << (a0 - 2)
-                    comps.append(_TwoComponent(a0, c.t0, c.t1 // (c.m5 // m5_0)))
-            else:
-                a0 = 0
-                ff = f
-                while ff > 1:
-                    ff //= c.p
-                    a0 += 1
-                g0 = smallest_primitive_root_mod_pp(c.p, a0)
-                e = int(c.exponents(np.array([g0], dtype=object))[0])  # c(g0) = zeta_m^e
-                m, m0 = c.group_order, f // c.p * (c.p - 1)
-                if e * m0 % m != 0:
-                    raise AssertionError(f"zeta_{m}^{e} is not an {m0}-th root of unity")
-                comps.append(_OddComponent(c.p, a0, e * m0 // m))
+            a0 = next(b for b in range(1, c.a + 1) if c.p**b == f)
+            # c(g_j) = zeta_m^x at the generators g_j mod f is the digit x m_j / m there
+            factors = _factors(c.p, a0)
+            gens = np.array([g for g, _ in factors], dtype=object)
+            m, digits = c.group_order, []
+            for x, (_, mj) in zip(c.exponents(gens).tolist(), factors):
+                if x * mj % m:
+                    raise AssertionError(f"zeta_{m}^{x} is not an {mj}-th root of unity")
+                digits.append(x * mj // m)
+            comps.append(_Component(c.p, a0, _label(factors, digits)))
         return DirichletCharacter(self.conductor, tuple(comps))
 
 
@@ -509,22 +472,9 @@ def _component_rows(c, labels: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """The values mod p^a of the component characters with index `labels`,
     one row each, from the roots of unity `roots` = c.roots(); `c` is any
     component of that p^a."""
-    if c.p != 2:
-        vals = roots[labels[:, None] * _dlog_table(c.p, c.a) % c.group_order]
-        vals[:, :: c.p] = 0
-        return vals
-    vals = np.zeros((len(labels), c.pa), dtype=np.complex128)
-    vals[:, 1] = 1.0
-    if c.a == 2:
-        vals[:, 3] = np.where(labels == 1, -1.0, 1.0)
-    if c.a <= 2:
-        return vals
-    t0, t1 = np.divmod(labels, c.m5)
-    sign, fivelog = _two_adic_tables(c.a)
-    units = np.flatnonzero(sign >= 0)
-    vals[:, units] = roots[t1[:, None] * fivelog[units] % c.m5] * np.where(
-        (t0[:, None] * sign[units]) % 2, -1.0, 1.0
-    )
+    factors = c.factors
+    vals = roots[_exponents(factors, _digits(factors, labels[:, None]), _log_tables(c.p, c.a))]
+    vals[:, :: c.p] = 0
     return vals
 
 
@@ -560,7 +510,7 @@ def value_tables(chars: Sequence[DirichletCharacter]) -> Iterator[np.ndarray]:
     _check_table_size(q)
     roots = [c.roots() for c in comps]
     for chi in chars:
-        labels = np.array([c.index_label() for c in chi.components], dtype=np.int64)
+        labels = np.array([c.t for c in chi.components], dtype=np.int64)
         yield _table_rows(comps, labels.reshape(-1, 1), roots, q)[0]
 
 
@@ -570,22 +520,12 @@ def value_tables(chars: Sequence[DirichletCharacter]) -> Iterator[np.ndarray]:
 _BLOCK_ELEMENTS = 1 << 14  # entries per row block (256 KB): 16 MB blocks measured slower
 
 
-def _label_facts(c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(value order, primitive, odd) for every index label of the component
-    mod p^a, in label order; `c` is any component of that p^a."""
-    if c.p != 2:
-        m = c.group_order
-        t = np.arange(m)
-        order = m // np.gcd(t, m)
-        # conductor p^(1 + v_p(order)) for t != 0, and v_p(order) <= a - 1
-        return order, (order > 1) & (order % (c.pa // c.p) == 0), t % 2 == 1
-    if c.a <= 2:
-        t0 = np.arange(c.a)  # one label mod 2, two mod 4
-        return 1 + t0, (c.a == 2) & (t0 == 1), t0 == 1
-    m5 = c.m5
-    t0, t1 = np.divmod(np.arange(2 * m5), m5)
-    five = m5 // np.gcd(t1, m5)
-    return np.lcm(1 + t0, five), five == m5, t0 == 1
+@lru_cache(maxsize=16)  # the small prime powers recur across the moduli of a scan
+def _label_facts(p: int, a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(value order, primitive, odd) for every index label mod p^a, in label
+    order."""
+    order, conductor, first = _facts(p, a, np.arange(p**a // p * (p - 1)))
+    return order, conductor == p**a, first % 2 == 1
 
 
 class CharacterMatrix:
@@ -602,7 +542,7 @@ class CharacterMatrix:
         _check_table_size(q)
         self.modulus = q
         self._base = principal_character(q).components
-        facts = [_label_facts(c) for c in self._base]
+        facts = [_label_facts(c.p, c.a) for c in self._base]
         self.shape = tuple(len(f[0]) for f in facts)
         order = np.ones(self.shape, dtype=np.int64)
         primitive = np.ones(self.shape, dtype=bool)
@@ -625,7 +565,7 @@ class CharacterMatrix:
     def character(self, row: int) -> DirichletCharacter:
         """The character of one row."""
         labels = self._labels(np.array([row]))[:, 0]
-        comps = tuple(_make_component(c.p, c.a, int(t)) for c, t in zip(self._base, labels))
+        comps = tuple(_Component(c.p, c.a, int(t)) for c, t in zip(self._base, labels))
         return DirichletCharacter(self.modulus, comps)
 
     def blocks(self, rows) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -647,7 +587,7 @@ class CharacterMatrix:
 def principal_character(q: int) -> DirichletCharacter:
     if q < 1:
         raise ValueError(f"modulus must be positive, got {q}")
-    comps = tuple(_make_component(p, a, 0) for p, a in factor(q).factors)
+    comps = tuple(_Component(p, a, 0) for p, a in factor(q).factors)
     return DirichletCharacter(q, comps)
 
 
@@ -658,7 +598,7 @@ def character_from_index(q: int, t: int) -> DirichletCharacter:
         raise ValueError(f"modulus {q} is not an odd prime")
     if not 0 <= t < q - 1:
         raise ValueError(f"index {t} out of range [0, {q - 1})")
-    return DirichletCharacter(q, (_OddComponent(q, 1, t),))
+    return DirichletCharacter(q, (_Component(q, 1, t),))
 
 
 def character_from_components(q: int, labels: dict[int, int]) -> DirichletCharacter:
@@ -669,7 +609,9 @@ def character_from_components(q: int, labels: dict[int, int]) -> DirichletCharac
         pa = p**a
         if pa not in labels:
             raise ValueError(f"missing component for {p}^{a} in modulus {q}")
-        comps.append(_make_component(p, a, labels[pa]))
+        comps.append(_Component(p, a, labels[pa]))
+        if not 0 <= labels[pa] < comps[-1].group_order:
+            raise ValueError(f"index {labels[pa]} out of range for modulus {p}^{a}")
         seen[pa] = True
     if len(seen) != len(labels):
         extra = set(labels) - set(seen)
@@ -705,14 +647,9 @@ def character_from_id(char_id: str) -> DirichletCharacter:
 def all_characters(q: int):
     """All phi(q) characters mod q, in lexicographic component-index order."""
     base = principal_character(q)
-    ranges = []
-    for c in base.components:
-        if c.p == 2:
-            ranges.append(range(2 * c.m5 if c.a >= 3 else (2 if c.a == 2 else 1)))
-        else:
-            ranges.append(range(c.group_order))
+    ranges = [range(c.group_order) for c in base.components]
     for labels in itertools.product(*ranges):
-        comps = tuple(_make_component(c.p, c.a, lab) for c, lab in zip(base.components, labels))
+        comps = tuple(_Component(c.p, c.a, lab) for c, lab in zip(base.components, labels))
         yield DirichletCharacter(q, comps)
 
 
@@ -751,15 +688,11 @@ def product_character(chi1: DirichletCharacter, chi2: DirichletCharacter) -> Dir
         comps = sorted(chi1.components + chi2.components, key=lambda c: c.p)
         return DirichletCharacter(q1 * q2, tuple(comps))
     if q1 == q2:
-        comps = []
-        for c1, c2 in zip(chi1.components, chi2.components):
-            if c1.p == 2:
-                comps.append(
-                    _TwoComponent(c1.a, (c1.t0 + c2.t0) % 2, (c1.t1 + c2.t1) % c1.m5)
-                )
-            else:
-                comps.append(_OddComponent(c1.p, c1.a, (c1.t + c2.t) % c1.group_order))
-        return DirichletCharacter(q1, tuple(comps))
+        comps = tuple(
+            c1.with_digits([x + y for x, y in zip(c1.digits, c2.digits)])
+            for c1, c2 in zip(chi1.components, chi2.components)
+        )
+        return DirichletCharacter(q1, comps)
     raise ConstraintError(
         f"moduli {q1} and {q2} are neither coprime nor equal; induce to a common modulus first"
     )
@@ -780,24 +713,13 @@ def kronecker_character(d: int) -> DirichletCharacter:
     comps = []
     for p, a in factor(q).factors:
         pa = p**a
-        cof = q // pa
-        # evaluate (d|.) on each generator of the p^a component via CRT lifts
-        def crt_lift(r):
-            # n = r mod p^a, n = 1 mod cof
-            return (r * cof * pow(cof, -1, pa) + pa * pow(pa, -1, cof) * 1) % q if cof > 1 else r
-
-        if p == 2:
-            if a == 2:
-                comps.append(_TwoComponent(2, (1 - kronecker(d, crt_lift(3))) // 2, 0))
-            else:  # a == 3 for fundamental d
-                t0 = (1 - kronecker(d, crt_lift(7))) // 2  # 7 = -1 mod 8
-                t1 = (1 - kronecker(d, crt_lift(5))) // 2
-                comps.append(_TwoComponent(3, t0, t1))
-        else:
-            g = smallest_primitive_root_mod_pp(p, a)
-            m = pa // p * (p - 1)
-            v = kronecker(d, crt_lift(g))
-            comps.append(_OddComponent(p, a, 0 if v == 1 else m // 2))
+        lift = q // pa * pow(q // pa, -1, pa)  # 1 mod p^a, 0 mod q/p^a
+        # (d|.) = ±1 = zeta_m^d_j at each generator g_j, read at its CRT lift
+        # n = g_j mod p^a, n = 1 mod q/p^a
+        factors = _factors(p, a)
+        digits = [0 if kronecker(d, (1 + (g - 1) * lift) % q) == 1 else m // 2
+                  for g, m in factors]
+        comps.append(_Component(p, a, _label(factors, digits)))
     chi = DirichletCharacter(q, tuple(comps))
     if chi.conductor != q:
         raise AssertionError(f"kronecker character mod {q} came out imprimitive")

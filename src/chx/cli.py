@@ -159,6 +159,11 @@ def cmd_search(args) -> int:
         for flag, value in (("--delta", args.delta), ("--xi", args.xi)):
             if value is not None:
                 raise ValueError(f"{flag} applies to the twisted modes only, not --mode orderk")
+        if not args.y_mult * math.log(args.Q) < math.sqrt(args.Q):  # y stays below the window
+            raise ValueError(
+                f"--y-mult {args.y_mult:g} puts y = {args.y_mult * math.log(args.Q):g} at or past "
+                f"sqrt(Q) = {math.sqrt(args.Q):g}, where the orderk window starts"
+            )
     started = _utcnow()
     res = extremal_pipeline(
         args.Q, args.k, args.mode,

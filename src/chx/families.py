@@ -50,6 +50,11 @@ class OrderKFamilySpec:
             raise ValueError(f"character order must be an integer >= 2, got {self.k}")
         if self.y is None:
             object.__setattr__(self, "y", math.log(self.Q))
+        if not self.y < math.sqrt(self.Q):  # a signature prime would be a window prime
+            raise ValueError(
+                f"signature cutoff y = {self.y:g} must stay below sqrt(Q) = "
+                f"{math.sqrt(self.Q):g}, where the window starts"
+            )
 
     @property
     def window(self) -> tuple[float, float]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -68,41 +69,48 @@ def test_value_table_multiplicative():
             _table_props(chi)
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_units(p, a):
+    """(n, j, s, f) over the units n mod p^a, from Python's pow alone:
+    n = g^j for the least primitive root g (odd p), or n = (-1)^s 5^f (p = 2)."""
+    pa = p**a
+    if p != 2:
+        g = smallest_primitive_root_mod_pp(p, a)
+        j = list(range(pa // p * (p - 1)))
+        return [pow(g, x, pa) for x in j], j, None, None
+    m5 = 1 << max(a - 2, 0)
+    sf = [(s, f) for s in (0, 1) for f in range(m5)]
+    return [(-1) ** s * pow(5, f, pa) % pa for s, f in sf], None, *zip(*sf)
+
+
 def _reference_table(chi):
-    """An independent table formula: each component exponentiates its own
-    roots of unity and scatters them over its power table."""
-    def component(c):
-        vals = np.zeros(c.pa, dtype=np.complex128)
-        if c.p != 2:
-            m = c.group_order
-            roots = np.exp(2j * np.pi * np.arange(m) / m)
-            vals[character._power_table(c.p, c.a)] = roots[c.t * np.arange(m) % m]
-            return vals
-        if c.a == 1:
-            vals[1] = 1.0
-            return vals
-        if c.a == 2:
-            vals[1] = 1.0
-            vals[3] = -1.0 if c.t0 else 1.0
-            return vals
-        m5 = c.m5
-        roots = np.exp(2j * np.pi * np.arange(m5) / m5)
-        sign, fivelog = character._two_adic_tables(c.a)
-        units = np.flatnonzero(sign >= 0)
-        vals[units] = roots[c.t1 * fivelog[units] % m5] * np.where(
-            (c.t0 * sign[units]) % 2, -1.0, 1.0
-        )
+    """An independent table formula: each unit mod p^a is written as g^j or
+    (-1)^s 5^f by `_reference_units`, and sent to zeta_phi^e, e the exponent
+    its component's label gives (label t0 * 2^(a-2) + t1 on 2^a)."""
+    def component(p, a, t):
+        pa = p**a
+        phi = pa // p * (p - 1)
+        n, j, s, f = _reference_units(p, a)
+        if p != 2:
+            e = t * np.array(j)
+        else:
+            m5 = 1 << max(a - 2, 0)
+            t0, t1 = divmod(t, m5)
+            e = t0 * np.array(s) * (phi // 2) + t1 * np.array(f) * (phi // m5)
+        roots = np.exp(2j * np.pi * np.arange(phi) / phi)
+        vals = np.zeros(pa, dtype=np.complex128)
+        vals[n] = roots[e % phi]
         return vals
 
     q = chi.modulus
     if q == 1:
         return np.ones(1, dtype=np.complex128)
     if len(chi.components) == 1:
-        return component(chi.components[0])
+        return component(chi.components[0].p, chi.components[0].a, chi.components[0].t)
     out = np.ones(q, dtype=np.complex128)
     idx = np.arange(q, dtype=np.int64)
     for c in chi.components:
-        out *= component(c)[idx % c.pa]
+        out *= component(c.p, c.a, c.t)[idx % c.pa]
     return out
 
 
@@ -165,8 +173,25 @@ def test_value_tables_edges():
         list(character.value_tables([character_from_index(13, 1), character_from_index(17, 1)]))
 
 
+@pytest.mark.parametrize("q", [32, 64, 96, 128])
+def test_primitive_character_and_powers_match_tables(q):
+    # every character mod q: the primitive character's table, read at n mod f,
+    # is the table on the units, and chi ** e is the table to the e-th power
+    units = np.gcd(np.arange(q), q) == 1
+    for chi in all_characters(q):
+        vals = chi.value_table()
+        prim = chi.primitive_character()
+        f = prim.modulus
+        assert f == chi.conductor and prim.is_primitive
+        assert np.max(np.abs(prim.value_table()[np.arange(q) % f][units] - vals[units])) < 1e-12
+        for e in (-1, 2, 3, chi.order, 2 * chi.order + 1):
+            power = (chi**e).value_table()
+            assert not power[~units].any()
+            assert np.max(np.abs(power[units] - vals[units] ** e)) < 1e-12
+
+
 def test_order_matches_brute_force():
-    for q in (5, 8, 9, 13, 16, 21, 36, 40):
+    for q in (5, 8, 9, 13, 16, 21, 36, 40, 64, 96, 128):
         for chi in all_characters(q):
             e = 1
             psi = chi
@@ -179,7 +204,7 @@ def test_order_matches_brute_force():
 def test_conductor_matches_induction_scan():
     # oracle: the conductor is the least f | q such that chi is trivial on
     # units n = 1 mod f
-    for q in (5, 8, 9, 12, 16, 24, 45, 60, 72):
+    for q in (5, 8, 9, 12, 16, 24, 45, 60, 64, 72, 96, 128):
         for chi in all_characters(q):
             vals = chi.value_table()
             f_oracle = None
@@ -305,13 +330,12 @@ def test_parity_builds_no_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("parity built a table")
 
-    monkeypatch.setattr(character, "_dlog_table", refuse)
+    monkeypatch.setattr(character, "_log_tables", refuse)
     monkeypatch.setattr(character, "_power_table", refuse)
-    monkeypatch.setattr(character, "_two_adic_tables", refuse)
     assert [chi.parity() for chi in chars] == [-1, -1, 1]
 
 
-@pytest.mark.parametrize("d", [-4, 8, -8, 5, -7, -20, 24, -24, 40, -163])
+@pytest.mark.parametrize("d", [-4, 8, -8, 5, -7, -20, 24, -24, 40, -40, 56, -163])
 def test_values_at_matches_kronecker_symbol(d):
     chi = kronecker_character(d)
     ns = np.arange(-3 * abs(d), 3 * abs(d) + 1)
@@ -392,7 +416,7 @@ def test_character_structure_properties():
 def test_two_adic_tables_refuse_past_cap(monkeypatch):
     # 2-adic logs come only from tables, so past the cap they are refused
     monkeypatch.setattr(character, "_DLOG_TABLE_CAP", 1 << 9)
-    character._two_adic_tables.cache_clear()
+    character._log_tables.cache_clear()
     chi = character_from_components(1 << 10, {1 << 10: 3})
     assert chi.parity() == 1
     with pytest.raises(ResourceError):
@@ -407,7 +431,7 @@ def test_dlog_bsgs_matches_table(q, t, cap, monkeypatch):
     want = [chi.eval(n) for n in ns]
     want_e, want_units = chi.values_at(np.array(ns))
     monkeypatch.setattr(character, "_DLOG_TABLE_CAP", cap)
-    monkeypatch.setattr(character, "_dlog_table", None)  # any table use fails
+    monkeypatch.setattr(character, "_log_tables", None)  # any table use fails
     built = []
     baby_steps = character._baby_steps
     monkeypatch.setattr(character, "_baby_steps", lambda *a: built.append(a) or baby_steps(*a))

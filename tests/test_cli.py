@@ -62,6 +62,7 @@ def test_search_small_q_exit_2(Q, capsys):
     (["search", "--mode", "orderk", "--Q", "1e4", "--k", "2", "--y-mult", "nan"], "--y-mult"),
     (["eval", "--q", "13", "--t", "4", "--z", "1e30"], "--z"),
     (["search", "--mode", "orderk", "--Q", "1e4", "--k", "2", "--z", "1e30"], "--z"),
+    (["search", "--mode", "orderk", "--Q", "1e4", "--k", "2", "--y-mult", "11"], "--y-mult"),
 ])
 def test_bad_float_flag_exit_2(argv, flag, capsys):
     assert main(argv) == 2

@@ -37,6 +37,8 @@ def test_family_spec_validation():
         OrderKFamilySpec(8, 2)
     with pytest.raises(ValueError):
         OrderKFamilySpec(400, 1)
+    with pytest.raises(ValueError, match="sqrt"):  # psi_101(101) = 0 would break the signatures
+        OrderKFamilySpec(1e4, 2, y=11 * math.log(1e4))
     spec = OrderKFamilySpec(400, 2)
     assert spec.y == pytest.approx(math.log(400))
     assert spec.window == (20.0, 40.0)
