@@ -50,6 +50,7 @@ from .lfunction import (
     PrimeSumSpec,
     digamma_weights,
     gauss_sum,
+    l1_afe,
     l1_exact,
     l1_exact_batch,
     l1_series_oracle,

@@ -21,6 +21,12 @@ from its roots of unity by a gather over its log tables (`_component_rows`),
 and the components multiply in, gathered to n mod p^a.  `value_tables`
 (one character at a time) and `CharacterMatrix.blocks` (row blocks of all
 characters mod q) both call it.
+
+`values_up_to(chars, N)` gives chi(n) for n <= N only, for characters of
+one odd modulus, with no table of length q: the digit logs of the primes up
+to N by one vectorized baby-step/giant-step pass (`_dlog_bsgs`, the same one
+`exponents` uses past the cap, its baby-step table sized for the number of
+points), extended by complete multiplicativity.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .ntheory import factor, is_prime, smallest_primitive_root_mod_pp
 
 _DLOG_TABLE_CAP = 1 << 26  # full tables up to here, baby-step/giant-step above
 _NUMPY_MODULUS_CAP = 1 << 31  # int64 products stay exact below this
+_BABY_STEP_CAP = 1 << 22  # baby-step table entries (64 MB with their indices)
 
 
 @dataclass(frozen=True)
@@ -196,26 +203,24 @@ def _check_table_size(size: int) -> None:
 
 
 def _power_table(g: int, m: int, pa: int) -> np.ndarray:
-    """powers[j] = g^j mod p^a for j < m."""
-    _check_table_size(pa)
-    if pa >= _NUMPY_MODULUS_CAP:  # int64 block products below stay exact
-        raise AssertionError(f"power table modulus {pa} not below 2**31")
+    """powers[j] = g^j mod p^a for j < m: int64 below 2**31, whose products
+    stay exact, Python ints above.  The first block doubles, the rest follow
+    a block at a time."""
+    out = np.empty(m, dtype=np.int64 if pa < _NUMPY_MODULUS_CAP else object)
     block = min(1024, m)
-    head = np.empty(block, dtype=np.int64)
-    x = 1
-    for j in range(block):
-        head[j] = x
-        x = x * g % pa
-    out = np.empty(m, dtype=np.int64)
-    out[:block] = head
+    out[0] = 1
+    n = 1
+    while n < block:
+        k = min(n, block - n)
+        out[n : n + k] = out[:k] * pow(g, n, pa) % pa
+        n += k
     step = pow(g, block, pa)
-    filled = block
-    cur = head
-    while filled < m:
-        n = min(block, m - filled)
+    cur = out[:block]
+    while n < m:
+        k = min(block, m - n)
         cur = cur * step % pa
-        out[filled : filled + n] = cur[:n]
-        filled += n
+        out[n : n + k] = cur[:k]
+        n += k
     return out
 
 
@@ -224,6 +229,7 @@ def _log_tables(p: int, a: int) -> tuple[np.ndarray, ...]:
     """One digit table per cyclic factor: n = prod_j g_j^log_j[n] mod p^a
     (units only; -1 elsewhere)."""
     pa = p**a
+    _check_table_size(pa)
     factors = _factors(p, a)
     units = _power_table(*factors[0], pa)  # units[d_0, d_1, ...] = prod_j g_j^d_j
     for g, m in factors[1:]:
@@ -237,33 +243,37 @@ def _log_tables(p: int, a: int) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-def _baby_steps(g: int, s: int, pa: int) -> dict:
-    """{g^j mod p^a: j} for j < s (the least j for repeated values)."""
-    baby = {}
-    x = 1
-    for j in range(s):
-        baby.setdefault(x, j)
-        x = x * g % pa
-    return baby
+def _baby_steps(g: int, s: int, pa: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, j): g^j mod p^a for j < s in sorted order, and each one's j
+    (the values are distinct, as s is at most the order of g)."""
+    powers = _power_table(g, s, pa)
+    j = np.argsort(powers, kind="stable")
+    return powers[j], j
 
 
-def _dlog_bsgs(ns, g: int, m: int, pa: int) -> list[int]:
-    """x < m with g^x = n mod p^a for each n of `ns`, by baby-step/giant-step
-    over one shared baby-step table."""
-    s = math.isqrt(m - 1) + 1
-    baby = _baby_steps(g, s, pa)
-    step = pow(g, -s, pa)
-    out = []
-    for n in ns:
-        cur = n % pa
-        for i in range(s + 1):
-            j = baby.get(cur)
-            if j is not None:
-                out.append((i * s + j) % m)
-                break
-            cur = cur * step % pa
-        else:
-            raise ArithmeticError(f"no discrete log of {n} mod {pa}")
+def _dlog_bsgs(ns, g: int, m: int, pa: int) -> np.ndarray:
+    """x < m with g^x = n mod p^a for each unit n of the int array `ns`, g of
+    order m, by baby-step/giant-step over one shared baby-step table.
+
+    The table holds s ~ sqrt(m * len(ns)) steps, so the ceil(m/s) giant steps
+    of every point form a grid of about s entries too, searched at once:
+    O(sqrt(m * points)) work in all, in a fixed number of numpy calls."""
+    ns = np.asarray(ns) % pa
+    s = min(m, math.isqrt(m * max(1, len(ns))) + 1, _BABY_STEP_CAP)
+    values, js = _baby_steps(g, s, pa)
+    giants = _power_table(pow(g, -s, pa), -(-m // s), pa)  # g^(-s i): x = i s + j covers x < m
+    out = np.empty(len(ns), dtype=np.int64)
+    chunk = max(1, _BABY_STEP_CAP // len(giants))  # grid entries per pass, when s is capped
+    for lo in range(0, len(ns), chunk):
+        grid = ns[lo : lo + chunk, None] * giants % pa
+        pos = np.minimum(np.searchsorted(values, grid), s - 1)
+        hit = values[pos] == grid
+        i = hit.argmax(axis=1)  # the first hit is the x below m
+        rows = np.arange(len(grid))
+        if not hit[rows, i].all():
+            bad = ns[lo + int(np.argmin(hit[rows, i]))]
+            raise ArithmeticError(f"no discrete log of {bad} mod {pa}")
+        out[lo : lo + len(grid)] = i * s + js[pos[rows, i]]
     return out
 
 
@@ -316,7 +326,7 @@ class _Component:
             ((g, m),) = self.factors
             logs = [np.zeros_like(n)]
             units = n % self.p != 0
-            logs[0][units] = _dlog_bsgs([int(x) for x in n[units]], g, m, self.pa)
+            logs[0][units] = _dlog_bsgs(n[units], g, m, self.pa).astype(n.dtype, copy=False)
         return _exponents(self.factors, self.digits, logs)
 
     def roots(self) -> np.ndarray:
@@ -514,6 +524,68 @@ def value_tables(chars: Sequence[DirichletCharacter]) -> Iterator[np.ndarray]:
         yield _table_rows(comps, labels.reshape(-1, 1), roots, q)[0]
 
 
+def _smallest_prime_factors(N: int) -> np.ndarray:
+    """spf[n] for n <= N (spf[0] = 0, spf[1] = 1), one vector step per p <= sqrt(N)."""
+    spf = np.arange(N + 1)
+    for p in range(2, math.isqrt(N) + 1):
+        if spf[p] == p:
+            view = spf[p * p :: p]
+            np.minimum(view, p, out=view)
+    return spf
+
+
+def values_up_to(chars: Sequence[DirichletCharacter], N: int) -> Iterator[np.ndarray]:
+    """chi(n) for n = 0..N as complex128, one array per character of `chars`
+    (one modulus q, odd, below 2**31), in input order, with no table of
+    length q.
+
+    Each component's digit logs are taken at the primes p <= N once for all
+    of `chars` (`_dlog_bsgs`), and extended to every n <= N by complete
+    multiplicativity, log(n) = log(spf(n)) + log(n / spf(n)), over the
+    doubling ranges [2^k, 2^(k+1)): ~log2 N vector steps.  Raises
+    ConstraintError for a 2-adic component, whose logs come only from tables.
+    """
+    if len({chi.modulus for chi in chars}) > 1:
+        raise ValueError("values_up_to needs characters of one modulus")
+    if not chars:
+        return
+    q, comps = chars[0].modulus, chars[0].components
+    if any(c.p == 2 for c in comps):
+        raise ConstraintError(f"values_up_to needs an odd modulus, got {q}")
+    if q >= _NUMPY_MODULUS_CAP:
+        raise ResourceError(f"values_up_to needs a modulus below 2**31, got {q}")
+    spf = _smallest_prime_factors(N)
+    n = np.arange(N + 1)
+    primes = n[2:][spf[2:] == n[2:]]
+    units = np.ones(N + 1, dtype=bool)
+    units[0] = q == 1
+    units[primes] = q % primes != 0
+    coprime = primes[units[primes]]
+    logs = []
+    for c in comps:
+        ((g, m),) = c.factors
+        log = np.zeros(N + 1, dtype=np.int64)
+        log[coprime] = _dlog_bsgs(coprime, g, m, c.pa)
+        logs.append(log)
+    lo = 4
+    while lo <= N:
+        # spf(n) <= sqrt(n) and n / spf(n) <= n / 2 lie below 2^k: both are done
+        ns = n[lo : 2 * lo]
+        ns = ns[spf[ns] != ns]
+        p, r = spf[ns], ns // spf[ns]
+        units[ns] = units[p] & units[r]
+        for c, log in zip(comps, logs):
+            log[ns] = (log[p] + log[r]) % c.group_order
+        lo *= 2
+    lam = math.lcm(1, *(c.group_order for c in comps))
+    for chi in chars:
+        e = sum((_exponents(c.factors, c.digits, [log]) * (lam // c.group_order)
+                 for c, log in zip(chi.components, logs)), np.zeros(N + 1, dtype=np.int64))
+        vals = np.exp((2j * math.pi / lam) * (e % lam))
+        vals[~units] = 0
+        yield vals
+
+
 # ---------------------------------------------------------------------------
 # the value matrix of all characters of one modulus
 
@@ -532,7 +604,8 @@ class CharacterMatrix:
     """The value tables of all phi(q) characters mod q as the rows of one
     matrix, in `all_characters(q)` order.
 
-    Row r has the component index labels np.unravel_index(r, shape); its
+    `components` are the principal character's, one per p^a || q.  Row r
+    has the component index labels np.unravel_index(r, shape); its
     exact facts `primitive`, `parity` (chi(-1)) and `order` are arrays read
     from the labels, built with no table.  The values come from `blocks`, in
     row blocks of at most _BLOCK_ELEMENTS entries, built like `value_tables`.
@@ -541,8 +614,8 @@ class CharacterMatrix:
     def __init__(self, q: int):
         _check_table_size(q)
         self.modulus = q
-        self._base = principal_character(q).components
-        facts = [_label_facts(c.p, c.a) for c in self._base]
+        self.components = principal_character(q).components
+        facts = [_label_facts(c.p, c.a) for c in self.components]
         self.shape = tuple(len(f[0]) for f in facts)
         order = np.ones(self.shape, dtype=np.int64)
         primitive = np.ones(self.shape, dtype=bool)
@@ -565,7 +638,7 @@ class CharacterMatrix:
     def character(self, row: int) -> DirichletCharacter:
         """The character of one row."""
         labels = self._labels(np.array([row]))[:, 0]
-        comps = tuple(_Component(c.p, c.a, int(t)) for c, t in zip(self._base, labels))
+        comps = tuple(_Component(c.p, c.a, int(t)) for c, t in zip(self.components, labels))
         return DirichletCharacter(self.modulus, comps)
 
     def blocks(self, rows) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -574,10 +647,10 @@ class CharacterMatrix:
         q = self.modulus
         rows = np.asarray(rows, dtype=np.int64)
         step = max(1, _BLOCK_ELEMENTS // q)
-        roots = [c.roots() for c in self._base]
+        roots = [c.roots() for c in self.components]
         for lo in range(0, len(rows), step):
             chunk = rows[lo : lo + step]
-            yield chunk, _table_rows(self._base, self._labels(chunk), roots, q)
+            yield chunk, _table_rows(self.components, self._labels(chunk), roots, q)
 
 
 # ---------------------------------------------------------------------------

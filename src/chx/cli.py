@@ -164,6 +164,13 @@ def cmd_search(args) -> int:
                 f"--y-mult {args.y_mult:g} puts y = {args.y_mult * math.log(args.Q):g} at or past "
                 f"sqrt(Q) = {math.sqrt(args.Q):g}, where the orderk window starts"
             )
+    else:
+        y = (math.log(args.Q) / 3.0) * args.y_mult  # the twisted signature cutoff
+        if y > math.log(args.Q) * (1.0 + 1e-12):  # out of range past log Q
+            raise ValueError(
+                f"--y-mult {args.y_mult:g} puts the signature cutoff y = {y:g} past "
+                f"log Q = {math.log(args.Q):g}, where the twisted family may be empty"
+            )
     started = _utcnow()
     res = extremal_pipeline(
         args.Q, args.k, args.mode,

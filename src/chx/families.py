@@ -490,8 +490,10 @@ def random_l1_baseline(
     """|L(1, chi)| for `count` random primitive characters of prime modulus
     in (Q, 4Q) (conductors comparable to the family's q1*q2 in (Q, 4Q)).
     order=None samples all non-principal characters; order=k restricts to
-    order exactly k.  Deterministic for a fixed seed."""
-    from .lfunction import l1_exact_batch
+    order exactly k.  Deterministic for a fixed seed.  The values come from
+    the smoothed approximate functional equation (`lfunction.l1_afe`), in
+    O(sqrt q) per character."""
+    from .lfunction import l1_afe
 
     rng = np.random.default_rng(seed)
     ps = sieve_primes(int(4 * Q) + 1).in_range(Q, 4 * Q)
@@ -515,4 +517,4 @@ def random_l1_baseline(
         else:
             t = (q - 1) // order * units[int(rng.integers(0, len(units)))]
         chars.append(character_from_index(q, t))
-    return np.abs(l1_exact_batch(chars))
+    return np.array([lv.abs for lv in l1_afe(chars)])

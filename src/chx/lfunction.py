@@ -1,9 +1,10 @@
 """Evaluation of L(1, chi) and windowed prime sums.
 
-Three routes to L(1, chi) are provided: closed finite formulas, a
+Four routes to L(1, chi) are provided: closed finite formulas, a
 tail-bounded partial sum of the defining series (the oracle everything
-else is checked against), and the truncated Euler product used by the
-extremal-search heuristics.
+else is checked against), the truncated Euler product used by the
+extremal-search heuristics, and the smoothed approximate functional
+equation (`l1_afe`).
 
 Production values of tau(chi) and L(1, chi) come from one dot-product
 kernel over the finite formulas (`finite_weights` and `tau_l1`, ~1e-12
@@ -16,6 +17,13 @@ reads.  A batch (`l1_exact_batch`) shares the weights and the components'
 roots of unity (`character.value_tables`) across the characters of each
 modulus.  `gauss_sum` and `l1_exact` evaluate the same formulas with
 compensated sums; they are the kernel's oracles.
+
+The AFE reads chi(n) only for n <= N ~ 5 sqrt(q), so it costs O(sqrt q)
+time and memory per character where the finite formulas cost O(q): it
+solves for the root number and L(1, chi) at two smoothing parameters, and
+each value carries an explicit bound (Gamma tails past N plus roundoff,
+scaled by the solve's conditioning; ~1e-13 relative in practice).
+`families.random_l1_baseline` takes its values from it.
 """
 
 from __future__ import annotations
@@ -29,9 +37,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 from scipy.special import digamma
 
-from .character import _DLOG_TABLE_CAP, DirichletCharacter, value_tables
+from .character import _DLOG_TABLE_CAP, DirichletCharacter, value_tables, values_up_to
 from .errors import ConstraintError, ResourceError
-from .ntheory import factor, sieve_primes
+from .ntheory import sieve_primes
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -39,6 +47,7 @@ _EPS = float(np.finfo(np.float64).eps)
 EXACT_FINITE = "exact_finite"
 DIRICHLET_SERIES = "dirichlet_series"
 EULER_TRUNCATED = "euler_truncated"
+SMOOTHED_AFE = "smoothed_afe"
 
 
 @dataclass(frozen=True)
@@ -46,13 +55,15 @@ class LValue:
     """A computed value of L(1, chi) with provenance.
 
     error_bound is a rigorous tail bound for the dirichlet_series method;
-    for euler_truncated it is an empirically calibrated band and for
-    exact_finite a roundoff allowance -- both flagged via `rigorous`.
+    for euler_truncated it is an empirically calibrated band, for
+    exact_finite a roundoff allowance, and for smoothed_afe an explicit
+    Gamma-tail bound plus a roundoff allowance, both scaled by the solve's
+    conditioning -- the last three flagged via `rigorous`.
     """
 
     value: complex
     method: str
-    param: Optional[float]  # N for the series, z for the Euler product
+    param: Optional[float]  # N for the series and the AFE, z for the Euler product
     error_bound: float
     rigorous: bool
 
@@ -275,13 +286,13 @@ class FiniteWeights:
     `a` and `logsin`: a and log sin(pi a/q) for a = 1..q-1.
     """
 
-    def __init__(self, q: int):
+    def __init__(self, q: int, prime_powers: Sequence[int]):
         self.q = q
+        self.prime_powers = prime_powers  # the q_i || q, in increasing order of p
 
     @cached_property
     def tau_pieces(self) -> list[tuple]:
-        q = self.q
-        prime_powers = [p**a for p, a in factor(q).factors]
+        q, prime_powers = self.q, self.prime_powers
         if len(prime_powers) <= 1:
             return [(None, _phases(q))]
         pieces = []
@@ -307,14 +318,16 @@ class FiniteWeights:
         return reduce(operator.mul, dots)
 
 
-def finite_weights(q: int) -> FiniteWeights:
-    """The weights of the finite formulas mod q (built lazily)."""
-    return FiniteWeights(q)
+def finite_weights(source) -> FiniteWeights:
+    """The weights of the finite formulas mod q (built lazily) for `source`,
+    a character mod q or a `CharacterMatrix(q)`: the prime powers q_i || q
+    come from its components, so q is not factored again."""
+    return FiniteWeights(source.modulus, [c.pa for c in source.components])
 
 
 def tau_l1(W: np.ndarray, parity, weights: FiniteWeights) -> tuple:
     """(tau(chi), L(1, chi)) from W, the value table of a primitive
-    non-principal chi mod q with chi(-1) = `parity`, and finite_weights(q).
+    non-principal chi mod q with chi(-1) = `parity`, and finite_weights(chi).
 
     W may also be a 2-D block of such tables, one per row, with one parity
     for all or one per row; tau and L(1, chi) are then arrays over the rows.
@@ -351,9 +364,8 @@ def l1_finite(chi: DirichletCharacter) -> tuple[complex, LValue]:
 
 def _l1_from_table(chi: DirichletCharacter, W: np.ndarray) -> tuple[complex, LValue]:
     """l1_finite for a checked chi whose value table W the caller holds."""
-    q = chi.modulus
-    tau, value = tau_l1(W, chi.parity(), finite_weights(q))
-    return tau, _finite_lvalue(value, q)
+    tau, value = tau_l1(W, chi.parity(), finite_weights(chi))
+    return tau, _finite_lvalue(value, chi.modulus)
 
 
 def l1_exact_batch(chars: Sequence[DirichletCharacter]) -> np.ndarray:
@@ -367,10 +379,130 @@ def l1_exact_batch(chars: Sequence[DirichletCharacter]) -> np.ndarray:
     for i, chi in enumerate(chars):
         _require_primitive_nonprincipal(chi)
         by_q.setdefault(chi.modulus, []).append(i)
-    for q, idx in by_q.items():
-        weights = finite_weights(q)
+    for idx in by_q.values():
+        weights = finite_weights(chars[idx[0]])
         tables = value_tables([chars[i] for i in idx])
         for i in idx:
             # the table stays a temporary, so it is freed before the next is built
             out[i] = tau_l1(next(tables), chars[i].parity(), weights)[1]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the smoothed approximate functional equation: L(1, chi) from chi(n), n <= N
+# ~ 5 sqrt(q)
+
+# the two smoothing parameters solved at, then the third (with a longer sum)
+# for a solve whose conditioning falls below _AFE_MIN_CONDITIONING
+_AFE_DELTAS = (1.0, 2.0, 4.0)
+_AFE_MIN_CONDITIONING = 1e-4
+_AFE_EXPONENT = 40.0  # every Gamma term past N is below e^-40
+
+
+def afe_length(q: int, delta_max: float = _AFE_DELTAS[1]) -> int:
+    """N with pi N^2 delta / q and pi N^2 / (delta q) >= 40 for 1 <= delta <= delta_max."""
+    return math.ceil(math.sqrt(_AFE_EXPONENT * q * delta_max / math.pi))
+
+
+def _tail(K: float, b: int, c: float, N: int) -> float:
+    """A bound on sum_{n > N} K n^-b e^(-c n^2): the integral from N."""
+    return K * N**-b * math.exp(-c * N * N) / (2.0 * c * N)
+
+
+def _afe_weights(q: int, odd: bool, delta: float, N: int) -> tuple[np.ndarray, float]:
+    """(w, err): w = (w1(n), w0(n)), two rows over n = 1..N, with
+
+        L(1, chi) = sum_n chi(n) w1(n) + eps(chi) sum_n conj(chi(n)) w0(n)
+
+    for every primitive chi mod q of that parity and every delta > 0
+    (eps(chi) = tau(chi) / (i^a sqrt(q)), a = 1 for odd chi), and err a
+    bound on both sums' Gamma tails past N plus a roundoff allowance.
+
+    Lambda(1, chi) = (q/pi)^((1+a)/2) Gamma((1+a)/2) L(1, chi) is
+    sum chi(n) n^a (q/(pi n^2))^((1+a)/2) Gamma((1+a)/2, pi n^2 delta/q)
+    + eps sum conj(chi(n)) n^a (q/(pi n^2))^(a/2) Gamma(a/2, pi n^2/(delta q))
+    (Davenport, Multiplicative Number Theory, ch. 9); w is it divided by
+    the factor in front of L(1, chi), with Gamma(1/2, x) = sqrt(pi) erfc(sqrt x),
+    Gamma(1, x) = e^-x and Gamma(0, x) = E1(x).  The tails use
+    Gamma(s, x) <= x^(s-1) e^-x for s <= 1.
+    """
+    from scipy.special import erfc, exp1  # deferred: only the AFE needs them
+
+    n = np.arange(1, N + 1, dtype=np.float64)
+    x = (math.pi / q) * n * n
+    c1, c0, rq = math.pi * delta / q, math.pi / (delta * q), math.sqrt(q)
+    if odd:
+        w = np.stack([np.exp(-delta * x) / n, (math.pi / rq) * erfc(np.sqrt(x / delta))])
+        tails = _tail(1.0, 1, c1, N) + _tail(math.sqrt(delta), 1, c0, N)
+    else:
+        w = np.stack([erfc(np.sqrt(delta * x)) / n, exp1(x / delta) / rq])
+        tails = _tail(rq / (math.pi * math.sqrt(delta)), 2, c1, N) + _tail(delta * rq / math.pi, 2, c0, N)
+    return w, tails + 32.0 * _EPS * float(w.sum())
+
+
+def _afe_sums(X: np.ndarray, odd: bool, deltas: tuple, q: int, weights: dict) -> tuple:
+    """(A, B, err), one entry per delta of `deltas`: A = sum chi(n) w1(n),
+    B = sum conj(chi(n)) w0(n) and err their allowance, from chi(n) for
+    n = 1..N in X; the weights mod q are cached in `weights`."""
+    key = odd, deltas, len(X)
+    if key not in weights:
+        built = [_afe_weights(q, odd, d, len(X)) for d in deltas]
+        weights[key] = np.concatenate([w for w, _ in built]), [e for _, e in built]
+    w, err = weights[key]
+    # (sum w re chi, sum w im chi) from X's float view, per row of w
+    re, im = (w @ X.view(np.float64).reshape(-1, 2)).T
+    A = [complex(r, s) for r, s in zip(re[0::2], im[0::2])]
+    B = [complex(r, -s) for r, s in zip(re[1::2], im[1::2])]
+    return A, B, err
+
+
+def _afe_solve(A: list, B: list, err: list, i: int, j: int) -> tuple[complex, float, float]:
+    """(L(1, chi), error bound, conditioning) from the sums at deltas i, j:
+    A_i + eps B_i = A_j + eps B_j gives eps, then L = A_i + eps B_i.
+
+    With |eps| = 1, errors e_k in the sums move L by at most
+    (e_i + e_j)(1 + |B_i| / |B_j - B_i|); the conditioning is
+    |B_j - B_i| / max(|A_i|, |B_i|)."""
+    dB = B[j] - B[i]
+    eps = (A[i] - A[j]) / dB
+    bound = (err[i] + err[j]) * (1.0 + abs(B[i]) / abs(dB))
+    return A[i] + eps * B[i], bound, abs(dB) / max(abs(A[i]), abs(B[i]))
+
+
+def l1_afe(chars: Sequence[DirichletCharacter]) -> list[LValue]:
+    """L(1, chi) for primitive non-principal characters of odd moduli below
+    2**31 by the smoothed approximate functional equation, in input order.
+
+    Each reads chi(n) only for n <= N = afe_length(q) ~ 5 sqrt(q)
+    (`character.values_up_to`, which builds no table of length q), so it
+    costs O(sqrt q) where the finite formulas cost O(q).  The root number
+    eps(chi) is not computed from tau: L(1, chi) = A(delta) + eps B(delta)
+    holds at every delta, so two deltas determine both (Rubinstein,
+    arXiv math/0412181).  The characters of one modulus share the values'
+    discrete logs and the weights, so each costs four length-N dot products;
+    a solve whose conditioning is below _AFE_MIN_CONDITIONING is redone
+    with a third, wider delta over a longer sum (its `param` stays the
+    first N), keeping the best-conditioned pair.  A 2-adic
+    component raises ConstraintError.
+    """
+    out: list = [None] * len(chars)
+    by_q: dict[int, list[int]] = {}
+    for i, chi in enumerate(chars):
+        _require_primitive_nonprincipal(chi)
+        by_q.setdefault(chi.modulus, []).append(i)
+    for q, idx in by_q.items():
+        weights: dict = {}
+        N = afe_length(q)
+        for i, row in zip(idx, values_up_to([chars[i] for i in idx], N)):
+            chi = chars[i]
+            odd = chi.parity() == -1
+            value, bound, cond = _afe_solve(*_afe_sums(row[1:], odd, _AFE_DELTAS[:2], q, weights), 0, 1)
+            if not cond >= _AFE_MIN_CONDITIONING:
+                N3 = afe_length(q, _AFE_DELTAS[2])
+                solved = _afe_sums(next(values_up_to([chi], N3))[1:], odd, _AFE_DELTAS, q, weights)
+                value, bound, cond = max(
+                    (_afe_solve(*solved, *pair) for pair in ((0, 1), (0, 2), (1, 2))),
+                    key=lambda v: v[2],
+                )
+            out[i] = LValue(value, SMOOTHED_AFE, float(N), bound, rigorous=False)
     return out

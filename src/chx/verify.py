@@ -24,7 +24,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .character import CharacterMatrix, order_k_characters, order_witness
+from .character import (
+    CharacterMatrix,
+    order_k_characters,
+    order_witness,
+    principal_character,
+    product_character,
+)
 from .charsum import _BRIDGE_SLACK, bridge_bounds, half_sum_check, max_partial_sum
 from .families import (
     OrderKFamilySpec,
@@ -37,6 +43,7 @@ from .lfunction import (
     digamma_weights,
     finite_weights,
     gauss_sum,
+    l1_afe,
     l1_exact,
     l1_series_oracle,
     l1_truncated_euler,
@@ -154,7 +161,7 @@ def _gauss_tie(chi) -> float:
     kernel's factored tau from gauss_sum, relative to sqrt(q)."""
     tau = gauss_sum(chi)
     rq = math.sqrt(chi.modulus)
-    kernel = finite_weights(chi.modulus).tau(chi.value_table())
+    kernel = finite_weights(chi).tau(chi.value_table())
     return max(abs(abs(tau) - rq), abs(kernel - tau)) / rq
 
 
@@ -201,7 +208,7 @@ def _check_half_sum(q_max: int = 400) -> CheckResult:
     spot = _Spot(499, _half_sum_tie)
     for q in range(3, q_max + 1, 2):
         cm = CharacterMatrix(q)
-        weights = finite_weights(q)
+        weights = finite_weights(cm)
         for rows, W in cm.blocks(np.flatnonzero(cm.primitive & (cm.parity == -1))):
             tau, l1 = tau_l1(W, cm.parity[rows], weights)
             lhs = W[:, 1 : q // 2 + 1].sum(axis=1)
@@ -237,7 +244,7 @@ def _check_exact_vs_series(q_max: int = 500) -> CheckResult:
             continue
         cm = CharacterMatrix(q)
         w = digamma_weights(q)
-        weights = finite_weights(q)
+        weights = finite_weights(cm)
         for rows, W in cm.blocks(np.flatnonzero(cm.primitive)):
             lex = tau_l1(W, cm.parity[rows], weights)[1]
             oracle = W @ w
@@ -253,6 +260,38 @@ def _check_exact_vs_series(q_max: int = 500) -> CheckResult:
             "worst_rel": worst.value,
             "worst_char": worst.char_id,
             "spot_worst_abs": spot_worst,
+        },
+    )
+
+
+# primes, prime powers and odd composites with up to four prime factors
+_AFE_SAMPLE_MODULI = (45, 105, 125, 693, 1009, 1155, 2187, 4001, 10007)
+
+
+def _check_afe_vs_exact() -> CheckResult:
+    """The smoothed AFE (`l1_afe`) against l1_exact on a fixed sample: the
+    first, middle and last primitive characters of each parity mod each of
+    _AFE_SAMPLE_MODULI, each within the AFE's own error_bound."""
+    chars = []
+    for q in _AFE_SAMPLE_MODULI:
+        cm = CharacterMatrix(q)
+        for parity in (1, -1):
+            rows = np.flatnonzero(cm.primitive & (cm.order > 1) & (cm.parity == parity))
+            chars += [cm.character(r) for r in sorted({rows[0], rows[len(rows) // 2], rows[-1]})]
+    afe = l1_afe(chars)
+    diffs = np.array([abs(lv.value - l1_exact(chi).value) for chi, lv in zip(chars, afe)])
+    ratios = diffs / np.array([lv.error_bound for lv in afe])
+    ratios = np.where(np.isnan(ratios), np.inf, ratios)
+    i = int(np.argmax(ratios))
+    return CheckResult(
+        "afe_vs_exact",
+        bool(ratios[i] <= 1.0),
+        {
+            "moduli": list(_AFE_SAMPLE_MODULI),
+            "n_characters": len(chars),
+            "worst_abs": float(np.max(diffs)),
+            "worst_over_bound": float(ratios[i]),
+            "worst_char": chars[i].char_id,
         },
     )
 
@@ -312,6 +351,7 @@ def suite_identities() -> SuiteResult:
             _check_gauss_modulus(),
             _check_half_sum(),
             _check_exact_vs_series(),
+            _check_afe_vs_exact(),
             _check_b_combinatorics(),
         ],
     )
@@ -414,8 +454,10 @@ def _check_bridges(q_max: int = 400) -> CheckResult:
         keep = cm.primitive & (cm.order % 2 == 0)
         if q % 3 == 0:
             keep &= cm.parity == -1  # the even bridge needs 3 coprime to q
-        weights = finite_weights(q)
-        twist_weights = finite_weights(3 * q) if q % 3 else None
+        weights = finite_weights(cm)
+        # mod 3q, with the components of q and of 3
+        twist_weights = (finite_weights(product_character(cm.character(0), principal_character(3)))
+                         if q % 3 else None)
         n = np.arange(3 * q)
         for rows, W in cm.blocks(np.flatnonzero(keep)):
             parity = cm.parity[rows]
@@ -466,7 +508,7 @@ def _check_euler_calibration(
     moduli = [int(q) for q in sieve_primes(q_hi).primes if q_lo <= q <= q_hi]
     for q in moduli:
         cm = CharacterMatrix(q)
-        weights = finite_weights(q)
+        weights = finite_weights(cm)
         idx = np.mod(plist, q)
         for rows, W in cm.blocks(np.flatnonzero(cm.order > 1)):
             lex = tau_l1(W, cm.parity[rows], weights)[1]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from chx.character import (
     principal_character,
     product_character,
     psi_q,
+    values_up_to,
 )
 from chx.errors import ConstraintError, ResourceError
 from chx.ntheory import factor, kronecker, sieve_primes, smallest_primitive_root_mod_pp
@@ -441,3 +443,38 @@ def test_dlog_bsgs_matches_table(q, t, cap, monkeypatch):
     e, units = chi.values_at(np.array(ns))
     assert np.array_equal(e, want_e) and np.array_equal(units, want_units)
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("q", [13, 45, 1009, 1155, 2187])
+def test_values_up_to_matches_value_table(q):
+    # principal, imprimitive and primitive characters alike, past one period
+    chars = list(itertools.islice(all_characters(q), 40))
+    N = 3 * q + 7
+    n = np.arange(N + 1)
+    for chi, vals in zip(chars, values_up_to(chars, N), strict=True):
+        want = chi.value_table()[n % q]
+        assert np.array_equal(vals == 0, want == 0)
+        assert np.abs(vals - want).max() <= 1e-13, chi.char_id
+
+
+def test_values_up_to_edges():
+    assert list(values_up_to([], 10)) == []
+    with pytest.raises(ValueError):
+        list(values_up_to([character_from_index(13, 1), character_from_index(17, 1)], 10))
+    with pytest.raises(ConstraintError):  # 2-adic logs come only from tables
+        list(values_up_to([kronecker_character(-4)], 10))
+    with pytest.raises(ResourceError):  # int64 exponent products stay exact below 2**31
+        list(values_up_to([character_from_index(2147483659, 3)], 10))
+
+
+def test_dlog_bsgs_baby_table_sized_for_the_points(monkeypatch):
+    q = 100003
+    (g, m), = character._factors(q, 1)
+    ns = sieve_primes(2000).primes
+    sizes = []
+    baby_steps = character._baby_steps
+    monkeypatch.setattr(character, "_baby_steps", lambda *a: sizes.append(a[1]) or baby_steps(*a))
+    x = character._dlog_bsgs(ns, g, m, q)
+    assert sizes == [math.isqrt(m * len(ns)) + 1]  # ~sqrt(m * points), not sqrt(m)
+    assert np.array_equal(x, character._log_tables(q, 1)[0][ns])
+    assert all(pow(g, int(e), q) == n for e, n in zip(x, ns.tolist()))

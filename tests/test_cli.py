@@ -63,6 +63,8 @@ def test_search_small_q_exit_2(Q, capsys):
     (["eval", "--q", "13", "--t", "4", "--z", "1e30"], "--z"),
     (["search", "--mode", "orderk", "--Q", "1e4", "--k", "2", "--z", "1e30"], "--z"),
     (["search", "--mode", "orderk", "--Q", "1e4", "--k", "2", "--y-mult", "11"], "--y-mult"),
+    (["search", "--mode", "even_sum", "--Q", "1e4", "--k", "2", "--y-mult", "50"], "--y-mult"),
+    (["search", "--mode", "odd_sum", "--Q", "1e4", "--k", "2", "--y-mult", "3.01"], "--y-mult"),
 ])
 def test_bad_float_flag_exit_2(argv, flag, capsys):
     assert main(argv) == 2

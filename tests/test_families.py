@@ -9,7 +9,7 @@ import pickle
 import numpy as np
 import pytest
 
-from chx.character import RootOfUnity, kronecker_character
+from chx.character import RootOfUnity, character_from_index, kronecker_character
 from chx.errors import ConstraintError
 from chx.families import (
     OrderKFamilySpec,
@@ -28,6 +28,7 @@ from chx.families import (
     signature_of,
     twisted_family,
 )
+from chx.lfunction import l1_exact_batch
 from chx.ntheory import factor, is_kth_power, sieve_primes
 from chx.report import evaluate_character
 
@@ -268,6 +269,34 @@ def test_random_baseline_deterministic():
 def test_random_baseline_order_restricted():
     vals = random_l1_baseline(1e4, count=20, order=3)
     assert vals.shape == (20,)
+
+
+def _baseline_characters(Q, count, order, seed=20260815, n_moduli=25):
+    """The characters random_l1_baseline draws, restated: the moduli first,
+    then one rng.integers per entry, in entry order."""
+    rng = np.random.default_rng(seed)
+    ps = sieve_primes(int(4 * Q) + 1).in_range(Q, 4 * Q)
+    if order is not None:
+        ps = ps[ps % order == 1]
+    moduli = rng.choice(ps, size=min(n_moduli, len(ps)), replace=False)
+    units = [a for a in range(1, (order or 1) + 1) if math.gcd(a, order or 1) == 1]
+    chars = []
+    for i in range(count):
+        q = int(moduli[i % len(moduli)])
+        if order is None:
+            t = int(rng.integers(1, q - 1))
+        else:
+            t = (q - 1) // order * units[int(rng.integers(0, len(units)))]
+        chars.append(character_from_index(q, t))
+    return chars
+
+
+@pytest.mark.parametrize("order", [None, 3])
+def test_random_baseline_matches_the_finite_formulas(order):
+    """The AFE values agree with l1_exact_batch on the same drawn characters."""
+    got = random_l1_baseline(1e4, count=40, order=order)
+    want = np.abs(l1_exact_batch(_baseline_characters(1e4, 40, order)))
+    assert np.all(np.abs(got - want) <= 1e-11 * want)
 
 
 def test_members_pickle_to_equal_records():

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from chx import lfunction
+from chx import character, lfunction
 from chx.character import (
     CharacterMatrix,
     all_characters,
@@ -223,7 +223,7 @@ KERNEL_MODULI = [13, 45, 64, 120, 360, 840, 1009]
 def test_tau_l1_one_table_matches_the_reference_formula(q):
     """tau_l1 on one table agrees with the compensated reference formulas
     gauss_sum and l1_exact on every primitive character."""
-    weights = lfunction.finite_weights(q)
+    weights = lfunction.finite_weights(principal_character(q))
     chars = [chi for chi in all_characters(q) if chi.is_primitive]
     assert {chi.parity() for chi in chars} == {1, -1}
     for chi in chars:
@@ -237,7 +237,7 @@ def test_tau_l1_rows_matches_the_kernel(q):
     """tau_l1 on a row block, with one parity per row, agrees with one
     tau_l1 call per row and with the reference formulas."""
     cm = CharacterMatrix(q)
-    weights = lfunction.finite_weights(q)
+    weights = lfunction.finite_weights(cm)
     for r, W in cm.blocks(np.flatnonzero(cm.primitive)):
         tau, l1 = lfunction.tau_l1(W, cm.parity[r], weights)
         for i, row in enumerate(r):
@@ -250,18 +250,19 @@ def test_tau_l1_rows_matches_the_kernel(q):
 
 
 def test_finite_weights_factor_tau_and_build_on_first_use():
-    # q = 840 = 2^3 * 3 * 5 * 7: tau from 8 + 3 + 5 + 7 phases, not 840
-    weights = lfunction.finite_weights(840)
-    assert vars(weights) == {"q": 840}
+    # q = 840 = 2^3 * 3 * 5 * 7: tau from 8 + 3 + 5 + 7 phases, not 840,
+    # with the prime powers read from the components
+    weights = lfunction.finite_weights(CharacterMatrix(840))
+    assert vars(weights) == {"q": 840, "prime_powers": [8, 3, 5, 7]}
     assert [len(e) for _, e in weights.tau_pieces] == [8, 3, 5, 7]
     assert [len(m) for m, _ in weights.tau_pieces] == [8, 3, 5, 7]
     for q in (64, 1009):  # a prime power: one piece, tau = W @ e(n/q)
-        (m, e), = lfunction.finite_weights(q).tau_pieces
+        (m, e), = lfunction.finite_weights(principal_character(q)).tau_pieces
         assert m is None and len(e) == q
     # an odd character reads the phases and a, never log sin
     chi = next(c for c in all_characters(840) if c.is_primitive and c.parity() == -1)
     lfunction.tau_l1(chi.value_table(), -1, weights)
-    assert set(vars(weights)) == {"q", "tau_pieces", "a"}
+    assert set(vars(weights)) == {"q", "prime_powers", "tau_pieces", "a"}
 
 
 def test_lvalue_as_dict_keys():
@@ -284,12 +285,86 @@ def _l1_digamma_oracle(chi, mpmath):
 def test_l1_against_high_precision_oracle():
     mpmath = pytest.importorskip("mpmath")
     sample = [kronecker_character(-163), character_from_index(4001, 1000)]
-    for q in (8, 40, 64, 81, 1009, 2003, 4001):
+    for q in (8, 40, 45, 64, 81, 1009, 1155, 2003, 4001):
         for parity in (1, -1):
             sample.append(next(c for c in all_characters(q)
                                if c.is_primitive and c.order > 1 and c.parity() == parity))
+    # the AFE takes odd moduli: primes, a prime power and odd composites, both parities
+    odd_moduli = [chi for chi in sample if chi.modulus % 2]
+    assert {chi.modulus for chi in odd_moduli} >= {45, 81, 1009, 1155}
+    afe = dict(zip(odd_moduli, lfunction.l1_afe(odd_moduli)))
     with mpmath.workdps(30):
         for chi in sample:
             want = _l1_digamma_oracle(chi, mpmath)
-            for lv in (l1_exact(chi), l1_finite(chi)[1]):
-                assert abs(lv.value - want) <= lv.error_bound, chi.char_id
+            lvs = [l1_exact(chi), l1_finite(chi)[1]] + ([afe[chi]] if chi in afe else [])
+            for lv in lvs:
+                assert abs(lv.value - want) <= lv.error_bound, (chi.char_id, lv.method)
+
+
+def _primitive_sample(q: int, per_parity: int) -> list:
+    """The first `per_parity` primitive non-principal characters mod q of each parity."""
+    chars = [c for c in all_characters(q) if c.is_primitive and c.order > 1]
+    return [c for p in (1, -1) for c in [c for c in chars if c.parity() == p][:per_parity]]
+
+
+def _assert_afe_within_bound(chars, values):
+    for chi, lv in zip(chars, values, strict=True):
+        assert lv.method == lfunction.SMOOTHED_AFE and lv.param == lfunction.afe_length(chi.modulus)
+        assert abs(lv.value - l1_exact(chi).value) <= lv.error_bound, chi.char_id
+
+
+AFE_MODULI = [13, 45, 81, 105, 1009, 1155, 2187, 4001]
+
+
+def test_l1_afe_matches_exact_within_its_bound():
+    chars = [chi for q in AFE_MODULI for chi in _primitive_sample(q, 6)]
+    values = lfunction.l1_afe(chars[::-1])[::-1]  # input order is kept across moduli
+    _assert_afe_within_bound(chars, values)
+    # the bound is explicit: the Gamma tails past N and roundoff, no wider than ~1e-11
+    assert all(0 < lv.error_bound < 1e-10 and not lv.rigorous for lv in values)
+
+
+def test_l1_afe_third_delta_when_ill_conditioned(monkeypatch):
+    """A solve below the conditioning threshold is redone with the third
+    delta over the longer sum; forcing the threshold sends every one there."""
+    chars = _primitive_sample(1009, 4) + _primitive_sample(105, 2)
+    plain = lfunction.l1_afe(chars)
+    lengths = []
+    values_up_to = lfunction.values_up_to
+
+    def record(group, N):
+        lengths.append((len(group), N))
+        return values_up_to(group, N)
+
+    monkeypatch.setattr(lfunction, "values_up_to", record)
+    monkeypatch.setattr(lfunction, "_AFE_MIN_CONDITIONING", math.inf)
+    forced = lfunction.l1_afe(chars)
+    assert lfunction.l1_afe(chars) == forced  # deterministic
+    N3 = {q: lfunction.afe_length(q, lfunction._AFE_DELTAS[2]) for q in (105, 1009)}
+    assert lengths[:len(lengths) // 2] == (
+        [(8, lfunction.afe_length(1009))] + [(1, N3[1009])] * 8
+        + [(4, lfunction.afe_length(105))] + [(1, N3[105])] * 4
+    )
+    _assert_afe_within_bound(chars, forced)
+    assert all(abs(a.value - b.value) <= a.error_bound + b.error_bound
+               for a, b in zip(plain, forced))
+
+
+def test_l1_afe_builds_no_log_table(monkeypatch):
+    # the AFE takes every dlog by baby-step/giant-step, however small the modulus
+    chars = _primitive_sample(1009, 3) + _primitive_sample(1155, 3)
+    want = [l1_exact(chi) for chi in chars]
+    monkeypatch.setattr(character, "_log_tables", None)  # any table use fails
+    values = lfunction.l1_afe(chars)
+    assert all(abs(lv.value - w.value) <= lv.error_bound for lv, w in zip(values, want))
+
+
+def test_l1_afe_refuses_two_adic_and_imprimitive():
+    with pytest.raises(ConstraintError):
+        lfunction.l1_afe([next(c for c in all_characters(40) if c.is_primitive)])
+    with pytest.raises(ConstraintError):
+        lfunction.l1_afe([kronecker_character(-4)])
+    with pytest.raises(ConstraintError):
+        lfunction.l1_afe([principal_character(13)])
+    with pytest.raises(ConstraintError):
+        lfunction.l1_afe([next(c for c in all_characters(45) if not c.is_primitive and c.order > 1)])

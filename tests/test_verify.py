@@ -3,6 +3,8 @@ corrupted weight or matrix row fails the check it feeds."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -111,3 +113,16 @@ def test_empty_scan_fails(check, args, counts):
     res = check(*args)
     assert not res.passed
     assert {k: res.detail[k] for k in counts} == counts
+
+
+def test_afe_vs_exact_ties_and_fails_when_corrupted(monkeypatch):
+    res = verify._check_afe_vs_exact()
+    assert res.passed, res.detail
+    assert res.detail["n_characters"] == 54 and res.detail["worst_over_bound"] <= 1.0
+    original = verify.l1_afe
+
+    def corrupt(chars):  # off by 1e-9 relative, far outside any AFE error_bound
+        return [dataclasses.replace(lv, value=lv.value * (1 + 1e-9)) for lv in original(chars)]
+
+    monkeypatch.setattr(verify, "l1_afe", corrupt)
+    assert not verify._check_afe_vs_exact().passed
