@@ -18,15 +18,16 @@ p^a = 2**26, baby-step/giant-step above for odd p), read by `values_at`,
 
 Value tables have one builder, `_table_rows`: each component's rows come
 from its roots of unity by a gather over its log tables (`_component_rows`),
-and the components multiply in, gathered to n mod p^a.  `value_tables`
-(one character at a time) and `CharacterMatrix.blocks` (row blocks of all
-characters mod q) both call it.
+and the components multiply in, gathered to n mod p^a.
+`DirichletCharacter.value_table` (one row) and `CharacterMatrix.blocks`
+(row blocks of all characters mod q) both call it.
 
 `values_up_to(chars, N)` gives chi(n) for n <= N only, for characters of
 one odd modulus, with no table of length q: the digit logs of the primes up
-to N by one vectorized baby-step/giant-step pass (`_dlog_bsgs`, the same one
-`exponents` uses past the cap, its baby-step table sized for the number of
-points), extended by complete multiplicativity.
+to N (from `ntheory.sieve_primes`) by one vectorized baby-step/giant-step
+pass (`_dlog_bsgs`, the same one `exponents` uses past the cap, its
+baby-step table sized for the number of points), extended by complete
+multiplicativity.
 """
 
 from __future__ import annotations
@@ -41,7 +42,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ConstraintError, ResourceError
-from .ntheory import factor, is_prime, smallest_primitive_root_mod_pp
+from .ntheory import (
+    factor,
+    is_fundamental_discriminant,
+    is_prime,
+    kronecker,
+    sieve_primes,
+    smallest_primitive_root_mod_pp,
+)
 
 _DLOG_TABLE_CAP = 1 << 26  # full tables up to here, baby-step/giant-step above
 _NUMPY_MODULUS_CAP = 1 << 31  # int64 products stay exact below this
@@ -245,8 +253,10 @@ def _log_tables(p: int, a: int) -> tuple[np.ndarray, ...]:
 
 def _baby_steps(g: int, s: int, pa: int) -> tuple[np.ndarray, np.ndarray]:
     """(values, j): g^j mod p^a for j < s in sorted order, and each one's j
-    (the values are distinct, as s is at most the order of g)."""
-    powers = _power_table(g, s, pa)
+    (the values are distinct, as s is at most the order of g).  The values
+    are int64 even past 2**31, as they are below p^a < 2**63 (the range
+    `factor` accepts): only their products need Python ints."""
+    powers = _power_table(g, s, pa).astype(np.int64, copy=False)
     j = np.argsort(powers, kind="stable")
     return powers[j], j
 
@@ -265,7 +275,7 @@ def _dlog_bsgs(ns, g: int, m: int, pa: int) -> np.ndarray:
     out = np.empty(len(ns), dtype=np.int64)
     chunk = max(1, _BABY_STEP_CAP // len(giants))  # grid entries per pass, when s is capped
     for lo in range(0, len(ns), chunk):
-        grid = ns[lo : lo + chunk, None] * giants % pa
+        grid = (ns[lo : lo + chunk, None] * giants % pa).astype(np.int64, copy=False)
         pos = np.minimum(np.searchsorted(values, grid), s - 1)
         hit = values[pos] == grid
         i = hit.argmax(axis=1)  # the first hit is the x below m
@@ -439,7 +449,10 @@ class DirichletCharacter:
 
     def value_table(self) -> np.ndarray:
         """chi(n) for n = 0..q-1 as complex128 (0 on non-units)."""
-        return next(value_tables([self]))
+        q, comps = self.modulus, self.components
+        _check_table_size(q)
+        labels = np.array([c.t for c in comps], dtype=np.int64).reshape(-1, 1)
+        return _table_rows(comps, labels, [c.roots() for c in comps], q)[0]
 
     # -- algebra -----------------------------------------------------------
 
@@ -504,46 +517,18 @@ def _table_rows(comps: tuple, labels: np.ndarray, roots: list, q: int) -> np.nda
     return out
 
 
-def value_tables(chars: Sequence[DirichletCharacter]) -> Iterator[np.ndarray]:
-    """The value tables of characters sharing one modulus q, in input order.
-
-    Each component's roots of unity are computed once for all of `chars`;
-    the tables are built one at a time as they are consumed, so a caller
-    that keeps no table alive holds at most one.  Raises ValueError if the
-    moduli differ.
-    """
-    if len({chi.modulus for chi in chars}) > 1:
-        raise ValueError("value_tables needs characters of one modulus")
-    if not chars:
-        return
-    q, comps = chars[0].modulus, chars[0].components
-    _check_table_size(q)
-    roots = [c.roots() for c in comps]
-    for chi in chars:
-        labels = np.array([c.t for c in chi.components], dtype=np.int64)
-        yield _table_rows(comps, labels.reshape(-1, 1), roots, q)[0]
-
-
-def _smallest_prime_factors(N: int) -> np.ndarray:
-    """spf[n] for n <= N (spf[0] = 0, spf[1] = 1), one vector step per p <= sqrt(N)."""
-    spf = np.arange(N + 1)
-    for p in range(2, math.isqrt(N) + 1):
-        if spf[p] == p:
-            view = spf[p * p :: p]
-            np.minimum(view, p, out=view)
-    return spf
-
-
 def values_up_to(chars: Sequence[DirichletCharacter], N: int) -> Iterator[np.ndarray]:
     """chi(n) for n = 0..N as complex128, one array per character of `chars`
     (one modulus q, odd, below 2**31), in input order, with no table of
     length q.
 
-    Each component's digit logs are taken at the primes p <= N once for all
-    of `chars` (`_dlog_bsgs`), and extended to every n <= N by complete
-    multiplicativity, log(n) = log(spf(n)) + log(n / spf(n)), over the
-    doubling ranges [2^k, 2^(k+1)): ~log2 N vector steps.  Raises
-    ConstraintError for a 2-adic component, whose logs come only from tables.
+    Each component's digit logs are taken at the primes p <= N (from
+    `sieve_primes`) once for all of `chars` (`_dlog_bsgs`), and extended to
+    every n <= N by complete multiplicativity, log(n) = log(spf(n)) +
+    log(n / spf(n)), over the doubling ranges [2^k, 2^(k+1)): ~log2 N vector
+    steps; spf comes from the same primes, one vector step per p <= sqrt(N).
+    Raises ConstraintError for a 2-adic component, whose logs come only from
+    tables.
     """
     if len({chi.modulus for chi in chars}) > 1:
         raise ValueError("values_up_to needs characters of one modulus")
@@ -554,9 +539,12 @@ def values_up_to(chars: Sequence[DirichletCharacter], N: int) -> Iterator[np.nda
         raise ConstraintError(f"values_up_to needs an odd modulus, got {q}")
     if q >= _NUMPY_MODULUS_CAP:
         raise ResourceError(f"values_up_to needs a modulus below 2**31, got {q}")
-    spf = _smallest_prime_factors(N)
+    primes = sieve_primes(max(N, 2)).in_range(1, N + 1)
     n = np.arange(N + 1)
-    primes = n[2:][spf[2:] == n[2:]]
+    spf = n.copy()  # spf[n] = the least prime factor of n >= 2
+    for p in primes[primes <= math.isqrt(N)].tolist():
+        view = spf[p * p :: p]
+        np.minimum(view, p, out=view)
     units = np.ones(N + 1, dtype=bool)
     units[0] = q == 1
     units[primes] = q % primes != 0
@@ -608,7 +596,7 @@ class CharacterMatrix:
     has the component index labels np.unravel_index(r, shape); its
     exact facts `primitive`, `parity` (chi(-1)) and `order` are arrays read
     from the labels, built with no table.  The values come from `blocks`, in
-    row blocks of at most _BLOCK_ELEMENTS entries, built like `value_tables`.
+    row blocks of at most _BLOCK_ELEMENTS entries, by the same `_table_rows`.
     """
 
     def __init__(self, q: int):
@@ -728,18 +716,8 @@ def all_characters(q: int):
 
 def order_k_characters(q: int, k: int) -> list[DirichletCharacter]:
     """The phi(k) characters of order exactly k mod a prime q = 1 mod k."""
-    if k < 2:
-        raise ValueError(f"order k must be >= 2, got {k}")
-    if q < 3 or not is_prime(q):
-        raise ValueError(f"modulus {q} is not an odd prime")
-    if (q - 1) % k != 0:
-        raise ConstraintError(f"q = {q} is not 1 mod k = {k}")
-    step = (q - 1) // k
-    return [
-        character_from_index(q, alpha * step)
-        for alpha in range(1, k + 1)
-        if math.gcd(alpha, k) == 1
-    ]
+    psi = psi_q(q, k)
+    return [psi**a for a in range(1, k + 1) if math.gcd(a, k) == 1]
 
 
 def psi_q(q: int, k: int) -> DirichletCharacter:
@@ -776,8 +754,6 @@ def kronecker_character(d: int) -> DirichletCharacter:
 
     d = 1 yields the modulus-1 constant character.
     """
-    from .ntheory import is_fundamental_discriminant, kronecker
-
     if not is_fundamental_discriminant(d):
         raise ConstraintError(f"{d} is not a fundamental discriminant")
     q = abs(d)

@@ -22,12 +22,14 @@ import numpy as np
 from .character import (
     _DLOG_TABLE_CAP,
     DirichletCharacter,
+    character_from_index,
     kronecker_character,
     principal_character,
     product_character,
     psi_q,
 )
 from .errors import ConstraintError, ResourceError
+from .lfunction import l1_afe
 from .ntheory import sieve_primes, squarefree_mask, factor
 from .report import REFERENCE_CONSTANTS, evaluate_character
 
@@ -270,8 +272,8 @@ def signature_discriminants(
         raise ValueError(f"signature cutoff needs y >= 2, got {y}")
     if y > math.log(Q) * (1.0 + 1e-12):
         warnings.warn(
-            f"signature cutoff y={y:.3g} exceeds log Q = {math.log(Q):.3g}; "
-            "the family may be empty",
+            f"signature cutoff y={y:.3g} exceeds the log of the discriminant bound, "
+            f"log {Q:.3g} = {math.log(Q):.3g}; the family may be empty",
             stacklevel=2,
         )
     limit = int(math.floor(Q))
@@ -493,8 +495,6 @@ def random_l1_baseline(
     order exactly k.  Deterministic for a fixed seed.  The values come from
     the smoothed approximate functional equation (`lfunction.l1_afe`), in
     O(sqrt q) per character."""
-    from .lfunction import l1_afe
-
     rng = np.random.default_rng(seed)
     ps = sieve_primes(int(4 * Q) + 1).in_range(Q, 4 * Q)
     if order is not None:
@@ -508,8 +508,6 @@ def random_l1_baseline(
         else None
     )
     chars = []
-    from .character import character_from_index
-
     for i in range(count):
         q = int(moduli[i % len(moduli)])
         if order is None:

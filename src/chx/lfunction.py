@@ -13,9 +13,7 @@ relative).  It takes one value table or a block of them (the rows of a
 prime power q_i || q, over the table's entries at the CRT lifts of n q/q_i
 (O(sum q_i)); L(1, chi) is one length-(q-1) dot for the character's parity.
 The weights are built on first use, so a caller pays only for what it
-reads.  A batch (`l1_exact_batch`) shares the weights and the components'
-roots of unity (`character.value_tables`) across the characters of each
-modulus.  `gauss_sum` and `l1_exact` evaluate the same formulas with
+reads.  `gauss_sum` and `l1_exact` evaluate the same formulas with
 compensated sums; they are the kernel's oracles.
 
 The AFE reads chi(n) only for n <= N ~ 5 sqrt(q), so it costs O(sqrt q)
@@ -37,7 +35,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 from scipy.special import digamma
 
-from .character import _DLOG_TABLE_CAP, DirichletCharacter, value_tables, values_up_to
+from .character import _DLOG_TABLE_CAP, DirichletCharacter, values_up_to
 from .errors import ConstraintError, ResourceError
 from .ntheory import sieve_primes
 
@@ -369,23 +367,8 @@ def _l1_from_table(chi: DirichletCharacter, W: np.ndarray) -> tuple[complex, LVa
 
 
 def l1_exact_batch(chars: Sequence[DirichletCharacter]) -> np.ndarray:
-    """L(1, chi) for many characters by the kernel, in input order.
-
-    The characters are grouped by modulus; each group shares one set of
-    weights and one set of component roots of unity (`value_tables`).
-    """
-    out = np.empty(len(chars), dtype=np.complex128)
-    by_q: dict[int, list[int]] = {}
-    for i, chi in enumerate(chars):
-        _require_primitive_nonprincipal(chi)
-        by_q.setdefault(chi.modulus, []).append(i)
-    for idx in by_q.values():
-        weights = finite_weights(chars[idx[0]])
-        tables = value_tables([chars[i] for i in idx])
-        for i in idx:
-            # the table stays a temporary, so it is freed before the next is built
-            out[i] = tau_l1(next(tables), chars[i].parity(), weights)[1]
-    return out
+    """L(1, chi) by `l1_finite` for each of `chars`, in input order."""
+    return np.array([l1_finite(chi)[1].value for chi in chars], dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .character import (
 from .charsum import _BRIDGE_SLACK, bridge_bounds, half_sum_check, max_partial_sum
 from .families import (
     OrderKFamilySpec,
+    _kronecker_column,
     count_fundamental_discriminants,
     generate_family,
     psi_tilde,
@@ -575,8 +576,6 @@ def suite_bounds() -> SuiteResult:
 def _quad_moment_oracle_r1(fam: QuadFamilySpec, window: PrimeSumSpec) -> float:
     """sum_d |sum_p chi_d(p)/p|^2 by the swapped double loop over prime
     pairs, with exact inner character sums."""
-    from .families import _kronecker_column
-
     ds = fam.d_values()
     ps = [int(p) for p in window.primes()]
     cols = {p: _kronecker_column(ds, p).astype(np.float64) for p in ps}

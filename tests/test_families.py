@@ -134,6 +134,13 @@ def test_signature_discriminants_example():
     assert sig.sig_primes == (2, 3)
 
 
+def test_signature_discriminants_warns_by_the_bound_it_is_handed():
+    # twisted_family hands in D = Q^(1/3): the warning names that bound's log
+    with pytest.warns(UserWarning, match=r"y=5 exceeds the log of the discriminant bound, log 20 = 3;"):
+        sig = signature_discriminants(20, 1, 5.0, {})
+    assert sig.sig_primes == (2, 3, 5)
+
+
 def test_signature_discriminants_mod8():
     sig = signature_discriminants(200, 1, 2.5, {2: -1})
     assert len(sig.d_values) > 0

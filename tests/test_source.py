@@ -19,3 +19,26 @@ def test_no_assert_statements_in_library():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _relative_imports(nodes) -> list[ast.ImportFrom]:
+    """The `from .x import ...` statements among `nodes`."""
+    return [n for n in nodes if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module]
+
+
+def test_deferred_imports_only_break_cycles():
+    # a function-level `from .x import` is allowed only where x imports this
+    # module back at module level; anywhere else it belongs at the top
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    imported_at_top = {
+        name: {node.module for node in _relative_imports(tree.body)} for name, tree in trees.items()
+    }
+    found = [
+        f"{name}.{fn.name}: from .{node.module}"
+        for name, tree in trees.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in _relative_imports(ast.walk(fn))
+        if name not in imported_at_top.get(node.module, set())
+    ]
+    assert found == []
