@@ -18,7 +18,8 @@ p^a = 2**26, baby-step/giant-step above for odd p), read by `values_at`,
 
 Value tables have one builder, `_table_rows`: each component's rows come
 from its roots of unity by a gather over its log tables (`_component_rows`),
-and the components multiply in, gathered to n mod p^a.
+and the components multiply in through the period view (q / p^a, p^a) of
+the table, whose last axis is n mod p^a.
 `DirichletCharacter.value_table` (one row) and `CharacterMatrix.blocks`
 (row blocks of all characters mod q) both call it.
 
@@ -506,14 +507,15 @@ def _table_rows(comps: tuple, labels: np.ndarray, roots: list, q: int) -> np.nda
     and index labels `labels` (one row per component, one column per
     character), one table per row, from `roots` = [c.roots() for c in comps].
 
-    Each component's rows are gathered to n mod p^a and multiplied in, in
-    component order."""
+    Each component's rows are multiplied in, in component order, through
+    the view of the table as (rows, q / p^a, p^a): its last axis is n mod p^a,
+    so a row broadcasts over the periods with no index array or gather."""
     if len(comps) == 1:
         return _component_rows(comps[0], labels[0], roots[0])
     out = np.ones((labels.shape[1], q), dtype=np.complex128)
-    idx = np.arange(q, dtype=np.int64)
     for c, lab, r in zip(comps, labels, roots):
-        out *= _component_rows(c, lab, r).take(idx % c.pa, axis=1)
+        periods = out.reshape(len(out), q // c.pa, c.pa)  # a view: writes go to out
+        periods *= _component_rows(c, lab, r)[:, None, :]
     return out
 
 

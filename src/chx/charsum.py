@@ -36,8 +36,8 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class MsumRecord:
-    """M(chi) = max_x |sum_{n<=x} chi(n)|, its smallest maximizer, and the
-    normalized ratios
+    """M(chi) = max_x |S(x)|, S(x) = sum_{n<=x} chi(n), the first maximizer
+    of the computed |S(x)| (see max_partial_sum), and the normalized ratios
 
     ratio_odd  = M*pi/(sqrt(q)*loglog q)        -- target e^gamma for odd chi
     ratio_even = M*pi*sqrt(3)/(sqrt(q)*loglog q) -- target e^gamma for even chi
@@ -61,8 +61,9 @@ def _check_period_sum(total: complex, q: int) -> None:
 def max_partial_sum(chi: DirichletCharacter) -> MsumRecord:
     """Exact scan of one period: M = max_{1<=x<=q} |sum_{n<=x} chi(n)|.
 
-    Ties broken by the smallest maximizer. The period-sum check
-    |prefix(q)| ~ 0 guards against table corruption.
+    argmax is the first maximizer of the computed |S(x)|: |S(q-1-x)| = |S(x)|,
+    so for non-real chi roundoff picks which of the two is reported.  The
+    period-sum check |prefix(q)| ~ 0 guards against table corruption.
     """
     if chi.is_principal:
         raise ConstraintError(
@@ -77,7 +78,7 @@ def _msum_from_table(W: np.ndarray) -> MsumRecord:
     q = len(W)
     prefix = np.cumsum(W)  # prefix[x] = sum_{n<=x} chi(n), as chi(0) = 0
     mags = np.abs(prefix)
-    i = int(np.argmax(mags))  # mags[0] = 0, so i >= 1 is the smallest argmax
+    i = int(np.argmax(mags))  # mags[0] = 0, so i >= 1 is the first computed argmax
     _check_period_sum(prefix[-1], q)
     M = float(mags[i])
     ratio_odd = ratio_even = None

@@ -173,18 +173,21 @@ def pigeonhole_search(spec: OrderKFamilySpec) -> PigeonholeResult:
 def pigeonhole_with_retry(spec: OrderKFamilySpec) -> PigeonholeResult:
     """pigeonhole_search, retried with the largest signature cutoff that
     yields at least one pair (trimming the largest signature prime each
-    time).  The substitution is recorded on the result."""
+    time).  The substitution is recorded on the result.  Raises
+    ConstraintError when no cutoff yields a pair (fewer than two window
+    primes)."""
     res = pigeonhole_search(spec)
-    if res.pairs:
-        return res
     sig_primes = list(res.sig_primes)
-    while sig_primes:
+    while not res.pairs and sig_primes:
         sig_primes.pop()
         y_used = float(sig_primes[-1]) if sig_primes else 2.0
         res = _result_from_buckets(spec, sig_primes, y_used, substituted=True)
-        if res.pairs:
-            return res
-    return res  # fewer than two window primes: empty, caller decides
+    if not res.pairs:
+        raise ConstraintError(
+            f"no prime pair: window ({spec.window[0]:.1f}, {spec.window[1]:.1f}) "
+            f"has {res.n_window_primes} primes = 1 mod {spec.k}; a pair needs >= 2"
+        )
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +225,9 @@ def count_fundamental_discriminants(Q: float, m: int, delta: int) -> CensusRecor
     mask = _discriminant_mask(limit, delta)
     fm = factor(m)
     m_primes = [p for p, _ in fm.factors]
-    n = np.arange(limit + 1)
     for p in m_primes:
         if p > 2:  # d is odd, so powers of 2 in m never obstruct
-            mask &= n % p != 0
+            mask[::p] = False
     count = int(np.count_nonzero(mask))
     main = 3.0 / math.pi**2 * Q
     for p in sorted(set([2] + m_primes)):
@@ -279,10 +281,9 @@ def signature_discriminants(
     limit = int(math.floor(Q))
     mask = _discriminant_mask(limit, delta)
     sig_primes = [int(p) for p in sieve_primes(max(2, int(y))).primes if p <= y]
-    n = np.arange(limit + 1)
-    d = delta * n
+    d = delta * np.arange(limit + 1)
     for p in sig_primes:
-        mask &= n % p != 0
+        mask[::p] = False
         if p in eps:
             target = int(eps[p])
             if target not in (1, -1):
@@ -358,12 +359,6 @@ def twisted_family(spec: QuadTwistSpec) -> TwistedFamily:
     base_scale = spec.Q ** (2.0 / 3.0)
     base_spec = OrderKFamilySpec(base_scale, spec.k)  # y = log Q^{2/3}
     res = pigeonhole_with_retry(base_spec)
-    if not res.pairs:
-        raise ConstraintError(
-            "no valid base character: window "
-            f"({base_spec.window[0]:.1f}, {base_spec.window[1]:.1f}) has "
-            f"{res.n_window_primes} primes = 1 mod {spec.k}; a pair needs >= 2"
-        )
     _, psi = res.pairs[0]
     q1, q2 = res.bucket[0], res.bucket[1]
     epsilon = psi.parity()

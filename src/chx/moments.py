@@ -40,8 +40,7 @@ class QuadFamilySpec:
         limit = int(math.floor(self.Q))
         out = []
         for delta in (1, -1) if self.delta is None else (self.delta,):
-            n = np.arange(limit + 1)
-            out.append(delta * n[_discriminant_mask(limit, delta)])
+            out.append(delta * np.flatnonzero(_discriminant_mask(limit, delta)))
         return np.concatenate(out)
 
 

@@ -459,14 +459,16 @@ def _check_bridges(q_max: int = 400) -> CheckResult:
         # mod 3q, with the components of q and of 3
         twist_weights = (finite_weights(product_character(cm.character(0), principal_character(3)))
                          if q % 3 else None)
-        n = np.arange(3 * q)
         for rows, W in cm.blocks(np.flatnonzero(keep)):
             parity = cm.parity[rows]
             odd = parity == -1
             rhs = math.sqrt(q) / math.pi * np.abs(tau_l1(W, parity, weights)[1])
             if not odd.all():
-                # chi * (./3) mod 3q, odd and primitive for even chi with 3 coprime to q
-                twisted = W[~odd][:, n % q] * _CHI_MINUS_3[n % 3]
+                # chi * (./3) mod 3q, odd and primitive for even chi with 3 coprime to q:
+                # chi by n mod q in the (3, q) view, (./3) by n mod 3 in the (q, 3) view
+                twisted = np.tile(W[~odd], 3)
+                periods = twisted.reshape(-1, q, 3)
+                periods *= _CHI_MINUS_3
                 l1 = tau_l1(twisted, -1, twist_weights)[1]
                 rhs[~odd] = math.sqrt(3 * q) / (2 * math.pi) * np.abs(l1)
             M = _max_partial_sums(W)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,31 @@ def test_character_matrix_blocks_stay_in_budget(q, monkeypatch):
         assert np.array_equal(np.concatenate([w for _, w in blocks]), full[picked])
     monkeypatch.setattr(character, "_BLOCK_ELEMENTS", q // 2)  # below one row: one row a block
     assert [w.shape for _, w in cm.blocks(rows[:3])] == [(1, q)] * 3
+
+
+def _peak_over_output(build):
+    """The tracemalloc peak of build() over the bytes of the tables it
+    returns, its caches (log tables, roots) warmed by a first call."""
+    build()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        tables = build()
+        return (tracemalloc.get_traced_memory()[1] - base) / sum(w.nbytes for w in tables)
+    finally:
+        tracemalloc.stop()
+
+
+def test_value_table_peak_is_one_table():
+    # each component multiplies into a period view of the table: no q-length
+    # index array, gather or second table
+    for labels in ({1009: 5, 1013: 7}, {8: 3, 3: 1, 5: 2, 1009: 5}):
+        chi = character_from_components(math.prod(labels), labels)
+        assert _peak_over_output(lambda: [chi.value_table()]) <= 1.25
+    cm = character.CharacterMatrix(360)
+    rows = np.arange(cm.order.size)
+    assert _peak_over_output(lambda: [w for _, w in cm.blocks(rows)]) <= 1.25
 
 
 def test_character_matrix_checks_table_size(monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 from chx.character import (
     DirichletCharacter,
     all_characters,
+    character_from_id,
     character_from_index,
     kronecker_character,
     principal_character,
@@ -61,6 +62,21 @@ def test_msum_conjugation_invariant():
             assert abs(a.M - b.M) < 1e-12
             mags = np.abs(np.cumsum(chi.value_table()))
             assert abs(mags[b.argmax] - a.M) < 1e-12
+
+
+@pytest.mark.parametrize("chi,parity", [
+    (character_from_id("q=301771;comps=523:174,577:384"), 1),  # a pinned bench record
+    (character_from_index(1009, 3), -1),
+])
+def test_msum_argmax_partner_attains_m(chi, parity):
+    # S(q-1-x) = -chi(-1) S(x), so for non-real chi the computed |S| ties at
+    # x and q-1-x up to roundoff, and either may be reported as argmax
+    assert chi.order > 2 and chi.parity() == parity
+    q, tol = chi.modulus, 1e-9 * math.sqrt(chi.modulus)
+    mags = np.abs(np.cumsum(chi.value_table()))
+    assert np.abs(mags - mags[::-1]).max() <= tol
+    rec = max_partial_sum(chi)
+    assert abs(mags[q - 1 - rec.argmax] - rec.M) <= tol
 
 
 def test_msum_rejects_principal():

@@ -112,6 +112,16 @@ def test_orderk_refuses_twist_flags_exit_2(flag, value, tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("mode,k", [("orderk", "97"), ("even_sum", "1000")])
+def test_search_empty_family_exit_3(mode, k, tmp_path, capsys):
+    # no window prime is 1 mod k, so no pair exists
+    argv = ["search", "--mode", mode, "--Q", "1e4", "--k", k, "--out", str(tmp_path)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "0 primes = 1 mod" in err and "Traceback" not in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_search_odd_twist_odd_k_exit_3(capsys):
     assert main(["search", "--mode", "odd_sum", "--Q", "1e4", "--k", "3"]) == 3
     assert "even k" in capsys.readouterr().err
