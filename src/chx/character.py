@@ -213,22 +213,16 @@ def _check_table_size(size: int) -> None:
 
 def _power_table(g: int, m: int, pa: int) -> np.ndarray:
     """powers[j] = g^j mod p^a for j < m: int64 below 2**31, whose products
-    stay exact, Python ints above.  The first block doubles, the rest follow
-    a block at a time."""
+    stay exact, Python ints above.  Each pass doubles the filled prefix in
+    place: powers[n + j] = powers[j] * g^n."""
     out = np.empty(m, dtype=np.int64 if pa < _NUMPY_MODULUS_CAP else object)
-    block = min(1024, m)
     out[0] = 1
     n = 1
-    while n < block:
-        k = min(n, block - n)
-        out[n : n + k] = out[:k] * pow(g, n, pa) % pa
-        n += k
-    step = pow(g, block, pa)
-    cur = out[:block]
     while n < m:
-        k = min(block, m - n)
-        cur = cur * step % pa
-        out[n : n + k] = cur[:k]
+        k = min(n, m - n)
+        step = out[n : n + k]
+        np.multiply(out[:k], pow(g, n, pa), out=step)
+        np.remainder(step, pa, out=step)
         n += k
     return out
 

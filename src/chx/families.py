@@ -22,6 +22,7 @@ import numpy as np
 from .character import (
     _DLOG_TABLE_CAP,
     DirichletCharacter,
+    _check_table_size,
     character_from_index,
     kronecker_character,
     principal_character,
@@ -115,33 +116,28 @@ class PigeonholeResult:
     substituted: bool = False  # True when y was lowered to get a pair
 
 
-def _bucket_primes(
-    spec: OrderKFamilySpec, sig_primes: Sequence[int]
-) -> tuple[dict, list]:
+def _signatures(spec: OrderKFamilySpec) -> tuple[list, list, list]:
+    """The signature primes p <= y, the window primes, and each window
+    prime's signature on all the signature primes."""
+    sig_primes = sieve_primes(max(2, int(math.floor(spec.y)))).primes
+    sig_primes = [int(p) for p in sig_primes if p <= spec.y]
     ps = [int(p) for p in spec.window_primes()]
-    buckets: dict = {}
-    for q in ps:
-        sig = signature_of(psi_q(q, spec.k), spec.k, sig_primes)
-        buckets.setdefault(sig, []).append(q)
-    return buckets, ps
+    sigs = [signature_of(psi_q(q, spec.k), spec.k, sig_primes) for q in ps]
+    return sig_primes, ps, sigs
 
 
-def _result_from_buckets(
-    spec: OrderKFamilySpec,
-    sig_primes: Sequence[int],
-    y_used: float,
-    substituted: bool,
+def _pigeonhole(
+    spec: OrderKFamilySpec, sig_primes: list, ps: list, sigs: list, y_used: float, substituted: bool
 ) -> PigeonholeResult:
-    buckets, ps = _bucket_primes(spec, sig_primes)
-    if buckets:
-        maxlen = max(len(v) for v in buckets.values())
-        best = min(s for s, v in buckets.items() if len(v) == maxlen)
-        bucket = tuple(buckets[best])
-    else:
-        best, bucket = (), ()
-    guarantee = (
-        -(-len(ps) // spec.k ** len(sig_primes)) if ps else 0
-    )  # ceil division
+    """Bucket the window primes by the prefix of their signatures on sig_primes."""
+    n = len(sig_primes)
+    buckets: dict = {}
+    for q, sig in zip(ps, sigs):
+        buckets.setdefault(sig[:n], []).append(q)
+    # the largest bucket, ties to the lexicographically least signature
+    best = min(buckets, key=lambda s: (-len(buckets[s]), s), default=())
+    bucket = tuple(buckets.get(best, ()))
+    guarantee = -(-len(ps) // spec.k**n)  # ceil division
     if len(bucket) < guarantee:
         raise AssertionError(f"bucket of {len(bucket)} below the pigeonhole floor {guarantee}")
     pairs = [
@@ -150,7 +146,7 @@ def _result_from_buckets(
     return PigeonholeResult(
         spec=spec,
         y_used=y_used,
-        sig_primes=tuple(int(p) for p in sig_primes),
+        sig_primes=tuple(sig_primes),
         best_signature=best,
         bucket=bucket,
         pairs=pairs,
@@ -165,27 +161,26 @@ def pigeonhole_search(spec: OrderKFamilySpec) -> PigeonholeResult:
     """Bucket window primes by the signature of psi_q on primes <= y and
     return the largest bucket (ties: lexicographically least signature)
     with all its pairs.  Every pair satisfies psi_tilde(p) = 1 for p <= y."""
-    sig_primes = sieve_primes(max(2, int(math.floor(spec.y)))).primes
-    sig_primes = [int(p) for p in sig_primes if p <= spec.y]
-    return _result_from_buckets(spec, sig_primes, spec.y, substituted=False)
+    return _pigeonhole(spec, *_signatures(spec), spec.y, substituted=False)
 
 
 def pigeonhole_with_retry(spec: OrderKFamilySpec) -> PigeonholeResult:
     """pigeonhole_search, retried with the largest signature cutoff that
     yields at least one pair (trimming the largest signature prime each
-    time).  The substitution is recorded on the result.  Raises
+    time).  Each window prime's signature is computed once; a retry buckets
+    by a prefix of it.  The substitution is recorded on the result.  Raises
     ConstraintError when no cutoff yields a pair (fewer than two window
     primes)."""
-    res = pigeonhole_search(spec)
-    sig_primes = list(res.sig_primes)
+    sig_primes, ps, sigs = _signatures(spec)
+    res = _pigeonhole(spec, sig_primes, ps, sigs, spec.y, substituted=False)
     while not res.pairs and sig_primes:
-        sig_primes.pop()
+        sig_primes = sig_primes[:-1]
         y_used = float(sig_primes[-1]) if sig_primes else 2.0
-        res = _result_from_buckets(spec, sig_primes, y_used, substituted=True)
+        res = _pigeonhole(spec, sig_primes, ps, sigs, y_used, substituted=True)
     if not res.pairs:
         raise ConstraintError(
             f"no prime pair: window ({spec.window[0]:.1f}, {spec.window[1]:.1f}) "
-            f"has {res.n_window_primes} primes = 1 mod {spec.k}; a pair needs >= 2"
+            f"has {len(ps)} primes = 1 mod {spec.k}; a pair needs >= 2"
         )
     return res
 
@@ -448,6 +443,9 @@ def extremal_pipeline(
         fam = twisted_family(tspec)
         chars = [mem.chi for mem in fam.members]
         y_used, substituted = fam.base_y_used, fam.base_substituted
+    # refuse before evaluating: the largest table is chi xi's in the twisted modes
+    twist = xi.modulus if xi is not None else 1
+    _check_table_size(max((chi.modulus for chi in chars), default=1) * twist)
     records = _evaluate_many(chars, z, xi, jobs)
     if mode == "orderk":
         records.sort(key=lambda r: (-abs(r.L1.value), r.char_id))

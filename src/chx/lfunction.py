@@ -330,19 +330,18 @@ def tau_l1(W: np.ndarray, parity, weights: FiniteWeights) -> tuple:
     W may also be a 2-D block of such tables, one per row, with one parity
     for all or one per row; tau and L(1, chi) are then arrays over the rows.
     A scalar parity computes one branch; per-row parities compute both and
-    select.
+    select.  W's last axis must be contiguous: the sums over it read W's
+    float view.
     """
     q = W.shape[-1]
     tau = weights.tau(W)
+    # (re chi(a), im chi(a)) pairs for a = 1..q-1: no conj copy, no cast of w
+    X = W[..., 1:].view(np.float64).reshape(*W.shape[:-1], q - 1, 2)
 
     def l1(odd: bool):
         w = weights.a if odd else weights.logsin
-        if W.ndim == 1:
-            # (sum w re chi, sum w im chi) from W's float view: no conj copy, no cast of w
-            re, im = w @ W[1:].view(np.float64).reshape(-1, 2)
-            s = complex(re, -im)
-        else:
-            s = np.conj(np.dot(W[:, 1:], w))  # sum_a conj(chi(a)) w[a], as w is real
+        # sum_a conj(chi(a)) w[a], as w is real
+        s = np.conj((w @ X).view(np.complex128)[..., 0])
         return 1j * math.pi * tau / (q * q) * s if odd else -(tau / q) * s
 
     if np.ndim(parity) == 0:

@@ -1,7 +1,8 @@
 """Integer kernel: sieving, factorization, primitive roots, Kronecker symbol.
 
 `sieve_primes` is the one prime source: every other module takes its primes
-from it.
+from it.  One segmented Eratosthenes loop serves every limit, and it sieves
+its own base primes.
 
 Everything here is exact integer arithmetic.  Python integers are unbounded,
 so modular products never overflow; the numpy paths below stay within int64
@@ -17,39 +18,32 @@ from functools import lru_cache
 
 import numpy as np
 
-_SIMPLE_SIEVE_CAP = 1 << 24
 _SEGMENT = 1 << 22
 _SIEVE_LIMIT_MAX = 1 << 32
 _TRIAL_BOUND = 10**6
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    """Eratosthenes on a byte table, returns the primes <= limit."""
-    table = bytearray([1]) * (limit + 1)
-    table[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if table[p]:
-            start = p * p
-            table[start :: p] = bytes(len(range(start, limit + 1, p)))
-    return np.flatnonzero(np.frombuffer(bytes(table), dtype=np.uint8)).astype(np.int64)
-
-
-def _segmented_sieve(limit: int) -> np.ndarray:
-    base = _simple_sieve(math.isqrt(limit))
-    chunks = [_simple_sieve(min(_SIMPLE_SIEVE_CAP, limit))]
-    lo = _SIMPLE_SIEVE_CAP + 1
-    base_list = base.tolist()
-    while lo <= limit:
+def _sieve(limit: int) -> np.ndarray:
+    """Primes <= limit by Eratosthenes over _SEGMENT-byte segments from 0.
+    The base primes up to sqrt(limit) come from the same loop (at most 5
+    levels deep at 2**32)."""
+    base = _sieve(math.isqrt(limit)).tolist() if limit >= 4 else []
+    chunks = []
+    for lo in range(0, limit + 1, _SEGMENT):
         hi = min(lo + _SEGMENT - 1, limit)
         seg = bytearray([1]) * (hi - lo + 1)
-        for p in base_list:
+        if lo == 0:
+            seg[0:2] = b"\x00\x00"
+        for p in base:
             if p * p > hi:
                 break
-            start = max(p * p, ((lo + p - 1) // p) * p)
+            start = max(p * p, -(-lo // p) * p)
             seg[start - lo :: p] = bytes(len(range(start, hi + 1, p)))
-        chunks.append(np.flatnonzero(np.frombuffer(bytes(seg), dtype=np.uint8)).astype(np.int64) + lo)
-        lo = hi + 1
-    return np.concatenate(chunks)
+        # astype copies: keeping flatnonzero's own array raised peak RSS
+        chunk = np.flatnonzero(np.frombuffer(seg, dtype=np.uint8)).astype(np.int64)
+        chunk += lo
+        chunks.append(chunk)
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 @dataclass
@@ -64,14 +58,11 @@ class PrimeTable:
 
     def in_range(self, lo: float, hi: float) -> np.ndarray:
         """Primes p with lo < p < hi (both ends strict)."""
+        # searchsorted compares float bounds as floats, and its sides
+        # exclude a prime equal to either bound
         i = int(np.searchsorted(self.primes, lo, side="right"))
         j = int(np.searchsorted(self.primes, hi, side="left"))
-        # searchsorted with float bounds: equality at either end must be excluded
-        while i < self.primes.size and self.primes[i] <= lo:
-            i += 1
-        while j > i and self.primes[j - 1] >= hi:
-            j -= 1
-        return self.primes[i:j]
+        return self.primes[i : max(i, j)]
 
 
 def sieve_primes(limit: int) -> PrimeTable:
@@ -81,11 +72,7 @@ def sieve_primes(limit: int) -> PrimeTable:
         raise ValueError(f"sieve limit must be an integer, got {limit!r}")
     if limit < 2 or limit > _SIEVE_LIMIT_MAX:
         raise ValueError(f"sieve limit {limit} outside [2, 2**32]")
-    if limit <= _SIMPLE_SIEVE_CAP:
-        primes = _simple_sieve(limit)
-    else:
-        primes = _segmented_sieve(limit)
-    return PrimeTable(limit=limit, primes=primes)
+    return PrimeTable(limit=limit, primes=_sieve(limit))
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -152,14 +139,9 @@ class Factorization:
         return sorted(divs)
 
 
-_small_primes_for_trial: list[int] | None = None
-
-
+@lru_cache(maxsize=1)
 def _trial_primes() -> list[int]:
-    global _small_primes_for_trial
-    if _small_primes_for_trial is None:
-        _small_primes_for_trial = sieve_primes(_TRIAL_BOUND).primes.tolist()
-    return _small_primes_for_trial
+    return sieve_primes(_TRIAL_BOUND).primes.tolist()
 
 
 def _brent_rho(n: int) -> int:
@@ -225,13 +207,7 @@ def factor(n: int) -> Factorization:
 
 def smallest_primitive_root(q: int) -> int:
     """Least primitive root modulo an odd prime q."""
-    if q < 3 or not is_prime(q):
-        raise ValueError(f"{q} is not an odd prime")
-    prime_divs = [p for p, _ in factor(q - 1).factors]
-    for g in range(2, q):
-        if all(pow(g, (q - 1) // p, q) != 1 for p in prime_divs):
-            return g
-    raise AssertionError(f"no primitive root found mod {q}")  # unreachable
+    return smallest_primitive_root_mod_pp(q, 1)
 
 
 @lru_cache(maxsize=None)
@@ -239,8 +215,6 @@ def smallest_primitive_root_mod_pp(p: int, a: int) -> int:
     """Least generator of the (cyclic) unit group mod p**a, p an odd prime."""
     if p < 3 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    if a == 1:
-        return smallest_primitive_root(p)
     pa = p**a
     m = pa // p * (p - 1)
     prime_divs = [r for r, _ in factor(m).factors]

@@ -491,9 +491,10 @@ def _check_bridges(q_max: int = 400) -> CheckResult:
     )
 
 
-def _check_euler_calibration(
-    q_lo: int = 1000, q_hi: int = 2000, z: float = 1e4, rel_tol: float = 0.05
-) -> CheckResult:
+_EULER_REL_TOL = 0.05  # the 5% of the "n_over_5pct" detail
+
+
+def _check_euler_calibration(q_lo: int = 1000, q_hi: int = 2000, z: float = 1e4) -> CheckResult:
     """Fraction of primitive chi mod primes in [q_lo, q_hi] whose truncated
     Euler product misses l1_exact by more than 5% must be below 1%."""
     plist = sieve_primes(int(z)).primes.astype(np.int64)
@@ -520,7 +521,7 @@ def _check_euler_calibration(
             euler = 1.0 / np.prod(1.0 - W[:, idx] * inv_p, axis=1)
             rel = np.abs(euler - lex) / np.abs(lex)
             worst.add(cm, rows, rel)
-            n_bad += int(np.count_nonzero(~(rel <= rel_tol)))
+            n_bad += int(np.count_nonzero(~(rel <= _EULER_REL_TOL)))
             spot.add(cm, rows, euler, lex)
     spot_worst = max(spot.diffs(), default=0.0)
     frac = n_bad / max(spot.n, 1)

@@ -484,6 +484,14 @@ def test_values_up_to_edges():
         list(values_up_to([character_from_index(2147483659, 3)], 10))
 
 
+@pytest.mark.parametrize("g,m,pa", [(3, 1, 7), (2, 2, 5), (5, 1023, 1031), (7, 1024, 2053),
+                                    (3, 1025, 4099), (2, 4097, 8209), (11, 3000, 2**31 + 11)])
+def test_power_table_matches_pow(g, m, pa):
+    table = character._power_table(g, m, pa)
+    assert table.dtype == (object if pa >= 2**31 else np.int64)
+    assert table.tolist() == [pow(g, j, pa) for j in range(m)]
+
+
 def test_dlog_bsgs_baby_table_sized_for_the_points(monkeypatch):
     q = 100003
     (g, m), = character._factors(q, 1)

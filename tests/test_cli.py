@@ -122,6 +122,20 @@ def test_search_empty_family_exit_3(mode, k, tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("mode,Q", [("even_sum", "1e8"), ("orderk", "3e7"), ("odd_sum", "1e8")])
+def test_search_oversized_member_refused_before_evaluating(mode, Q, tmp_path, capsys, monkeypatch):
+    # the conductor floor passes, but the largest member's table is over the cap
+    def refuse(*args, **kwargs):
+        raise AssertionError("a member was evaluated before the table-size check")
+
+    monkeypatch.setattr(families, "evaluate_character", refuse)
+    argv = ["search", "--mode", mode, "--Q", Q, "--k", "2", "--out", str(tmp_path)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "2**26" in err and "Traceback" not in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_search_odd_twist_odd_k_exit_3(capsys):
     assert main(["search", "--mode", "odd_sum", "--Q", "1e4", "--k", "3"]) == 3
     assert "even k" in capsys.readouterr().err

@@ -9,6 +9,7 @@ import pickle
 import numpy as np
 import pytest
 
+from chx import families
 from chx.character import RootOfUnity, character_from_index, kronecker_character
 from chx.errors import ConstraintError
 from chx.families import (
@@ -100,6 +101,20 @@ def test_pigeonhole_retry_lowers_y():
     res = pigeonhole_with_retry(spec)
     assert res.substituted and res.y_used == 2.0
     assert len(res.pairs) >= 1
+
+
+def test_pigeonhole_retry_signs_each_window_prime_once(monkeypatch):
+    # k = 6 at Q = 1e6 retries down to y = 2 over 68 window primes
+    calls = []
+
+    def counting(psi, k, sig_primes):
+        calls.append(psi.modulus)
+        return signature_of(psi, k, sig_primes)
+
+    monkeypatch.setattr(families, "signature_of", counting)
+    res = pigeonhole_with_retry(OrderKFamilySpec(1e6, 6))
+    assert res.substituted and res.n_window_primes == 68
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == 68
 
 
 def test_census_small_exact():

@@ -32,20 +32,22 @@ def test_sieve_matches_naive():
 
 
 def test_sieve_segmented_consistent():
-    # below the simple-sieve cap, so this runs the simple path; spot check pi(x)
+    # one segment at the default size; spot check pi(x)
     table = sieve_primes(10**6)
     assert table.count() == 78498
     assert int(table.primes[-1]) == 999983
 
 
-@pytest.mark.parametrize("cap,segment", [(1008, 4099), (316, 1 << 12)])
-def test_segmented_sieve_matches_simple(cap, segment, monkeypatch):
-    # shrink the cap and segment so the segmented path runs on a small limit;
-    # each cap + 1 is prime, the first number the segments must keep
-    want = ntheory._simple_sieve(10**5)
-    monkeypatch.setattr(ntheory, "_SIMPLE_SIEVE_CAP", cap)
+@pytest.mark.parametrize("segment", [7, 4096, 4099])
+def test_sieve_segments_match_naive(segment, monkeypatch):
+    # shrink the segment so a small limit spans many segments; at 7 even the
+    # limits up to 64, and the base primes' own sieves, span several
+    want = _naive_primes(10**5)
     monkeypatch.setattr(ntheory, "_SEGMENT", segment)
-    assert np.array_equal(sieve_primes(10**5).primes, want)
+    got = sieve_primes(10**5).primes
+    assert got.dtype == np.int64 and got.tolist() == want
+    for limit in range(2, 65):
+        assert sieve_primes(limit).primes.tolist() == _naive_primes(limit)
 
 
 def test_sieve_rejects_bad_limits():
@@ -59,6 +61,18 @@ def test_prime_table_in_range_strict():
     assert table.in_range(7, 20).tolist() == [11, 13, 17, 19]
     # both endpoints excluded even when prime
     assert table.in_range(7.0, 19.0).tolist() == [11, 13, 17]
+
+
+def test_prime_table_in_range_matches_a_mask():
+    table = sieve_primes(1000)
+    primes = table.primes
+    rng = np.random.default_rng(5)
+    bounds = [*rng.uniform(-5, 1005, 400), *primes[:60].tolist(),
+              *(primes[:60] + 0.5).tolist(), *(primes[:60] - 0.5).tolist(), 0, 1, 2, 1000]
+    for lo in bounds[::3]:
+        for hi in bounds[::7]:
+            want = primes[(primes > lo) & (primes < hi)]
+            assert np.array_equal(table.in_range(lo, hi), want), (lo, hi)
 
 
 def test_is_prime_against_sieve():
