@@ -16,12 +16,16 @@ for an int array n (a gather from one cached set of digit-log tables up to
 p^a = 2**26, baby-step/giant-step above for odd p), read by `values_at`,
 `eval` and `complex_at`.  The parity is read from the labels.
 
-Value tables have one builder, `_table_rows`: each component's rows come
-from its roots of unity by a gather over its log tables (`_component_rows`),
-and the components multiply in through the period view (q / p^a, p^a) of
-the table, whose last axis is n mod p^a.
-`DirichletCharacter.value_table` (one row) and `CharacterMatrix.blocks`
-(row blocks of all characters mod q) both call it.
+Value tables have one builder, `_table_rows`, which writes any column range
+[lo, hi) of them: each component's rows come from its roots of unity by a
+gather over its log tables (`_component_rows`, p^a entries), and the
+components multiply in, in component order from ones, through slices and
+period views that start at phase lo mod p^a, so an entry has the same bits
+whichever range it is built in.  `DirichletCharacter.value_table` (one row,
+all columns), `DirichletCharacter.value_blocks` (one row in column blocks of
+_BLOCK_ELEMENTS, through one reused buffer: O(block + sum p^a) bytes, the
+way search members are evaluated) and `CharacterMatrix.blocks` (row blocks
+of all characters mod q) all call it.
 
 `values_up_to(chars, N)` gives chi(n) for n <= N only, for characters of
 one odd modulus, with no table of length q: the digit logs of the primes up
@@ -55,6 +59,7 @@ from .ntheory import (
 _DLOG_TABLE_CAP = 1 << 26  # full tables up to here, baby-step/giant-step above
 _NUMPY_MODULUS_CAP = 1 << 31  # int64 products stay exact below this
 _BABY_STEP_CAP = 1 << 22  # baby-step table entries (64 MB with their indices)
+_BLOCK_ELEMENTS = 1 << 14  # entries per value block (256 KB): 16 MB blocks measured slower
 
 
 @dataclass(frozen=True)
@@ -444,10 +449,23 @@ class DirichletCharacter:
 
     def value_table(self) -> np.ndarray:
         """chi(n) for n = 0..q-1 as complex128 (0 on non-units)."""
-        q, comps = self.modulus, self.components
+        q = self.modulus
         _check_table_size(q)
-        labels = np.array([c.t for c in comps], dtype=np.int64).reshape(-1, 1)
-        return _table_rows(comps, labels, [c.roots() for c in comps], q)[0]
+        return _table_rows(self._rows(), q)[0]
+
+    def value_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(lo, block) over the value table in order: block[i] = chi(lo + i),
+        _BLOCK_ELEMENTS columns at most, each entry bit-identical to
+        value_table()'s.  Every block is the same buffer, refilled by the
+        next, so a caller may overwrite it.  A modulus past the table cap is
+        refused by the call, before any work: it bounds time, not memory."""
+        q = self.modulus
+        _check_table_size(q)
+        return _column_blocks(self._rows(), q)
+
+    def _rows(self) -> list:
+        """Each component's values mod p^a, as `_table_rows` takes them."""
+        return [_component_rows(c, np.array([c.t]), c.roots()) for c in self.components]
 
     # -- algebra -----------------------------------------------------------
 
@@ -496,21 +514,45 @@ def _component_rows(c, labels: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _table_rows(comps: tuple, labels: np.ndarray, roots: list, q: int) -> np.ndarray:
-    """The value tables mod q of the characters with components like `comps`
-    and index labels `labels` (one row per component, one column per
-    character), one table per row, from `roots` = [c.roots() for c in comps].
+def _table_rows(rows: list, q: int, lo: int = 0, hi: int | None = None, out=None) -> np.ndarray:
+    """Columns [lo, hi) (by default all of [0, q)) of the value tables mod q
+    whose components have the values `rows` (one `_component_rows` array per
+    component, in component order), one table per row, written into `out`
+    when given.
 
-    Each component's rows are multiplied in, in component order, through
-    the view of the table as (rows, q / p^a, p^a): its last axis is n mod p^a,
-    so a row broadcasts over the periods with no index array or gather."""
-    if len(comps) == 1:
-        return _component_rows(comps[0], labels[0], roots[0])
-    out = np.ones((labels.shape[1], q), dtype=np.complex128)
-    for c, lab, r in zip(comps, labels, roots):
-        periods = out.reshape(len(out), q // c.pa, c.pa)  # a view: writes go to out
-        periods *= _component_rows(c, lab, r)[:, None, :]
+    Each component is multiplied in, in component order, from ones: a head
+    of the columns up to the next multiple of p^a, the whole periods as a
+    (rows, periods, p^a) view, and a tail, each against the component's row
+    from the phase of its first column mod p^a.  There is no index array or
+    gather, so every entry has the same bits in any range.  A single
+    component's rows are the whole table as they stand."""
+    hi = q if hi is None else hi
+    w = hi - lo
+    if out is None:
+        if len(rows) == 1 and w == q:
+            return rows[0]
+        out = np.empty((len(rows[0]) if rows else 1, w), dtype=np.complex128)
+    out[...] = 1
+    for r in rows:
+        pa = r.shape[1]
+        phase = lo % pa
+        head = min(w, -phase % pa)
+        out[:, :head] *= r[:, phase : phase + head]
+        k = (w - head) // pa
+        periods = out[:, head : head + k * pa].reshape(len(out), k, pa)  # a view: writes go to out
+        periods *= r[:, None, :]
+        tail = w - head - k * pa
+        out[:, w - tail :] *= r[:, :tail]
     return out
+
+
+def _column_blocks(rows: list, q: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, columns [lo, lo + _BLOCK_ELEMENTS) of the one table of `rows`),
+    all written into one buffer."""
+    buf = np.empty((1, min(q, _BLOCK_ELEMENTS)), dtype=np.complex128)
+    for lo in range(0, q, _BLOCK_ELEMENTS):
+        hi = min(lo + _BLOCK_ELEMENTS, q)
+        yield lo, _table_rows(rows, q, lo, hi, buf[:, : hi - lo])[0]
 
 
 def values_up_to(chars: Sequence[DirichletCharacter], N: int) -> Iterator[np.ndarray]:
@@ -573,8 +615,6 @@ def values_up_to(chars: Sequence[DirichletCharacter], N: int) -> Iterator[np.nda
 # ---------------------------------------------------------------------------
 # the value matrix of all characters of one modulus
 
-_BLOCK_ELEMENTS = 1 << 14  # entries per row block (256 KB): 16 MB blocks measured slower
-
 
 @lru_cache(maxsize=16)  # the small prime powers recur across the moduli of a scan
 def _label_facts(p: int, a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -634,7 +674,9 @@ class CharacterMatrix:
         roots = [c.roots() for c in self.components]
         for lo in range(0, len(rows), step):
             chunk = rows[lo : lo + step]
-            yield chunk, _table_rows(self.components, self._labels(chunk), roots, q)
+            comp_rows = [_component_rows(c, lab, r)
+                         for c, lab, r in zip(self.components, self._labels(chunk), roots)]
+            yield chunk, _table_rows(comp_rows, q)
 
 
 # ---------------------------------------------------------------------------

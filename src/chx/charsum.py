@@ -1,9 +1,10 @@
 """Character-sum maxima M(chi), the half-sum identity, and the bridges
 from M(chi) to L-values.
 
-max_partial_sum is one cumulative sum over a period and returns only M(chi)
-and what is derived from it; half_sum_check builds its own table and sums
-its half period with fsum.
+max_partial_sum is one cumulative sum over a period, `_MScan`, which reads
+the value table in column blocks (`DirichletCharacter.value_blocks`) and
+holds no array of length q; it returns only M(chi) and what is derived from
+it.  half_sum_check builds its own table and sums its half period with fsum.
 """
 
 from __future__ import annotations
@@ -69,24 +70,43 @@ def max_partial_sum(chi: DirichletCharacter) -> MsumRecord:
         raise ConstraintError(
             "M(chi) is undefined for principal characters (linear growth)"
         )
-    return _msum_from_table(chi.value_table())
+    scan = _MScan(chi.modulus)
+    for lo, block in chi.value_blocks():
+        scan.add(lo, block)
+    return scan.record()
 
 
-def _msum_from_table(W: np.ndarray) -> MsumRecord:
-    """max_partial_sum for a non-principal chi whose value table W the
-    caller holds."""
-    q = len(W)
-    prefix = np.cumsum(W)  # prefix[x] = sum_{n<=x} chi(n), as chi(0) = 0
-    mags = np.abs(prefix)
-    i = int(np.argmax(mags))  # mags[0] = 0, so i >= 1 is the first computed argmax
-    _check_period_sum(prefix[-1], q)
-    M = float(mags[i])
-    ratio_odd = ratio_even = None
-    if q >= _RATIO_MIN_MODULUS:
-        norm = math.sqrt(q) * math.log(math.log(q))
-        ratio_odd = M * math.pi / norm
-        ratio_even = M * math.pi * math.sqrt(3.0) / norm
-    return MsumRecord(M=M, argmax=i, ratio_odd=ratio_odd, ratio_even=ratio_even)
+class _MScan:
+    """max_partial_sum over a value table read in column blocks, in order.
+
+    `add` turns each block into its prefix sums in place: the running prefix
+    is added into the block's first entry before `np.cumsum`, so every sum
+    has the bits of one cumulative sum over the whole table.  The first
+    maximizer across blocks is kept."""
+
+    def __init__(self, q: int):
+        self.q = q
+        self.prefix = 0j
+        self.M, self.argmax = -1.0, 0
+
+    def add(self, lo: int, block: np.ndarray) -> None:
+        block[0] += self.prefix
+        np.cumsum(block, out=block)  # block[x] = sum_{n<=lo+x} chi(n), as chi(0) = 0
+        mags = np.abs(block)
+        i = int(np.argmax(mags))  # the first computed argmax in the block
+        if mags[i] > self.M:
+            self.M, self.argmax = float(mags[i]), lo + i
+        self.prefix = block[-1]
+
+    def record(self) -> MsumRecord:
+        q, M = self.q, self.M
+        _check_period_sum(self.prefix, q)
+        ratio_odd = ratio_even = None
+        if q >= _RATIO_MIN_MODULUS:
+            norm = math.sqrt(q) * math.log(math.log(q))
+            ratio_odd = M * math.pi / norm
+            ratio_even = M * math.pi * math.sqrt(3.0) / norm
+        return MsumRecord(M=M, argmax=self.argmax, ratio_odd=ratio_odd, ratio_even=ratio_even)
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,20 @@ else is checked against), the truncated Euler product used by the
 extremal-search heuristics, and the smoothed approximate functional
 equation (`l1_afe`).
 
-Production values of tau(chi) and L(1, chi) come from one dot-product
-kernel over the finite formulas (`finite_weights` and `tau_l1`, ~1e-12
-relative).  It takes one value table or a block of them (the rows of a
-`character.CharacterMatrix` block).  tau is a product of one short dot per
-prime power q_i || q, over the table's entries at the CRT lifts of n q/q_i
-(O(sum q_i)); L(1, chi) is one length-(q-1) dot for the character's parity.
-The weights are built on first use, so a caller pays only for what it
-reads.  `gauss_sum` and `l1_exact` evaluate the same formulas with
-compensated sums; they are the kernel's oracles.
+Production values of tau(chi) and L(1, chi) come from the finite formulas
+as dot products (~1e-12 relative), by one kernel in two shapes.  tau is a
+product of one short dot per prime power q_i || q, over the table's entries
+at the CRT lifts of n q/q_i (O(sum q_i)); L(1, chi) is a dot with the
+weights a or log sin(pi a/q) for the character's parity.  `tau_l1` takes a
+block of whole tables (the rows of a `character.CharacterMatrix` block,
+with `finite_weights`, built on first use, so a caller pays only for what
+it reads).  `l1_finite` reads one character's table in column blocks
+(`DirichletCharacter.value_blocks`, through `_FiniteScan`): tau's entries
+are copied out of the blocks they fall in, and the L(1) dot is summed per
+block over that block's weights only, the partials added by fsum, so no
+array of length q is held past the prime powers' own.  `gauss_sum` and
+`l1_exact` evaluate the same formulas with compensated sums; they are the
+kernel's oracles.
 
 The AFE reads chi(n) only for n <= N ~ 5 sqrt(q), so it costs O(sqrt q)
 time and memory per character where the finite formulas cost O(q): it
@@ -341,8 +346,7 @@ def tau_l1(W: np.ndarray, parity, weights: FiniteWeights) -> tuple:
     def l1(odd: bool):
         w = weights.a if odd else weights.logsin
         # sum_a conj(chi(a)) w[a], as w is real
-        s = np.conj((w @ X).view(np.complex128)[..., 0])
-        return 1j * math.pi * tau / (q * q) * s if odd else -(tau / q) * s
+        return _finite_l1(tau, np.conj((w @ X).view(np.complex128)[..., 0]), q, odd)
 
     if np.ndim(parity) == 0:
         value = l1(parity == -1)
@@ -353,16 +357,58 @@ def tau_l1(W: np.ndarray, parity, weights: FiniteWeights) -> tuple:
     return tau, value
 
 
+def _finite_l1(tau, s, q: int, odd: bool):
+    """L(1, chi) from tau(chi) and s = sum_a conj(chi(a)) w[a], w = a for odd
+    chi and log sin(pi a/q) for even chi."""
+    return 1j * math.pi * tau / (q * q) * s if odd else -(tau / q) * s
+
+
+class _FiniteScan:
+    """(tau(chi), L(1, chi)) by the finite formulas of `tau_l1`, from chi's
+    value table read in column blocks, in order.
+
+    Each block's entries at the CRT lifts of `FiniteWeights.tau_pieces` (all
+    of them for a prime power) are copied into that piece's vector, so tau
+    has the bits of `FiniteWeights.tau` on the whole table.  Each block's
+    L(1) dot takes the weights a or log sin(pi a/q) of its own columns; the
+    partial sums are added by fsum.  `add` only reads the block."""
+
+    def __init__(self, chi: DirichletCharacter):
+        self.q, self.odd = chi.modulus, chi.parity() == -1
+        self._pieces = []  # (sorted lifts, their n, chi at the lifts by n, e(n/q_i))
+        for m, e in finite_weights(chi).tau_pieces:
+            order = None if m is None else np.argsort(m)
+            lifts = None if m is None else m[order]
+            self._pieces.append((lifts, order, np.empty(len(e), dtype=np.complex128), e))
+        self._partials = []
+
+    def add(self, lo: int, block: np.ndarray) -> None:
+        hi = lo + len(block)
+        for lifts, order, entries, _ in self._pieces:
+            if lifts is None:
+                entries[lo:hi] = block
+            else:
+                i, j = np.searchsorted(lifts, (lo, hi))
+                entries[order[i:j]] = block[lifts[i:j] - lo]
+        a = np.arange(max(lo, 1), hi, dtype=np.float64)  # chi(0) = 0 has no weight
+        w = a if self.odd else np.log(np.sin((math.pi / self.q) * a))
+        self._partials.append(w @ block[hi - lo - len(a) :].view(np.float64).reshape(-1, 2))
+
+    def result(self) -> tuple[complex, LValue]:
+        tau = reduce(operator.mul, (np.dot(entries, e) for _, _, entries, e in self._pieces))
+        re, im = (math.fsum(p) for p in zip(*self._partials))
+        value = _finite_l1(tau, complex(re, -im), self.q, self.odd)
+        return complex(tau), _finite_lvalue(complex(value), self.q)
+
+
 def l1_finite(chi: DirichletCharacter) -> tuple[complex, LValue]:
-    """(tau(chi), L(1, chi)) for one character by the kernel."""
+    """(tau(chi), L(1, chi)) for one character by the kernel, over its value
+    table in column blocks."""
     _require_primitive_nonprincipal(chi)
-    return _l1_from_table(chi, chi.value_table())
-
-
-def _l1_from_table(chi: DirichletCharacter, W: np.ndarray) -> tuple[complex, LValue]:
-    """l1_finite for a checked chi whose value table W the caller holds."""
-    tau, value = tau_l1(W, chi.parity(), finite_weights(chi))
-    return tau, _finite_lvalue(value, chi.modulus)
+    blocks, scan = chi.value_blocks(), _FiniteScan(chi)
+    for lo, block in blocks:
+        scan.add(lo, block)
+    return scan.result()
 
 
 def l1_exact_batch(chars: Sequence[DirichletCharacter]) -> np.ndarray:

@@ -16,11 +16,11 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .character import DirichletCharacter, product_character
-from .charsum import CSV_COLUMNS, _msum_from_table
+from .character import DirichletCharacter, _check_table_size, product_character
+from .charsum import CSV_COLUMNS, _MScan
 from .lfunction import (
     LValue,
-    _l1_from_table,
+    _FiniteScan,
     _require_primitive_nonprincipal,
     l1_finite,
     l1_truncated_euler,
@@ -103,19 +103,25 @@ def evaluate_character(
     """Evaluate L(1, chi) (exact and optionally Euler-truncated), M(chi),
     tau(chi), and optionally L(1, chi*xi) for a companion character xi.
 
-    chi's value table is built once: M(chi) and L(1, chi) both read it.
+    chi's value table is read once, in column blocks through one reused
+    buffer (`DirichletCharacter.value_blocks`): each block feeds the tau and
+    L(1) sums, then becomes its own prefix sums for M(chi).  chi*xi's table
+    is read the same way for L(1, chi*xi).  A member holds O(block + sum p^a)
+    bytes, not O(q), and a modulus past the table cap (chi*xi's, when it is
+    larger) is refused before any work.
     """
     _require_primitive_nonprincipal(chi)
-    W = chi.value_table()
-    msum = _msum_from_table(W)
-    tau, l1 = _l1_from_table(chi, W)
-    del W  # freed before chi*xi's (larger) table is built
+    twisted = product_character(chi, xi) if xi is not None and not xi.is_principal else None
+    _check_table_size(chi.modulus if twisted is None else twisted.modulus)
+    blocks, finite, sums = chi.value_blocks(), _FiniteScan(chi), _MScan(chi.modulus)
+    for lo, block in blocks:
+        finite.add(lo, block)
+        sums.add(lo, block)  # overwrites the block: last
+    tau, l1 = finite.result()
+    msum = sums.record()
     l1_euler = l1_truncated_euler(chi, z) if z is not None else None
-    l1_twisted = None
-    xi_id = None
-    if xi is not None and not xi.is_principal:
-        xi_id = xi.char_id
-        l1_twisted = l1_finite(product_character(chi, xi))[1]
+    l1_twisted = l1_finite(twisted)[1] if twisted is not None else None
+    xi_id = xi.char_id if twisted is not None else None
     return EvalRecord(
         char_id=chi.char_id,
         modulus=chi.modulus,

@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
+from chx import character
 from chx.character import (
-    DirichletCharacter,
     all_characters,
     character_from_id,
     character_from_index,
@@ -101,12 +101,19 @@ def test_msum_record_fields():
 
 
 def test_period_sum_guard_on_both_paths(monkeypatch):
-    # a corrupt table (one unit value doubled) trips the guard in the scan
-    # and in the half-sum check, each of which builds its own table
+    # a corrupt table (one unit value doubled, in the one table builder) trips
+    # the guard in the block scan and in the half-sum check's whole table
     chi = character_from_index(101, 1)
-    table = chi.value_table()
-    table[1] += 1.0
-    monkeypatch.setattr(DirichletCharacter, "value_table", lambda self: table.copy())
+    table_rows = character._table_rows
+
+    def corrupt(rows, q, lo=0, hi=None, out=None):
+        out = table_rows(rows, q, lo, hi, out)
+        if lo <= 1 < (q if hi is None else hi):
+            out[:, 1 - lo] += 1.0
+        return out
+
+    monkeypatch.setattr(character, "_table_rows", corrupt)
+    monkeypatch.setattr(character, "_BLOCK_ELEMENTS", 16)
     with pytest.raises(AssertionError, match="period sum"):
         max_partial_sum(chi)
     with pytest.raises(AssertionError, match="period sum"):

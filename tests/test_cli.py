@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from chx import cli, families, lfunction, ntheory
+from chx import character, cli, families, lfunction, ntheory
 from chx.cli import main
 
 
@@ -119,6 +119,19 @@ def test_search_empty_family_exit_3(mode, k, tmp_path, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "0 primes = 1 mod" in err and "Traceback" not in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_eval_oversized_composite_refused_before_any_table(tmp_path, capsys, monkeypatch):
+    # 8191 * 8209 > 2**26, though each component's own tables are small
+    def refuse(*args, **kwargs):
+        raise AssertionError("a value table was built before the size check")
+
+    monkeypatch.setattr(character, "_table_rows", refuse)
+    argv = ["eval", "--id", "q=67239919;comps=8191:2,8209:2", "--out", str(tmp_path)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "value table of size 67239919 exceeds cap 2**26" in err and "Traceback" not in err
     assert not (tmp_path / "manifest.json").exists()
 
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from chx import character, cli, verify
 from chx.character import (
@@ -14,7 +16,10 @@ from chx.character import (
     kronecker_character,
     product_character,
 )
-from chx.lfunction import gauss_sum, l1_exact
+from chx.charsum import max_partial_sum
+from chx.errors import ResourceError
+from chx.families import psi_tilde
+from chx.lfunction import finite_weights, gauss_sum, l1_exact, l1_finite
 from chx.report import (
     REFERENCE_CONSTANTS,
     canonical_json,
@@ -59,17 +64,86 @@ def test_evaluate_character_builds_one_table_per_character(monkeypatch):
     built = []
     table_rows = character._table_rows
 
-    def counting(comps, labels, roots, q):
-        built.append(q)
-        return table_rows(comps, labels, roots, q)
+    def counting(rows, q, lo=0, hi=None, out=None):
+        built.append((q, lo, q if hi is None else hi))
+        return table_rows(rows, q, lo, hi, out)
+
+    def covered(q):
+        """The column ranges built mod q, in order; each must start where
+        the last one ended."""
+        spans = [(lo, hi) for m, lo, hi in built if m == q]
+        assert spans and spans[0][0] == 0 and spans[-1][1] == q
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        return len(spans)
 
     monkeypatch.setattr(character, "_table_rows", counting)
+    monkeypatch.setattr(character, "_BLOCK_ELEMENTS", 7)
     chi = character_from_id("q=40;comps=2^3:3,5:1")
     evaluate_character(chi, z=100.0)
-    assert built == [40]  # M(chi) and L(1, chi) read one table
+    assert {q for q, _, _ in built} == {40} and covered(40) == 6  # [0, 40) once
     built.clear()
     evaluate_character(chi, z=100.0, xi=kronecker_character(-3))
-    assert built == [40, 120]  # chi*xi gets its own
+    assert {q for q, _, _ in built} == {40, 120}  # chi and chi*xi, each once
+    assert covered(40) == 6 and covered(120) == 18
+
+
+def _whole_table(chi):
+    """(M, argmax, tau) from chi's whole value table: one np.cumsum and the
+    kernel's tau over the full table."""
+    W = chi.value_table()
+    mags = np.abs(np.cumsum(W))
+    i = int(np.argmax(mags))
+    return float(mags[i]), i, complex(finite_weights(chi).tau(W))
+
+
+def _close(got, want, rel=1e-13):
+    return abs(got - want) <= rel * abs(want)
+
+
+@pytest.mark.parametrize("block", [7, 1000])  # below and above each p^a
+@pytest.mark.parametrize("char_id,xi", [
+    ("q=301771;comps=523:174,577:384", None),  # a k = 3 search member whose argmax is a roundoff tie
+    ("q=8072;comps=2^3:3,1009:5", -3),  # a 2-adic component, and its chi*xi
+])
+def test_streamed_member_matches_whole_table(char_id, xi, block, monkeypatch):
+    # M, argmax and tau keep the bits of the whole table in any column blocks;
+    # L(1) sums its blocks' dots by fsum, so it is tied to l1_exact instead
+    chi = character_from_id(char_id)
+    xi = kronecker_character(xi) if xi else None
+    monkeypatch.setattr(character, "_BLOCK_ELEMENTS", block)
+    rec = evaluate_character(chi, xi=xi)
+    M, argmax, tau = _whole_table(chi)
+    assert (rec.M, rec.argmax, rec.tau_abs) == (M, argmax, abs(tau))
+    assert _close(rec.L1.value, l1_exact(chi).value)
+    if xi is not None:
+        twisted = product_character(chi, xi)
+        assert _close(rec.L1_twisted.value, l1_exact(twisted).value)
+        msum, (tau, l1) = max_partial_sum(twisted), l1_finite(twisted)
+        assert (msum.M, msum.argmax, tau) == _whole_table(twisted)
+        assert l1 == rec.L1_twisted
+
+
+def test_evaluate_character_holds_no_table():
+    # chi's table alone is 16 MB; its column blocks and weights are not
+    chi = psi_tilde(997, 1009, 2)
+    tracemalloc.start()
+    try:
+        evaluate_character(chi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def test_evaluate_character_refuses_an_oversized_twist_first(monkeypatch):
+    # chi's table is under the cap, chi*xi's (3 * 23107213) is over it
+    def refuse(*args, **kwargs):
+        raise AssertionError("a value table was built before the size check")
+
+    monkeypatch.setattr(character, "_table_rows", refuse)
+    chi = character_from_id("q=23107213;comps=4801:1,4813:1")
+    with pytest.raises(ResourceError, match="69321639 exceeds cap"):
+        evaluate_character(chi, xi=kronecker_character(-3))
 
 
 def test_evaluate_character_with_twist():
