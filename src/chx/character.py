@@ -25,7 +25,9 @@ whichever range it is built in.  `DirichletCharacter.value_table` (one row,
 all columns), `DirichletCharacter.value_blocks` (one row in column blocks of
 _BLOCK_ELEMENTS, through one reused buffer: O(block + sum p^a) bytes, the
 way search members are evaluated) and `CharacterMatrix.blocks` (row blocks
-of all characters mod q) all call it.
+of all characters mod q) all call it.  `CharacterMatrix.sums(f)` gives
+sum_n chi(n) f[n] for every chi mod q with no table at all: one DFT of f
+read on the grid of digit logs (`_unit_grid`, which `_log_tables` inverts).
 
 `values_up_to(chars, N)` gives chi(n) for n <= N only, for characters of
 one odd modulus, with no table of length q: the digit logs of the primes up
@@ -232,18 +234,26 @@ def _power_table(g: int, m: int, pa: int) -> np.ndarray:
     return out
 
 
+def _unit_grid(p: int, a: int) -> np.ndarray:
+    """units[d_0, d_1, ...] = prod_j g_j^d_j mod p^a, one axis per cyclic
+    factor (g_j, m_j) of `_factors(p, a)`."""
+    pa = p**a
+    factors = _factors(p, a)
+    units = _power_table(*factors[0], pa)
+    for g, m in factors[1:]:
+        units = units[..., None] * _power_table(g, m, pa) % pa
+    return units
+
+
 @lru_cache(maxsize=8)
 def _log_tables(p: int, a: int) -> tuple[np.ndarray, ...]:
     """One digit table per cyclic factor: n = prod_j g_j^log_j[n] mod p^a
-    (units only; -1 elsewhere)."""
+    (units only; -1 elsewhere), the inverse of `_unit_grid`."""
     pa = p**a
     _check_table_size(pa)
-    factors = _factors(p, a)
-    units = _power_table(*factors[0], pa)  # units[d_0, d_1, ...] = prod_j g_j^d_j
-    for g, m in factors[1:]:
-        units = units[..., None] * _power_table(g, m, pa) % pa
+    units = _unit_grid(p, a)
     tables = []
-    for j, (_, m) in enumerate(factors):
+    for j, m in enumerate(units.shape):
         table = np.full(pa, -1, dtype=np.int64)
         # the digit d_j, broadcast along axis j of `units`
         table[units] = np.arange(m, dtype=np.int64).reshape((m,) + (1,) * (units.ndim - 1 - j))
@@ -677,6 +687,24 @@ class CharacterMatrix:
             comp_rows = [_component_rows(c, lab, r)
                          for c, lab, r in zip(self.components, self._labels(chunk), roots)]
             yield chunk, _table_rows(comp_rows, q)
+
+    def sums(self, f: np.ndarray) -> np.ndarray:
+        """sum_n chi_r(n) f[..., n] for every row r, in row order (a new last
+        axis), for f of length q on its last axis.
+
+        chi(n) = prod_j exp(2 pi i d_j L_j(n) / m_j) (d_j the row's digits,
+        L_j(n) the digit logs of n), so this is one DFT of f read on the
+        grid of each component's `_unit_grid`, lifted to mod q by its CRT
+        idempotent; the digits in C order are the row index."""
+        q = self.modulus
+        n = np.zeros((), dtype=np.int64)  # q = 1: the one point n = 0
+        for c in self.components:
+            lift = q // c.pa * pow(q // c.pa, -1, c.pa)  # 1 mod p^a, 0 mod q/p^a
+            grid = _unit_grid(c.p, c.a) * lift % q
+            n = (n.reshape(n.shape + (1,) * grid.ndim) + grid) % q
+        f = np.asarray(f)
+        axes = tuple(range(f.ndim - 1, f.ndim - 1 + n.ndim))
+        return (np.fft.ifftn(f[..., n], axes=axes) * n.size).reshape(f.shape[:-1] + (n.size,))
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,18 @@ def _fmt_lv(lv) -> str:
     return f"{lv.value.real:+.10f}{lv.value.imag:+.10f}i  |.|={abs(lv.value):.10f}"
 
 
+def _out_dir(out) -> Path | None:
+    """The --out directory, made before any work is done (None without
+    --out); one that cannot be made is a usage error."""
+    if not out:
+        return None
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"--out {out} cannot be made a directory: {exc.strerror or exc}") from exc
+    return Path(out)
+
+
 def _check_z(z) -> None:
     if z is not None and not 2 <= z <= 2**32:  # 2**32: the prime sieve's limit
         raise ValueError(f"--z must be an Euler truncation in [2, 2**32], got {z:g}")
@@ -127,6 +139,7 @@ def cmd_eval(args) -> int:
         if args.q is None or args.t is None:
             raise ValueError("--q and --t must be given together")
         chi = character_from_index(args.q, args.t)
+    outdir = _out_dir(args.out)
     rec = evaluate_character(chi, z=args.z)
     print(f"char      {rec.char_id}")
     print(f"modulus   {rec.modulus}   conductor {rec.conductor}   "
@@ -137,9 +150,7 @@ def cmd_eval(args) -> int:
     print(f"M(chi)    {rec.M:.6f} at x = {rec.argmax}   |tau| = {rec.tau_abs:.10f}")
     if rec.ratio_odd is not None:
         print(f"ratios    odd {rec.ratio_odd:.6f}   even {rec.ratio_even:.6f}")
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+    if outdir:
         write_json(outdir / "record.json", rec.to_json_dict())
         man = _manifest("eval", {"id": rec.char_id, "z": args.z}, started,
                         {"record": outdir / "record.json"})
@@ -172,6 +183,7 @@ def cmd_search(args) -> int:
                 f"log Q = {math.log(args.Q):g}, where the twisted family may be empty"
             )
     started = _utcnow()
+    outdir = _out_dir(args.out)
     res = extremal_pipeline(
         args.Q, args.k, args.mode,
         y_mult=args.y_mult, z=args.z, delta=args.delta,
@@ -184,9 +196,7 @@ def cmd_search(args) -> int:
     for i, r in enumerate(res.records[:5], 1):
         print(f"{i:2d}. q={r.modulus:<9d} |L1|={abs(r.L1.value):.6f} "
               f"M={r.M:10.2f}  {r.char_id}")
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+    if outdir:
         paths = {
             "records_jsonl": outdir / "records.jsonl",
             "records_csv": outdir / "records.csv",
@@ -205,6 +215,7 @@ def cmd_search(args) -> int:
 
 def cmd_verify(args) -> int:
     started = _utcnow()
+    outdir = _out_dir(args.out)
     suites = run_suites(args.suite)
     for s in suites:
         for c in s.checks:
@@ -215,9 +226,7 @@ def cmd_verify(args) -> int:
         "passed": passed,
         "suites": [s.to_json_dict() for s in suites],
     }
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+    if outdir:
         write_json(outdir / "summary.json", summary)
         man = _manifest("verify", {"suite": args.suite}, started,
                         {"summary": outdir / "summary.json"})

@@ -7,19 +7,16 @@ extremal-search heuristics, and the smoothed approximate functional
 equation (`l1_afe`).
 
 Production values of tau(chi) and L(1, chi) come from the finite formulas
-as dot products (~1e-12 relative), by one kernel in two shapes.  tau is a
-product of one short dot per prime power q_i || q, over the table's entries
-at the CRT lifts of n q/q_i (O(sum q_i)); L(1, chi) is a dot with the
-weights a or log sin(pi a/q) for the character's parity.  `tau_l1` takes a
-block of whole tables (the rows of a `character.CharacterMatrix` block,
-with `finite_weights`, built on first use, so a caller pays only for what
-it reads).  `l1_finite` reads one character's table in column blocks
-(`DirichletCharacter.value_blocks`, through `_FiniteScan`): tau's entries
-are copied out of the blocks they fall in, and the L(1) dot is summed per
-block over that block's weights only, the partials added by fsum, so no
-array of length q is held past the prime powers' own.  `gauss_sum` and
-`l1_exact` evaluate the same formulas with compensated sums; they are the
-kernel's oracles.
+as dot products (~1e-12 relative), by one kernel, `l1_finite`, over one
+character's table in column blocks (`DirichletCharacter.value_blocks`,
+through `_FiniteScan`).  tau is a product of one short dot per prime power
+q_i || q, over the entries at the CRT lifts of n q/q_i (O(sum q_i)), copied
+out of the blocks they fall in; L(1, chi) is a dot with the weights a or
+log sin(pi a/q) for the character's parity, summed per block over that
+block's weights only, the partials added by fsum, so no array of length q
+is held past the prime powers' own.  `gauss_sum` and `l1_exact` evaluate
+the same formulas with compensated sums; they are the kernel's oracles.
+(All characters of one modulus at once: `character.CharacterMatrix.sums`.)
 
 The AFE reads chi(n) only for n <= N ~ 5 sqrt(q), so it costs O(sqrt q)
 time and memory per character where the finite formulas cost O(q): it
@@ -34,7 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -277,86 +274,6 @@ def _phases(n: int) -> np.ndarray:
     return np.exp((2j * math.pi / n) * np.arange(n))
 
 
-class FiniteWeights:
-    """Per-modulus weights of the finite formulas, each built on first use,
-    so a caller pays only for what it reads.
-
-    `tau_pieces`: one (m, e) pair per prime power q_i || q, with
-    m[n] = n (q/q_i) mod q_i and m[n] = 1 mod q/q_i, and e[n] = e(n/q_i) for
-    n < q_i.  For chi's table W, sum_n W[m[n]] e[n] = chi_i(q/q_i) tau(chi_i),
-    so tau(chi) = prod_i sum_n W[m[n]] e[n], in O(sum q_i).  For a prime
-    power (and q = 1) m is None, the identity: tau = W @ e(n/q).
-    `a` and `logsin`: a and log sin(pi a/q) for a = 1..q-1.
-    """
-
-    def __init__(self, q: int, prime_powers: Sequence[int]):
-        self.q = q
-        self.prime_powers = prime_powers  # the q_i || q, in increasing order of p
-
-    @cached_property
-    def tau_pieces(self) -> list[tuple]:
-        q, prime_powers = self.q, self.prime_powers
-        if len(prime_powers) <= 1:
-            return [(None, _phases(q))]
-        pieces = []
-        for qi in prime_powers:
-            c = q // qi
-            # n c is n c mod q_i and 0 mod c; q_i (q_i^-1 mod c) is 0 mod q_i and 1 mod c
-            m = (np.arange(qi, dtype=np.int64) * c + qi * pow(qi, -1, c)) % q
-            pieces.append((m, _phases(qi)))
-        return pieces
-
-    @cached_property
-    def a(self) -> np.ndarray:
-        return np.arange(1, self.q, dtype=np.float64)
-
-    @cached_property
-    def logsin(self) -> np.ndarray:
-        return np.log(np.sin((math.pi / self.q) * np.arange(1, self.q, dtype=np.float64)))
-
-    def tau(self, W: np.ndarray):
-        """tau(chi) from chi's value table W, or one per row of a block."""
-        # take keeps a block C-ordered, so each row's dot does not depend on the block
-        dots = (np.dot(W if m is None else W.take(m, axis=-1), e) for m, e in self.tau_pieces)
-        return reduce(operator.mul, dots)
-
-
-def finite_weights(source) -> FiniteWeights:
-    """The weights of the finite formulas mod q (built lazily) for `source`,
-    a character mod q or a `CharacterMatrix(q)`: the prime powers q_i || q
-    come from its components, so q is not factored again."""
-    return FiniteWeights(source.modulus, [c.pa for c in source.components])
-
-
-def tau_l1(W: np.ndarray, parity, weights: FiniteWeights) -> tuple:
-    """(tau(chi), L(1, chi)) from W, the value table of a primitive
-    non-principal chi mod q with chi(-1) = `parity`, and finite_weights(chi).
-
-    W may also be a 2-D block of such tables, one per row, with one parity
-    for all or one per row; tau and L(1, chi) are then arrays over the rows.
-    A scalar parity computes one branch; per-row parities compute both and
-    select.  W's last axis must be contiguous: the sums over it read W's
-    float view.
-    """
-    q = W.shape[-1]
-    tau = weights.tau(W)
-    # (re chi(a), im chi(a)) pairs for a = 1..q-1: no conj copy, no cast of w
-    X = W[..., 1:].view(np.float64).reshape(*W.shape[:-1], q - 1, 2)
-
-    def l1(odd: bool):
-        w = weights.a if odd else weights.logsin
-        # sum_a conj(chi(a)) w[a], as w is real
-        return _finite_l1(tau, np.conj((w @ X).view(np.complex128)[..., 0]), q, odd)
-
-    if np.ndim(parity) == 0:
-        value = l1(parity == -1)
-    else:
-        value = np.where(parity == -1, l1(True), l1(False))
-    if W.ndim == 1:
-        return complex(tau), complex(value)
-    return tau, value
-
-
 def _finite_l1(tau, s, q: int, odd: bool):
     """L(1, chi) from tau(chi) and s = sum_a conj(chi(a)) w[a], w = a for odd
     chi and log sin(pi a/q) for even chi."""
@@ -364,22 +281,30 @@ def _finite_l1(tau, s, q: int, odd: bool):
 
 
 class _FiniteScan:
-    """(tau(chi), L(1, chi)) by the finite formulas of `tau_l1`, from chi's
+    """(tau(chi), L(1, chi)) by the finite formulas of `l1_exact`, from chi's
     value table read in column blocks, in order.
 
-    Each block's entries at the CRT lifts of `FiniteWeights.tau_pieces` (all
-    of them for a prime power) are copied into that piece's vector, so tau
-    has the bits of `FiniteWeights.tau` on the whole table.  Each block's
-    L(1) dot takes the weights a or log sin(pi a/q) of its own columns; the
-    partial sums are added by fsum.  `add` only reads the block."""
+    tau(chi) = prod_i sum_{n < q_i} chi(m[n]) e(n/q_i) over q_i || q, with
+    the CRT lifts m[n] = n (q/q_i) mod q_i, 1 mod q/q_i (each dot is
+    chi_i(q/q_i) tau(chi_i)); a prime power has the one identity piece.
+    Each block's entries at a piece's lifts are copied into its vector.
+    Each block's L(1) dot takes the weights a or log sin(pi a/q) of its own
+    columns; the partial sums are added by fsum.  `add` only reads the
+    block."""
 
     def __init__(self, chi: DirichletCharacter):
-        self.q, self.odd = chi.modulus, chi.parity() == -1
+        q = self.q = chi.modulus
+        self.odd = chi.parity() == -1
         self._pieces = []  # (sorted lifts, their n, chi at the lifts by n, e(n/q_i))
-        for m, e in finite_weights(chi).tau_pieces:
-            order = None if m is None else np.argsort(m)
-            lifts = None if m is None else m[order]
-            self._pieces.append((lifts, order, np.empty(len(e), dtype=np.complex128), e))
+        for qi in [c.pa for c in chi.components] or [q]:
+            lifts = order = None
+            if qi < q:
+                c = q // qi
+                # n c is n c mod q_i and 0 mod c; q_i (q_i^-1 mod c) is 0 mod q_i and 1 mod c
+                m = (np.arange(qi, dtype=np.int64) * c + qi * pow(qi, -1, c)) % q
+                order = np.argsort(m)
+                lifts = m[order]
+            self._pieces.append((lifts, order, np.empty(qi, dtype=np.complex128), _phases(qi)))
         self._partials = []
 
     def add(self, lo: int, block: np.ndarray) -> None:

@@ -2,12 +2,11 @@
 calibrations, each returning deterministic machine-readable check records.
 
 The character scans take all characters of one modulus at once, as the rows
-of its `character.CharacterMatrix`, and check each identity as row
-operations: tau(chi) and L(1, chi) by the one finite-formula kernel
-(`lfunction.tau_l1` on a row block, with `lfunction.finite_weights`), M(chi)
-as a row-wise cumulative sum, the Euler product as a row-wise product.  The
-Gauss-sum scan computes tau(chi) by its definition, sum_n chi(n) e(n/q);
-its spot sample also ties the kernel's factored tau to `gauss_sum`.
+of its `character.CharacterMatrix`.  Each linear sum over n -- tau(chi) by
+its definition, L(1, chi) by the digamma weights and by the finite formulas,
+the half sum, the log of the Euler product -- is one `CharacterMatrix.sums`
+call per modulus, a DFT over the unit group; only M(chi), a row-wise
+cumulative sum, reads the value rows (`CharacterMatrix.blocks`).
 Fixed spot samples tie each scan to the per-character functions that stay
 the authority (`gauss_sum`, `l1_exact`, the digamma series,
 `half_sum_check`, `max_partial_sum`, `bridge_bounds`, `l1_truncated_euler`),
@@ -24,13 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .character import (
-    CharacterMatrix,
-    order_k_characters,
-    order_witness,
-    principal_character,
-    product_character,
-)
+from .character import CharacterMatrix, order_k_characters, order_witness
 from .charsum import _BRIDGE_SLACK, bridge_bounds, half_sum_check, max_partial_sum
 from .families import (
     OrderKFamilySpec,
@@ -41,15 +34,16 @@ from .families import (
 )
 from .lfunction import (
     PrimeSumSpec,
+    _finite_l1,
+    _FiniteScan,
+    _phases,
     digamma_weights,
-    finite_weights,
     gauss_sum,
     l1_afe,
     l1_exact,
     l1_series_oracle,
     l1_truncated_euler,
     prime_sum,
-    tau_l1,
 )
 from .moments import (
     MomentSpec,
@@ -115,7 +109,7 @@ class _Spot:
         self._first = None
 
     def add(self, cm: CharacterMatrix, rows: np.ndarray, *values) -> None:
-        """Scan one block of rows of cm, with the per-row values of the scan."""
+        """Scan rows of cm, with the per-row values of the scan."""
         if self.n == 0:
             self._first = (cm.character(rows[0]), *(v[0] for v in values))
         for i in range((-self.n - 1) % self.every, len(rows), self.every):
@@ -159,28 +153,29 @@ def _max_partial_sums(W: np.ndarray) -> np.ndarray:
 
 def _gauss_tie(chi) -> float:
     """How far the oracle gauss_sum is from |tau| = sqrt(q), and the
-    kernel's factored tau from gauss_sum, relative to sqrt(q)."""
+    production tau (`_FiniteScan`) from gauss_sum, relative to sqrt(q)."""
     tau = gauss_sum(chi)
     rq = math.sqrt(chi.modulus)
-    kernel = finite_weights(chi).tau(chi.value_table())
-    return max(abs(abs(tau) - rq), abs(kernel - tau)) / rq
+    scan = _FiniteScan(chi)
+    for lo, block in chi.value_blocks():
+        scan.add(lo, block)
+    return max(abs(abs(tau) - rq), abs(scan.result()[0] - tau)) / rq
 
 
 def _check_gauss_modulus(q_max: int = 1000) -> CheckResult:
     """|tau(chi)| = sqrt(q) within 1e-9 relative for all primitive chi, with
     tau(chi) = sum_n chi(n) e(n/q) by its definition; every 997th character
-    is also tied to gauss_sum, and so is the kernel's factored tau."""
+    is also tied to gauss_sum, and so is the production tau."""
     worst = _Worst()
     spot = _Spot(997, _gauss_tie)
     for q in range(1, q_max + 1):
         if q > 1 and q % 4 == 2:
             continue  # no primitive characters for q = 2 mod 4
         cm = CharacterMatrix(q)
-        e = np.exp((2j * math.pi / q) * np.arange(q))
+        rows = np.flatnonzero(cm.primitive)
         rq = math.sqrt(q)
-        for rows, W in cm.blocks(np.flatnonzero(cm.primitive)):
-            worst.add(cm, rows, np.abs(np.abs(W @ e) - rq) / rq)
-            spot.add(cm, rows)
+        worst.add(cm, rows, np.abs(np.abs(cm.sums(_phases(q))[rows]) - rq) / rq)
+        spot.add(cm, rows)
     ties = spot.diffs()
     spot_worst = max(ties, default=0.0)
     return CheckResult(
@@ -209,13 +204,13 @@ def _check_half_sum(q_max: int = 400) -> CheckResult:
     spot = _Spot(499, _half_sum_tie)
     for q in range(3, q_max + 1, 2):
         cm = CharacterMatrix(q)
-        weights = finite_weights(cm)
-        for rows, W in cm.blocks(np.flatnonzero(cm.primitive & (cm.parity == -1))):
-            tau, l1 = tau_l1(W, cm.parity[rows], weights)
-            lhs = W[:, 1 : q // 2 + 1].sum(axis=1)
-            rhs = (2.0 - np.conj(W[:, 2])) * tau / (1j * math.pi) * np.conj(l1)
-            worst.add(cm, rows, np.abs(lhs - rhs))
-            spot.add(cm, rows, lhs, rhs)
+        rows = np.flatnonzero(cm.primitive & (cm.parity == -1))
+        n = np.arange(q)
+        f = np.stack([_phases(q), (1 <= n) & (n <= q // 2), n == 2, digamma_weights(q)])
+        tau, lhs, chi2, l1 = cm.sums(f)[:, rows]
+        rhs = (2.0 - np.conj(chi2)) * tau / (1j * math.pi) * np.conj(l1)
+        worst.add(cm, rows, np.abs(lhs - rhs))
+        spot.add(cm, rows, lhs, rhs)
     spot_worst = max(spot.diffs(), default=0.0)
     return CheckResult(
         "half_sum_identity",
@@ -237,20 +232,26 @@ def _exact_vs_series_tie(chi, lex, oracle) -> float:
 
 
 def _check_exact_vs_series(q_max: int = 500) -> CheckResult:
-    """l1_exact vs the digamma-tailed series oracle, <= 1e-8 relative."""
+    """The finite formulas for L(1, chi) vs the digamma-tailed series, <= 1e-8
+    relative; every 499th character ties them to l1_exact and the series
+    oracle."""
     worst = _Worst()
-    spot = _Spot(499, _exact_vs_series_tie)  # ties the kernel to its compensated oracles
+    spot = _Spot(499, _exact_vs_series_tie)
     for q in range(3, q_max + 1):
         if q % 4 == 2:
             continue
         cm = CharacterMatrix(q)
-        w = digamma_weights(q)
-        weights = finite_weights(cm)
-        for rows, W in cm.blocks(np.flatnonzero(cm.primitive)):
-            lex = tau_l1(W, cm.parity[rows], weights)[1]
-            oracle = W @ w
-            worst.add(cm, rows, np.abs(lex - oracle) / np.abs(oracle))
-            spot.add(cm, rows, lex, oracle)
+        rows = np.flatnonzero(cm.primitive)
+        a = np.arange(q, dtype=np.float64)
+        logsin = np.zeros(q)
+        logsin[1:] = np.log(np.sin((math.pi / q) * a[1:]))
+        f = np.stack([_phases(q), a, logsin, digamma_weights(q)])
+        tau, s_odd, s_even, oracle = cm.sums(f)[:, rows]
+        # the weights are real: sum_a conj(chi(a)) w[a] is the conjugate of the sum
+        lex = np.where(cm.parity[rows] == -1, _finite_l1(tau, np.conj(s_odd), q, True),
+                       _finite_l1(tau, np.conj(s_even), q, False))
+        worst.add(cm, rows, np.abs(lex - oracle) / np.abs(oracle))
+        spot.add(cm, rows, lex, oracle)
     spot_worst = max(spot.diffs(), default=0.0)
     return CheckResult(
         "exact_vs_series",
@@ -435,6 +436,14 @@ def suite_census() -> SuiteResult:
 _CHI_MINUS_3 = np.array([0.0, 1.0, -1.0])  # (-3 | n) by n mod 3
 
 
+def _twisted_digamma_weights(q: int) -> np.ndarray:
+    """f with sum_r chi(r) f[r] = L(1, chi * (./3)) for chi mod q, 3 coprime
+    to q: the digamma weights mod 3q times (-3 | n), folded onto r = n mod q
+    over n = r + j q, j < 3, so no table mod 3q is built."""
+    n = np.arange(3 * q)
+    return (digamma_weights(3 * q) * _CHI_MINUS_3[n % 3]).reshape(3, q).sum(axis=0)
+
+
 def _bridge_tie(chi, M, rhs) -> float:
     rec = bridge_bounds(chi)
     return max(abs(M - rec.lhs), abs(rhs - rec.rhs))
@@ -455,27 +464,21 @@ def _check_bridges(q_max: int = 400) -> CheckResult:
         keep = cm.primitive & (cm.order % 2 == 0)
         if q % 3 == 0:
             keep &= cm.parity == -1  # the even bridge needs 3 coprime to q
-        weights = finite_weights(cm)
-        # mod 3q, with the components of q and of 3
-        twist_weights = (finite_weights(product_character(cm.character(0), principal_character(3)))
-                         if q % 3 else None)
-        for rows, W in cm.blocks(np.flatnonzero(keep)):
-            parity = cm.parity[rows]
-            odd = parity == -1
-            rhs = math.sqrt(q) / math.pi * np.abs(tau_l1(W, parity, weights)[1])
-            if not odd.all():
-                # chi * (./3) mod 3q, odd and primitive for even chi with 3 coprime to q:
-                # chi by n mod q in the (3, q) view, (./3) by n mod 3 in the (q, 3) view
-                twisted = np.tile(W[~odd], 3)
-                periods = twisted.reshape(-1, q, 3)
-                periods *= _CHI_MINUS_3
-                l1 = tau_l1(twisted, -1, twist_weights)[1]
-                rhs[~odd] = math.sqrt(3 * q) / (2 * math.pi) * np.abs(l1)
-            M = _max_partial_sums(W)
-            violations += int(np.count_nonzero(~(M >= rhs - _BRIDGE_SLACK)))
-            min_margin = min(min_margin, float((M - rhs).min()))
-            n_odd += int(np.count_nonzero(odd))
-            spot.add(cm, rows, M, rhs)
+        rows = np.flatnonzero(keep)
+        if not len(rows):
+            continue
+        odd = cm.parity[rows] == -1
+        # chi * (./3) mod 3q is odd and primitive for even chi with 3 coprime to q
+        # (when 3 | q every kept row is odd and the twisted sums go unread)
+        f = np.stack([digamma_weights(q), _twisted_digamma_weights(q)])
+        l1, l1_twisted = cm.sums(f)[:, rows]
+        rhs = np.where(odd, math.sqrt(q) / math.pi * np.abs(l1),
+                       math.sqrt(3 * q) / (2 * math.pi) * np.abs(l1_twisted))
+        M = np.concatenate([_max_partial_sums(W) for _, W in cm.blocks(rows)])
+        violations += int(np.count_nonzero(~(M >= rhs - _BRIDGE_SLACK)))
+        min_margin = min(min_margin, float((M - rhs).min()))
+        n_odd += int(np.count_nonzero(odd))
+        spot.add(cm, rows, M, rhs)
     spot_worst = max(spot.diffs(), default=0.0)
     return CheckResult(
         "bridge_bounds",
@@ -494,12 +497,26 @@ def _check_bridges(q_max: int = 400) -> CheckResult:
 _EULER_REL_TOL = 0.05  # the 5% of the "n_over_5pct" detail
 
 
+def _euler_logs(q: int, primes: np.ndarray) -> np.ndarray:
+    """f with sum_n chi(n) f[n] = log prod_p (1 - chi(p)/p)^-1 over `primes`
+    for every chi mod q: sum_m chi(p^m)/(m p^m) puts 1/(m p^m) at p^m mod q,
+    for m up to the last power with p^-m >= 2^-60.  A p dividing q lands on
+    non-units, which no character reads."""
+    f = np.zeros(q)
+    p, pm, m = primes, primes % q, 1
+    while len(p):
+        f += np.bincount(pm, weights=1.0 / (m * p.astype(np.float64) ** m), minlength=q)
+        live = p.astype(np.float64) ** -(m + 1) >= 2.0**-60
+        p, pm, m = p[live], pm[live] * p[live] % q, m + 1
+    return f
+
+
 def _check_euler_calibration(q_lo: int = 1000, q_hi: int = 2000, z: float = 1e4) -> CheckResult:
     """Fraction of primitive chi mod primes in [q_lo, q_hi] whose truncated
-    Euler product misses l1_exact by more than 5% must be below 1%."""
+    Euler product (exp of `_euler_logs`' sum) misses L(1, chi) by more than
+    5% must be below 1%."""
     plist = sieve_primes(int(z)).primes.astype(np.int64)
     plist = plist[plist <= z]
-    inv_p = 1.0 / plist.astype(np.float64)
     n_bad = 0
     worst = _Worst()
 
@@ -512,17 +529,13 @@ def _check_euler_calibration(q_lo: int = 1000, q_hi: int = 2000, z: float = 1e4)
     moduli = [int(q) for q in sieve_primes(q_hi).primes if q_lo <= q <= q_hi]
     for q in moduli:
         cm = CharacterMatrix(q)
-        weights = finite_weights(cm)
-        idx = np.mod(plist, q)
-        for rows, W in cm.blocks(np.flatnonzero(cm.order > 1)):
-            lex = tau_l1(W, cm.parity[rows], weights)[1]
-            # chi(q) = 0 makes the p = q factor equal 1 automatically; one
-            # reciprocal per character, not per factor
-            euler = 1.0 / np.prod(1.0 - W[:, idx] * inv_p, axis=1)
-            rel = np.abs(euler - lex) / np.abs(lex)
-            worst.add(cm, rows, rel)
-            n_bad += int(np.count_nonzero(~(rel <= _EULER_REL_TOL)))
-            spot.add(cm, rows, euler, lex)
+        rows = np.flatnonzero(cm.order > 1)
+        log_euler, lex = cm.sums(np.stack([_euler_logs(q, plist), digamma_weights(q)]))[:, rows]
+        euler = np.exp(log_euler)
+        rel = np.abs(euler - lex) / np.abs(lex)
+        worst.add(cm, rows, rel)
+        n_bad += int(np.count_nonzero(~(rel <= _EULER_REL_TOL)))
+        spot.add(cm, rows, euler, lex)
     spot_worst = max(spot.diffs(), default=0.0)
     frac = n_bad / max(spot.n, 1)
     return CheckResult(

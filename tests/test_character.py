@@ -161,6 +161,23 @@ def test_character_matrix_blocks_stay_in_budget(q, monkeypatch):
     assert [w.shape for _, w in cm.blocks(rows[:3])] == [(1, q)] * 3
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 8, 16, 45, 64, 120, 360, 840, 1009, 1155, 2048])
+def test_character_matrix_sums_match_blocks(q):
+    # prime, odd and 2-adic prime powers (mod 2: one factor of order 1),
+    # composites with up to four components, and q = 1 (the point n = 0)
+    cm = character.CharacterMatrix(q)
+    rows = np.arange(cm.order.size)
+    W = np.concatenate([w for _, w in cm.blocks(rows)])
+    rng = np.random.default_rng(q)
+    f = rng.standard_normal((2, 3, q)) + 1j * rng.standard_normal((2, 3, q))
+    got = cm.sums(f)
+    assert got.shape == (2, 3, rows.size)
+    err = np.abs(got - f @ W.T) / np.abs(f).sum(axis=-1, keepdims=True)
+    assert err.max() <= 1e-15
+    x = f[0, 0].real  # one real f
+    assert np.abs(cm.sums(x) - W @ x).max() <= 1e-15 * np.abs(x).sum()
+
+
 def _peak_over_output(build):
     """The tracemalloc peak of build() over the bytes of the tables it
     returns, its caches (log tables, roots) warmed by a first call."""

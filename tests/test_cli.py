@@ -149,6 +149,24 @@ def test_search_oversized_member_refused_before_evaluating(mode, Q, tmp_path, ca
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv,work", [
+    (["eval", "--q", "3", "--t", "1"], "evaluate_character"),
+    (["search", "--mode", "orderk", "--Q", "1e4", "--k", "2"], "extremal_pipeline"),
+    (["verify", "census"], "run_suites"),
+])
+@pytest.mark.parametrize("out", ["file", "file/x"])
+def test_out_that_cannot_be_a_directory_exit_2_before_any_work(argv, work, out, tmp_path, capsys,
+                                                               monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work ran before --out was made")
+
+    monkeypatch.setattr(cli, work, refuse)
+    (tmp_path / "file").touch()
+    assert main(argv + ["--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and "Traceback" not in err
+
+
 def test_search_odd_twist_odd_k_exit_3(capsys):
     assert main(["search", "--mode", "odd_sum", "--Q", "1e4", "--k", "3"]) == 3
     assert "even k" in capsys.readouterr().err

@@ -219,50 +219,48 @@ def _assert_tied_to_oracles(chi, tau, l1):
 KERNEL_MODULI = [13, 45, 64, 120, 360, 840, 1009]
 
 
+# (tau, L(1)) by the one-character kernel and by the all-characters sums
+
+
 @pytest.mark.parametrize("q", KERNEL_MODULI)
 def test_tau_l1_one_table_matches_the_reference_formula(q):
-    """tau_l1 on one table agrees with the compensated reference formulas
-    gauss_sum and l1_exact on every primitive character."""
-    weights = lfunction.finite_weights(principal_character(q))
+    """The kernel l1_finite on one table (one column block at these q)
+    agrees with the compensated reference formulas gauss_sum and l1_exact
+    on every primitive character."""
     chars = [chi for chi in all_characters(q) if chi.is_primitive]
     assert {chi.parity() for chi in chars} == {1, -1}
     for chi in chars:
-        got = lfunction.tau_l1(chi.value_table(), chi.parity(), weights)
-        assert all(type(x) is complex for x in got)
-        _assert_tied_to_oracles(chi, *got)
+        tau, lv = l1_finite(chi)
+        assert type(tau) is complex and type(lv.value) is complex
+        _assert_tied_to_oracles(chi, tau, lv.value)
 
 
 @pytest.mark.parametrize("q", sorted({5, 12, 40, 81, *KERNEL_MODULI}))
 def test_tau_l1_rows_matches_the_kernel(q):
-    """tau_l1 on a row block, with one parity per row, agrees with one
-    tau_l1 call per row and with the reference formulas."""
+    """tau = sum_n chi(n) e(n/q) and L(1, chi) = sum_n chi(n) w[n] (w the
+    digamma weights) from CharacterMatrix.sums, for all rows at once, agree
+    with the kernel l1_finite on each primitive row and with the reference
+    formulas."""
     cm = CharacterMatrix(q)
-    weights = lfunction.finite_weights(cm)
-    for r, W in cm.blocks(np.flatnonzero(cm.primitive)):
-        tau, l1 = lfunction.tau_l1(W, cm.parity[r], weights)
-        for i, row in enumerate(r):
-            want_tau, want_l1 = lfunction.tau_l1(W[i], int(cm.parity[row]), weights)
-            assert abs(tau[i] - want_tau) < 1e-12 and abs(l1[i] - want_l1) < 1e-12
-            _assert_tied_to_oracles(cm.character(row), tau[i], l1[i])
-        odd = cm.parity[r] == -1
-        scalar = lfunction.tau_l1(W[odd], -1, weights)
-        assert all(np.array_equal(x, y[odd]) for x, y in zip(scalar, (tau, l1)))
+    tau, l1 = cm.sums(np.stack([lfunction._phases(q), digamma_weights(q)]))
+    for row in np.flatnonzero(cm.primitive):
+        chi = cm.character(row)
+        want_tau, want_l1 = l1_finite(chi)
+        assert abs(tau[row] - want_tau) < 1e-12 and abs(l1[row] - want_l1.value) < 1e-12
+        _assert_tied_to_oracles(chi, tau[row], l1[row])
 
 
-def test_finite_weights_factor_tau_and_build_on_first_use():
-    # q = 840 = 2^3 * 3 * 5 * 7: tau from 8 + 3 + 5 + 7 phases, not 840,
-    # with the prime powers read from the components
-    weights = lfunction.finite_weights(CharacterMatrix(840))
-    assert vars(weights) == {"q": 840, "prime_powers": [8, 3, 5, 7]}
-    assert [len(e) for _, e in weights.tau_pieces] == [8, 3, 5, 7]
-    assert [len(m) for m, _ in weights.tau_pieces] == [8, 3, 5, 7]
+def test_finite_scan_factors_tau():
+    # q = 840 = 2^3 * 3 * 5 * 7: tau from 8 + 3 + 5 + 7 entries and phases,
+    # not 840, with the prime powers read from the components
+    chi = next(c for c in all_characters(840) if c.is_primitive)
+    pieces = lfunction._FiniteScan(chi)._pieces
+    for lifts, order, entries, e in pieces:
+        assert len(lifts) == len(order) == len(entries) == len(e)
+    assert [len(e) for *_, e in pieces] == [8, 3, 5, 7]
     for q in (64, 1009):  # a prime power: one piece, tau = W @ e(n/q)
-        (m, e), = lfunction.finite_weights(principal_character(q)).tau_pieces
-        assert m is None and len(e) == q
-    # an odd character reads the phases and a, never log sin
-    chi = next(c for c in all_characters(840) if c.is_primitive and c.parity() == -1)
-    lfunction.tau_l1(chi.value_table(), -1, weights)
-    assert set(vars(weights)) == {"q", "prime_powers", "tau_pieces", "a"}
+        (lifts, order, entries, e), = lfunction._FiniteScan(principal_character(q))._pieces
+        assert lifts is None and order is None and len(entries) == len(e) == q
 
 
 def test_lvalue_as_dict_keys():

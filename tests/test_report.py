@@ -19,7 +19,7 @@ from chx.character import (
 from chx.charsum import max_partial_sum
 from chx.errors import ResourceError
 from chx.families import psi_tilde
-from chx.lfunction import finite_weights, gauss_sum, l1_exact, l1_finite
+from chx.lfunction import _phases, gauss_sum, l1_exact, l1_finite
 from chx.report import (
     REFERENCE_CONSTANTS,
     canonical_json,
@@ -88,12 +88,20 @@ def test_evaluate_character_builds_one_table_per_character(monkeypatch):
 
 
 def _whole_table(chi):
-    """(M, argmax, tau) from chi's whole value table: one np.cumsum and the
-    kernel's tau over the full table."""
+    """(M, argmax, tau) from chi's whole value table: one np.cumsum, and tau
+    as the product over q_i || q of the dots of the table at the CRT lifts
+    m[n] = n q/q_i mod q_i, 1 mod q/q_i with e(n/q_i) (one dot with e(n/q)
+    for a prime power)."""
     W = chi.value_table()
     mags = np.abs(np.cumsum(W))
     i = int(np.argmax(mags))
-    return float(mags[i]), i, complex(finite_weights(chi).tau(W))
+    q, pas = chi.modulus, [c.pa for c in chi.components]
+    if len(pas) == 1:
+        tau = np.dot(W, _phases(q))
+    else:
+        lifts = [(np.arange(qi) * (q // qi) + qi * pow(qi, -1, q // qi)) % q for qi in pas]
+        tau = math.prod(np.dot(W[m], _phases(len(m))) for m in lifts)
+    return float(mags[i]), i, complex(tau)
 
 
 def _close(got, want, rel=1e-13):

@@ -1,5 +1,5 @@
 """The verify scans over character matrices: counts, pass flags, and that a
-corrupted weight or matrix row fails the check it feeds."""
+corrupted weight, matrix row or character sum fails the check it feeds."""
 
 from __future__ import annotations
 
@@ -53,15 +53,21 @@ def test_spot_sample_ordinals():
 
 
 def _corrupt_rows(monkeypatch):
-    blocks = CharacterMatrix.blocks
+    """chi(1) (chi(0) mod 1) off by 1e-6 in every row, as `blocks` yields the
+    rows and as `sums` reads them: row r's sum gains 1e-6 f[..., 1]."""
+    blocks, sums = CharacterMatrix.blocks, CharacterMatrix.sums
 
-    def corrupt(self, rows):
+    def corrupt_blocks(self, rows):
         for r, W in blocks(self, rows):
             W = W.copy()
-            W[:, min(1, W.shape[1] - 1)] *= 1 + 1e-6  # chi(1); chi(0) mod 1
+            W[:, min(1, W.shape[1] - 1)] *= 1 + 1e-6
             yield r, W
 
-    monkeypatch.setattr(CharacterMatrix, "blocks", corrupt)
+    def corrupt_sums(self, f):
+        return sums(self, f) + 1e-6 * np.asarray(f)[..., min(1, self.modulus - 1), None]
+
+    monkeypatch.setattr(CharacterMatrix, "blocks", corrupt_blocks)
+    monkeypatch.setattr(CharacterMatrix, "sums", corrupt_sums)
 
 
 @pytest.mark.parametrize("check,args,counts", SMALL, ids=IDS)
@@ -70,30 +76,33 @@ def test_corrupted_rows_fail(check, args, counts, monkeypatch):
     assert not check(*args).passed
 
 
+# the checks whose sums over n come from CharacterMatrix.sums
+SUMS = [(check, args) for check, args, _ in SMALL if check is not verify._check_polya_vinogradov]
+
+
+@pytest.mark.parametrize("check,args", SUMS, ids=[check.__name__ for check, _ in SUMS])
+def test_corrupted_sums_fail(check, args, monkeypatch):
+    sums = CharacterMatrix.sums
+    monkeypatch.setattr(CharacterMatrix, "sums", lambda self, f: sums(self, f) * (1 + 1e-6))
+    assert not check(*args).passed
+
+
 @pytest.mark.parametrize(
     "check,args,weights",
     [
-        (verify._check_gauss_modulus, (60,), "finite_weights"),
-        (verify._check_half_sum, (41,), "finite_weights"),
-        (verify._check_exact_vs_series, (60,), "finite_weights"),
+        (verify._check_gauss_modulus, (60,), "_phases"),
+        (verify._check_half_sum, (41,), "_phases"),
+        (verify._check_exact_vs_series, (60,), "_phases"),
         (verify._check_exact_vs_series, (60,), "digamma_weights"),
-        (verify._check_bridges, (60,), "finite_weights"),
-        (verify._check_euler_calibration, (100, 200, 1e3), "finite_weights"),
+        (verify._check_bridges, (60,), "digamma_weights"),
+        (verify._check_euler_calibration, (100, 200, 1e3), "_euler_logs"),
+        (verify._check_half_sum, (41,), "digamma_weights"),
     ],
 )
 def test_corrupted_weights_fail(check, args, weights, monkeypatch):
+    # the weight vectors f the scans pass to CharacterMatrix.sums
     original = getattr(verify, weights)
-
-    def corrupt(q):
-        w = original(q)
-        if isinstance(w, np.ndarray):  # digamma_weights
-            return w * (1 + 1e-6)
-        # finite_weights: every phase of each (m, e(n/q_i)) pair, a and log sin(pi a/q)
-        w.tau_pieces = [(m, e * (1 + 1e-6)) for m, e in w.tau_pieces]
-        w.a, w.logsin = w.a * (1 + 1e-6), w.logsin * (1 + 1e-6)
-        return w
-
-    monkeypatch.setattr(verify, weights, corrupt)
+    monkeypatch.setattr(verify, weights, lambda *a: original(*a) * (1 + 1e-6))
     assert not check(*args).passed
 
 
