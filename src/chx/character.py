@@ -22,10 +22,11 @@ gather over its log tables (`_component_rows`, p^a entries), and the
 components multiply in, in component order from ones, through slices and
 period views that start at phase lo mod p^a, so an entry has the same bits
 whichever range it is built in.  `DirichletCharacter.value_table` (one row,
-all columns), `DirichletCharacter.value_blocks` (one row in column blocks of
-_BLOCK_ELEMENTS, through one reused buffer: O(block + sum p^a) bytes, the
-way search members are evaluated) and `CharacterMatrix.blocks` (row blocks
-of all characters mod q) all call it.  `CharacterMatrix.sums(f)` gives
+all columns), `_column_blocks` (one row from its component rows, in column
+blocks of _BLOCK_ELEMENTS up to a stop column, through one reused buffer:
+O(block + sum p^a) bytes, the way search members are evaluated; all columns
+by `DirichletCharacter.value_blocks`) and `CharacterMatrix.blocks` (row
+blocks of all characters mod q) all call it.  `CharacterMatrix.sums(f)` gives
 sum_n chi(n) f[n] for every chi mod q with no table at all: one DFT of f
 read on the grid of digit logs (`_unit_grid`, which `_log_tables` inverts).
 
@@ -459,9 +460,7 @@ class DirichletCharacter:
 
     def value_table(self) -> np.ndarray:
         """chi(n) for n = 0..q-1 as complex128 (0 on non-units)."""
-        q = self.modulus
-        _check_table_size(q)
-        return _table_rows(self._rows(), q)[0]
+        return _table_rows(self._rows(), self.modulus)[0]
 
     def value_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """(lo, block) over the value table in order: block[i] = chi(lo + i),
@@ -469,12 +468,12 @@ class DirichletCharacter:
         value_table()'s.  Every block is the same buffer, refilled by the
         next, so a caller may overwrite it.  A modulus past the table cap is
         refused by the call, before any work: it bounds time, not memory."""
-        q = self.modulus
-        _check_table_size(q)
-        return _column_blocks(self._rows(), q)
+        return _column_blocks(self._rows(), self.modulus)
 
     def _rows(self) -> list:
-        """Each component's values mod p^a, as `_table_rows` takes them."""
+        """Each component's values mod p^a, as `_table_rows` takes them; a
+        modulus past the table cap is refused first."""
+        _check_table_size(self.modulus)
         return [_component_rows(c, np.array([c.t]), c.roots()) for c in self.components]
 
     # -- algebra -----------------------------------------------------------
@@ -556,12 +555,13 @@ def _table_rows(rows: list, q: int, lo: int = 0, hi: int | None = None, out=None
     return out
 
 
-def _column_blocks(rows: list, q: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(lo, columns [lo, lo + _BLOCK_ELEMENTS) of the one table of `rows`),
-    all written into one buffer."""
-    buf = np.empty((1, min(q, _BLOCK_ELEMENTS)), dtype=np.complex128)
-    for lo in range(0, q, _BLOCK_ELEMENTS):
-        hi = min(lo + _BLOCK_ELEMENTS, q)
+def _column_blocks(rows: list, q: int, stop: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, columns [lo, lo + _BLOCK_ELEMENTS) of the one table of `rows`)
+    up to column `stop` (by default q), all written into one buffer."""
+    stop = q if stop is None else stop
+    buf = np.empty((1, min(stop, _BLOCK_ELEMENTS)), dtype=np.complex128)
+    for lo in range(0, stop, _BLOCK_ELEMENTS):
+        hi = min(lo + _BLOCK_ELEMENTS, stop)
         yield lo, _table_rows(rows, q, lo, hi, buf[:, : hi - lo])[0]
 
 

@@ -7,16 +7,18 @@ extremal-search heuristics, and the smoothed approximate functional
 equation (`l1_afe`).
 
 Production values of tau(chi) and L(1, chi) come from the finite formulas
-as dot products (~1e-12 relative), by one kernel, `l1_finite`, over one
-character's table in column blocks (`DirichletCharacter.value_blocks`,
-through `_FiniteScan`).  tau is a product of one short dot per prime power
-q_i || q, over the entries at the CRT lifts of n q/q_i (O(sum q_i)), copied
-out of the blocks they fall in; L(1, chi) is a dot with the weights a or
-log sin(pi a/q) for the character's parity, summed per block over that
-block's weights only, the partials added by fsum, so no array of length q
-is held past the prime powers' own.  `gauss_sum` and `l1_exact` evaluate
-the same formulas with compensated sums; they are the kernel's oracles.
-(All characters of one modulus at once: `character.CharacterMatrix.sums`.)
+as dot products (~1e-12 relative), by one kernel, `l1_finite` (through
+`_FiniteScan`).  tau is a product of one short dot per prime power
+q_i || q, read straight from chi's component rows at n q/q_i mod q_i
+(`_tau`, O(sum q_i), no table).  L(1, chi) reads only the columns
+[0, ceil(q/2)) of chi's table, in column blocks (`character._column_blocks`):
+chi(q - a) = chi(-1) chi(a) folds the sum onto a < q/2, with the weights
+2a - q or 2 log sin(pi a/q) for the character's parity, summed per block
+over that block's weights only, the partials added by fsum, so no array of
+length q is held past the prime powers' own.  `gauss_sum` and `l1_exact`
+evaluate the same formulas over the whole period with compensated sums;
+they are the kernel's oracles.  (All characters of one modulus at once:
+`character.CharacterMatrix.sums`.)
 
 The AFE reads chi(n) only for n <= N ~ 5 sqrt(q), so it costs O(sqrt q)
 time and memory per character where the finite formulas cost O(q): it
@@ -29,15 +31,13 @@ scaled by the solve's conditioning; ~1e-13 relative in practice).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.special import digamma
 
-from .character import _DLOG_TABLE_CAP, DirichletCharacter, values_up_to
+from .character import _DLOG_TABLE_CAP, DirichletCharacter, _column_blocks, values_up_to
 from .errors import ConstraintError, ResourceError
 from .ntheory import sieve_primes
 
@@ -144,9 +144,10 @@ def l1_exact(chi: DirichletCharacter) -> LValue:
         s = _fsum_complex(vals * a)
         value = 1j * math.pi * tau / (q * q) * s
     else:
-        x = (math.pi / q) * a
-        # a runs over 1..q-1 so the argument stays inside (0, pi)
-        if not (0.0 < x[0] and x[-1] < math.pi):
+        # sin(pi a/q) = sin(pi (q - a)/q): the argument is taken in (0, pi/2],
+        # where log sin keeps its accuracy; the sum stays over the whole period
+        x = (math.pi / q) * np.minimum(a, q - a)
+        if not (0.0 < x.min() and x.max() < math.pi):
             raise AssertionError(f"log sin argument left (0, pi) for q={q}")
         s = _fsum_complex(vals * np.log(np.sin(x)))
         value = -(tau / q) * s
@@ -280,58 +281,63 @@ def _finite_l1(tau, s, q: int, odd: bool):
     return 1j * math.pi * tau / (q * q) * s if odd else -(tau / q) * s
 
 
+def _tau(rows: list, q: int) -> complex:
+    """tau(chi) from chi's component rows (`DirichletCharacter._rows`), with
+    no table: the product over q_i || q of the dots of chi at the CRT lifts
+    m[n] = n (q/q_i) mod q_i, 1 mod q/q_i with e(n/q_i), n < q_i (each dot is
+    chi_i(q/q_i) tau(chi_i); a prime power has the one dot with e(n/q)).
+
+    chi(m[n]) is the row's entry at n (q/q_i) mod q_i times the other
+    components' exact 1 at 1, so each dot has the bits of the same dot over
+    the table, in O(sum q_i).  q = 1 has no components and tau = 1."""
+    dots = []
+    for r in rows:
+        qi = r.shape[1]
+        entries = r[0] if qi == q else r[0, np.arange(qi) * (q // qi) % qi]
+        dots.append(np.dot(entries, _phases(qi)))
+    return complex(math.prod(dots))
+
+
 class _FiniteScan:
-    """(tau(chi), L(1, chi)) by the finite formulas of `l1_exact`, from chi's
-    value table read in column blocks, in order.
+    """(tau(chi), L(1, chi)) by the finite formulas of `l1_exact`, with tau
+    from chi's component rows (`_tau`) and L(1, chi) from the columns
+    [0, stop = ceil(q/2)) of chi's value table, read in blocks, in order.
 
-    tau(chi) = prod_i sum_{n < q_i} chi(m[n]) e(n/q_i) over q_i || q, with
-    the CRT lifts m[n] = n (q/q_i) mod q_i, 1 mod q/q_i (each dot is
-    chi_i(q/q_i) tau(chi_i)); a prime power has the one identity piece.
-    Each block's entries at a piece's lifts are copied into its vector.
-    Each block's L(1) dot takes the weights a or log sin(pi a/q) of its own
-    columns; the partial sums are added by fsum.  `add` only reads the
-    block."""
+    chi(q - a) = chi(-1) chi(a) folds each sum onto a < q/2: the weights are
+    2a - q for odd chi and 2 log sin(pi a/q) for even chi (for even q,
+    a = q/2 is not a unit).  Each block's dot takes its own columns'
+    weights; the partial sums are added by fsum.  `add` only reads the
+    block, and ignores its columns past stop."""
 
-    def __init__(self, chi: DirichletCharacter):
+    def __init__(self, chi: DirichletCharacter, rows: list):
         q = self.q = chi.modulus
         self.odd = chi.parity() == -1
-        self._pieces = []  # (sorted lifts, their n, chi at the lifts by n, e(n/q_i))
-        for qi in [c.pa for c in chi.components] or [q]:
-            lifts = order = None
-            if qi < q:
-                c = q // qi
-                # n c is n c mod q_i and 0 mod c; q_i (q_i^-1 mod c) is 0 mod q_i and 1 mod c
-                m = (np.arange(qi, dtype=np.int64) * c + qi * pow(qi, -1, c)) % q
-                order = np.argsort(m)
-                lifts = m[order]
-            self._pieces.append((lifts, order, np.empty(qi, dtype=np.complex128), _phases(qi)))
+        self.stop = (q + 1) // 2
+        self.tau = _tau(rows, q)
         self._partials = []
 
     def add(self, lo: int, block: np.ndarray) -> None:
-        hi = lo + len(block)
-        for lifts, order, entries, _ in self._pieces:
-            if lifts is None:
-                entries[lo:hi] = block
-            else:
-                i, j = np.searchsorted(lifts, (lo, hi))
-                entries[order[i:j]] = block[lifts[i:j] - lo]
-        a = np.arange(max(lo, 1), hi, dtype=np.float64)  # chi(0) = 0 has no weight
-        w = a if self.odd else np.log(np.sin((math.pi / self.q) * a))
-        self._partials.append(w @ block[hi - lo - len(a) :].view(np.float64).reshape(-1, 2))
+        first, hi = max(lo, 1), min(lo + len(block), self.stop)  # chi(0) = 0 has no weight
+        if first >= hi:
+            return
+        a = np.arange(first, hi, dtype=np.float64)
+        w = 2.0 * a - self.q if self.odd else 2.0 * np.log(np.sin((math.pi / self.q) * a))
+        self._partials.append(w @ block[first - lo : hi - lo].view(np.float64).reshape(-1, 2))
 
     def result(self) -> tuple[complex, LValue]:
-        tau = reduce(operator.mul, (np.dot(entries, e) for _, _, entries, e in self._pieces))
         re, im = (math.fsum(p) for p in zip(*self._partials))
-        value = _finite_l1(tau, complex(re, -im), self.q, self.odd)
-        return complex(tau), _finite_lvalue(complex(value), self.q)
+        value = _finite_l1(self.tau, complex(re, -im), self.q, self.odd)
+        return self.tau, _finite_lvalue(complex(value), self.q)
 
 
 def l1_finite(chi: DirichletCharacter) -> tuple[complex, LValue]:
-    """(tau(chi), L(1, chi)) for one character by the kernel, over its value
+    """(tau(chi), L(1, chi)) for one character by the kernel: tau from its
+    component rows, L(1, chi) over the columns [0, ceil(q/2)) of its value
     table in column blocks."""
     _require_primitive_nonprincipal(chi)
-    blocks, scan = chi.value_blocks(), _FiniteScan(chi)
-    for lo, block in blocks:
+    rows = chi._rows()
+    scan = _FiniteScan(chi, rows)
+    for lo, block in _column_blocks(rows, chi.modulus, scan.stop):
         scan.add(lo, block)
     return scan.result()
 

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .character import DirichletCharacter, _check_table_size, product_character
+from .character import DirichletCharacter, _check_table_size, _column_blocks, product_character
 from .charsum import CSV_COLUMNS, _MScan
 from .lfunction import (
     LValue,
@@ -103,19 +103,22 @@ def evaluate_character(
     """Evaluate L(1, chi) (exact and optionally Euler-truncated), M(chi),
     tau(chi), and optionally L(1, chi*xi) for a companion character xi.
 
-    chi's value table is read once, in column blocks through one reused
-    buffer (`DirichletCharacter.value_blocks`): each block feeds the tau and
-    L(1) sums, then becomes its own prefix sums for M(chi).  chi*xi's table
-    is read the same way for L(1, chi*xi).  A member holds O(block + sum p^a)
-    bytes, not O(q), and a modulus past the table cap (chi*xi's, when it is
+    chi's component rows are built once: tau(chi) comes from them directly,
+    and chi's value table is read from them once, in column blocks through
+    one reused buffer (`character._column_blocks`).  Each block below
+    ceil(q/2) feeds the L(1) sum, then every block becomes its own prefix
+    sums for M(chi).  chi*xi's table is read only on [0, ceil(q/2)) for
+    L(1, chi*xi) (`l1_finite`).  A member holds O(block + sum p^a) bytes,
+    not O(q), and a modulus past the table cap (chi*xi's, when it is
     larger) is refused before any work.
     """
     _require_primitive_nonprincipal(chi)
     twisted = product_character(chi, xi) if xi is not None and not xi.is_principal else None
     _check_table_size(chi.modulus if twisted is None else twisted.modulus)
-    blocks, finite, sums = chi.value_blocks(), _FiniteScan(chi), _MScan(chi.modulus)
-    for lo, block in blocks:
-        finite.add(lo, block)
+    rows = chi._rows()
+    finite, sums = _FiniteScan(chi, rows), _MScan(chi.modulus)
+    for lo, block in _column_blocks(rows, chi.modulus):
+        finite.add(lo, block)  # the columns below ceil(q/2) only
         sums.add(lo, block)  # overwrites the block: last
     tau, l1 = finite.result()
     msum = sums.record()

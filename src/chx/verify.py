@@ -35,8 +35,8 @@ from .families import (
 from .lfunction import (
     PrimeSumSpec,
     _finite_l1,
-    _FiniteScan,
     _phases,
+    _tau,
     digamma_weights,
     gauss_sum,
     l1_afe,
@@ -153,13 +153,11 @@ def _max_partial_sums(W: np.ndarray) -> np.ndarray:
 
 def _gauss_tie(chi) -> float:
     """How far the oracle gauss_sum is from |tau| = sqrt(q), and the
-    production tau (`_FiniteScan`) from gauss_sum, relative to sqrt(q)."""
+    production tau (`_tau`, from the component rows) from gauss_sum,
+    relative to sqrt(q)."""
     tau = gauss_sum(chi)
     rq = math.sqrt(chi.modulus)
-    scan = _FiniteScan(chi)
-    for lo, block in chi.value_blocks():
-        scan.add(lo, block)
-    return max(abs(abs(tau) - rq), abs(scan.result()[0] - tau)) / rq
+    return max(abs(abs(tau) - rq), abs(_tau(chi._rows(), chi.modulus) - tau)) / rq
 
 
 def _check_gauss_modulus(q_max: int = 1000) -> CheckResult:
@@ -244,7 +242,8 @@ def _check_exact_vs_series(q_max: int = 500) -> CheckResult:
         rows = np.flatnonzero(cm.primitive)
         a = np.arange(q, dtype=np.float64)
         logsin = np.zeros(q)
-        logsin[1:] = np.log(np.sin((math.pi / q) * a[1:]))
+        # sin(pi a/q) = sin(pi (q - a)/q), taken where the argument is at most pi/2
+        logsin[1:] = np.log(np.sin((math.pi / q) * np.minimum(a[1:], q - a[1:])))
         f = np.stack([_phases(q), a, logsin, digamma_weights(q)])
         tau, s_odd, s_even, oracle = cm.sums(f)[:, rows]
         # the weights are real: sum_a conj(chi(a)) w[a] is the conjugate of the sum

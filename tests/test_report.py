@@ -9,11 +9,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chx import character, cli, verify
+from chx import character, cli, lfunction, verify
 from chx.character import (
+    all_characters,
     character_from_id,
     character_from_index,
     kronecker_character,
+    principal_character,
     product_character,
 )
 from chx.charsum import max_partial_sum
@@ -68,11 +70,11 @@ def test_evaluate_character_builds_one_table_per_character(monkeypatch):
         built.append((q, lo, q if hi is None else hi))
         return table_rows(rows, q, lo, hi, out)
 
-    def covered(q):
-        """The column ranges built mod q, in order; each must start where
-        the last one ended."""
+    def covered(q, stop):
+        """The number of column ranges built mod q, which must cover
+        [0, stop) once, in order, each starting where the last one ended."""
         spans = [(lo, hi) for m, lo, hi in built if m == q]
-        assert spans and spans[0][0] == 0 and spans[-1][1] == q
+        assert spans and spans[0][0] == 0 and spans[-1][1] == stop
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
         return len(spans)
 
@@ -80,11 +82,15 @@ def test_evaluate_character_builds_one_table_per_character(monkeypatch):
     monkeypatch.setattr(character, "_BLOCK_ELEMENTS", 7)
     chi = character_from_id("q=40;comps=2^3:3,5:1")
     evaluate_character(chi, z=100.0)
-    assert {q for q, _, _ in built} == {40} and covered(40) == 6  # [0, 40) once
+    assert {q for q, _, _ in built} == {40} and covered(40, 40) == 6  # [0, 40) once
     built.clear()
     evaluate_character(chi, z=100.0, xi=kronecker_character(-3))
-    assert {q for q, _, _ in built} == {40, 120}  # chi and chi*xi, each once
-    assert covered(40) == 6 and covered(120) == 18
+    assert {q for q, _, _ in built} == {40, 120}  # chi whole, chi*xi's half period
+    assert covered(40, 40) == 6 and covered(120, 60) == 9
+    built.clear()
+    for chi in (character_from_id("q=120;comps=2^3:3,3:1,5:1"), kronecker_character(-3)):
+        l1_finite(chi)  # [0, ceil(q/2)) once: 60 columns mod 120, 2 mod 3
+    assert covered(120, 60) == 9 and covered(3, 2) == 1
 
 
 def _whole_table(chi):
@@ -102,6 +108,25 @@ def _whole_table(chi):
         lifts = [(np.arange(qi) * (q // qi) + qi * pow(qi, -1, q // qi)) % q for qi in pas]
         tau = math.prod(np.dot(W[m], _phases(len(m))) for m in lifts)
     return float(mags[i]), i, complex(tau)
+
+
+def test_finite_scan_tau_reads_no_table(monkeypatch):
+    # tau comes from the component rows with the bits of the whole table's
+    # dots at the CRT lifts, and builds no table at all
+    chars = [principal_character(1), kronecker_character(-4), kronecker_character(-8),
+             next(c for c in all_characters(64) if c.is_primitive), character_from_index(1009, 7),
+             character_from_id("q=301771;comps=523:174,577:384"),
+             character_from_id("q=8072;comps=2^3:3,1009:5"),
+             next(c for c in all_characters(840) if c.is_primitive)]
+    want = [_whole_table(chi)[2] for chi in chars]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tau built a value table")
+
+    monkeypatch.setattr(character, "_table_rows", refuse)
+    got = [lfunction._FiniteScan(chi, chi._rows()).tau for chi in chars]
+    assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+    assert got[0] == 1.0 + 0.0j  # q = 1: no components
 
 
 def _close(got, want, rel=1e-13):
