@@ -230,7 +230,10 @@ def cmd_verify(args) -> int:
         write_json(outdir / "summary.json", summary)
         man = _manifest("verify", {"suite": args.suite}, started,
                         {"summary": outdir / "summary.json"})
-        write_json(outdir / "manifest.json", man.to_json_dict())
+        # per-check wall seconds go in the manifest; the summary stays byte-identical
+        seconds = {f"{s.suite}:{c.name}": t
+                   for s in suites for c, t in zip(s.checks, s.seconds)}
+        write_json(outdir / "manifest.json", {**man.to_json_dict(), "seconds": seconds})
     print(f"verify {args.suite}: {'PASS' if passed else 'FAIL'}")
     return EXIT_OK if passed else EXIT_VERIFY_FAIL
 

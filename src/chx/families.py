@@ -441,6 +441,11 @@ def extremal_pipeline(
         xi = principal_character(1) if xi_conductor == 1 else kronecker_character(-3)
         tspec = QuadTwistSpec(Q, k, delta, xi=xi, y=(math.log(Q) / 3.0) * y_mult)
         fam = twisted_family(tspec)
+        if not fam.members:
+            raise ConstraintError(
+                f"empty family: {mode} at Q={Q:g} has no fundamental d with |d| <= "
+                f"Q^(1/3) = {tspec.D:.4g} and the required signature up to y = {tspec.y:.4g}"
+            )
         chars = [mem.chi for mem in fam.members]
         y_used, substituted = fam.base_y_used, fam.base_substituted
     # refuse before evaluating: the largest table is chi xi's in the twisted modes

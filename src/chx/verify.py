@@ -6,7 +6,8 @@ of its `character.CharacterMatrix`.  Each linear sum over n -- tau(chi) by
 its definition, L(1, chi) by the digamma weights and by the finite formulas,
 the half sum, the log of the Euler product -- is one `CharacterMatrix.sums`
 call per modulus, a DFT over the unit group; only M(chi), a row-wise
-cumulative sum, reads the value rows (`CharacterMatrix.blocks`).
+cumulative sum over the first half period, reads the value rows
+(`CharacterMatrix.blocks`).
 Fixed spot samples tie each scan to the per-character functions that stay
 the authority (`gauss_sum`, `l1_exact`, the digamma series,
 `half_sum_check`, `max_partial_sum`, `bridge_bounds`, `l1_truncated_euler`),
@@ -17,6 +18,7 @@ character fails.
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,8 +58,6 @@ from .moments import (
 )
 from .ntheory import factor, sieve_primes
 
-SUITE_NAMES = ("identities", "census", "bounds", "moments")
-
 _SEED = 20260815
 
 
@@ -70,8 +70,12 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class SuiteResult:
+    """One suite's check results, with each check's wall seconds (in the
+    same order), which stay out of the JSON dict."""
+
     suite: str
     checks: list
+    seconds: list
 
     @property
     def passed(self) -> bool:
@@ -143,8 +147,10 @@ class _Worst:
 
 
 def _max_partial_sums(W: np.ndarray) -> np.ndarray:
-    """M(chi) = max_x |sum_{n<=x} chi(n)| for each row of value tables W."""
-    return np.abs(np.cumsum(W, axis=1)).max(axis=1)
+    """M(chi) = max_x |S(x)|, S(x) = sum_{n<=x} chi(n), for each row of value
+    tables W of non-principal characters.  S(q-1-x) = -chi(-1) S(x), so the
+    maximum is taken over x < ceil(q/2)."""
+    return np.abs(np.cumsum(W[:, : (W.shape[1] + 1) // 2], axis=1)).max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -345,26 +351,14 @@ def _check_b_combinatorics() -> CheckResult:
     return CheckResult("b_combinatorics", bool(ok), details)
 
 
-def suite_identities() -> SuiteResult:
-    return SuiteResult(
-        "identities",
-        [
-            _check_gauss_modulus(),
-            _check_half_sum(),
-            _check_exact_vs_series(),
-            _check_afe_vs_exact(),
-            _check_b_combinatorics(),
-        ],
-    )
-
-
 # ---------------------------------------------------------------------------
 # census suite
 
 
 def _check_order_counts(q_max: int = 2000) -> CheckResult:
     """Exactly phi(k) order-k characters mod a prime q = 1 mod k, checked
-    against a brute-force order scan over all q-1 characters."""
+    against a brute-force order scan over all q-1 characters: the character
+    of index t has order (q-1)/gcd(t, q-1)."""
     cells, ok = 0, True
     primes = [int(p) for p in sieve_primes(q_max).primes if p < q_max]
     for k in range(2, 9):
@@ -373,7 +367,7 @@ def _check_order_counts(q_max: int = 2000) -> CheckResult:
             if q % k != 1:
                 continue
             chars = order_k_characters(q, k)
-            brute = sum(1 for t in range(q - 1) if (q - 1) // math.gcd(t, q - 1) == k)
+            brute = np.count_nonzero((q - 1) // np.gcd(np.arange(q - 1), q - 1) == k)
             ok &= len(chars) == phi_k == brute
             ok &= all(chi.order == k for chi in chars)
             cells += 1
@@ -418,13 +412,6 @@ def _check_fundamental_census() -> CheckResult:
                 )
     return CheckResult(
         "fundamental_census", bool(ok), {"worst_deviation": worst, "cells": cells}
-    )
-
-
-def suite_census() -> SuiteResult:
-    return SuiteResult(
-        "census",
-        [_check_order_counts(), _check_pair_witness(), _check_fundamental_census()],
     )
 
 
@@ -577,52 +564,45 @@ def _check_polya_vinogradov(q_max: int = 1000) -> CheckResult:
     )
 
 
-def suite_bounds() -> SuiteResult:
-    return SuiteResult(
-        "bounds",
-        [_check_bridges(), _check_euler_calibration(), _check_polya_vinogradov()],
-    )
-
-
 # ---------------------------------------------------------------------------
 # moments suite
 
 
+def _implied_constants(family, rs, window: PrimeSumSpec) -> tuple:
+    """empirical_moment of `family` at each r in rs over `window` (its regime
+    warnings silenced): the records by r, and their implied constants keyed
+    "r<r>"."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        recs = {r: empirical_moment(MomentSpec(family, r, window)) for r in rs}
+    return recs, {f"r{r}": rec.implied_constant for r, rec in recs.items()}
+
+
 def _quad_moment_oracle_r1(fam: QuadFamilySpec, window: PrimeSumSpec) -> float:
-    """sum_d |sum_p chi_d(p)/p|^2 by the swapped double loop over prime
-    pairs, with exact inner character sums."""
+    """sum_d |sum_p chi_d(p)/p|^2 / |family| by the swapped double sum over
+    prime pairs: with C[i] = chi_d(p_i) over the family's d (exact 1, -1, 0),
+    the inner character sums are the Gram matrix C C^T."""
     ds = fam.d_values()
-    ps = [int(p) for p in window.primes()]
-    cols = {p: _kronecker_column(ds, p).astype(np.float64) for p in ps}
-    total = 0.0
-    for p1 in ps:
-        for p2 in ps:
-            total += float(np.dot(cols[p1], cols[p2])) / (p1 * p2)
-    return total / len(ds)
+    ps = window.primes().astype(np.float64)
+    C = np.empty((len(ps), len(ds)))
+    for i, p in enumerate(ps):
+        C[i] = _kronecker_column(ds, int(p))
+    return float(np.sum(C @ C.T / np.outer(ps, ps))) / len(ds)
 
 
 def _check_quad_moments() -> CheckResult:
     fam = QuadFamilySpec(1e5)
     window = PrimeSumSpec(10, 1000)
-    implied = {}
-    ok = True
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for r in (1, 2, 3):
-            rec = empirical_moment(MomentSpec(fam, r, window))
-            implied[f"r{r}"] = rec.implied_constant
-            ok &= rec.implied_constant <= 10.0
-        oracle = _quad_moment_oracle_r1(fam, window)
-        rec1 = empirical_moment(MomentSpec(fam, 1, window))
-    rel = abs(rec1.lhs_avg - oracle) / abs(oracle)
-    ok &= rel <= 1e-12
+    recs, implied = _implied_constants(fam, (1, 2, 3), window)
+    oracle = _quad_moment_oracle_r1(fam, window)
+    rel = abs(recs[1].lhs_avg - oracle) / abs(oracle)
     return CheckResult(
         "quadratic_moments",
-        bool(ok),
+        all(c <= 10.0 for c in implied.values()) and rel <= 1e-12,
         {
             "Q": 1e5,
             "window": [10, 1000],
-            "family_size": rec1.family_size,
+            "family_size": recs[1].family_size,
             "implied_constants": implied,
             "oracle_rel_diff_r1": rel,
         },
@@ -632,26 +612,17 @@ def _check_quad_moments() -> CheckResult:
 def _check_orderk_moments() -> CheckResult:
     spec = OrderKFamilySpec(1e4, 2)
     window = PrimeSumSpec(10, 1000)
-    implied = {}
-    ok = True
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for r in (1, 2):
-            rec = empirical_moment(MomentSpec(spec, r, window))
-            implied[f"r{r}"] = rec.implied_constant
-            ok &= rec.implied_constant <= 10.0
-        rec1 = empirical_moment(MomentSpec(spec, 1, window))
+    recs, implied = _implied_constants(spec, (1, 2), window)
     # independent member-by-member oracle via prime_sum
     total = 0.0
     n = 0
     for _, chi in generate_family(spec):
         total += abs(prime_sum(chi, window)) ** 2
         n += 1
-    rel = abs(rec1.lhs_avg - total / n) / (total / n)
-    ok &= rel <= 1e-12
+    rel = abs(recs[1].lhs_avg - total / n) / (total / n)
     return CheckResult(
         "orderk_moments",
-        bool(ok),
+        all(c <= 10.0 for c in implied.values()) and rel <= 1e-12,
         {
             "Q": 1e4,
             "k": 2,
@@ -663,27 +634,32 @@ def _check_orderk_moments() -> CheckResult:
     )
 
 
-def suite_moments() -> SuiteResult:
-    return SuiteResult("moments", [_check_quad_moments(), _check_orderk_moments()])
-
-
 # ---------------------------------------------------------------------------
 
 
-_SUITE_RUNNERS = {
-    "identities": suite_identities,
-    "census": suite_census,
-    "bounds": suite_bounds,
-    "moments": suite_moments,
+# each suite's checks, in the order they run and report
+_SUITES = {
+    "identities": (_check_gauss_modulus, _check_half_sum, _check_exact_vs_series,
+                   _check_afe_vs_exact, _check_b_combinatorics),
+    "census": (_check_order_counts, _check_pair_witness, _check_fundamental_census),
+    "bounds": (_check_bridges, _check_euler_calibration, _check_polya_vinogradov),
+    "moments": (_check_quad_moments, _check_orderk_moments),
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(name: str) -> list:
-    """Run one named suite, or all of them."""
-    if name == "all":
-        return [_SUITE_RUNNERS[s]() for s in SUITE_NAMES]
-    if name not in _SUITE_RUNNERS:
+    """Run one named suite, or all of them, timing each check."""
+    if name != "all" and name not in _SUITES:
         raise ValueError(
             f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}"
         )
-    return [_SUITE_RUNNERS[name]()]
+    results = []
+    for suite in SUITE_NAMES if name == "all" else (name,):
+        checks, seconds = [], []
+        for check in _SUITES[suite]:
+            t0 = time.perf_counter()
+            checks.append(check())
+            seconds.append(time.perf_counter() - t0)
+        results.append(SuiteResult(suite, checks, seconds))
+    return results

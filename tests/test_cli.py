@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -122,6 +123,16 @@ def test_search_empty_family_exit_3(mode, k, tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("Q", ["1e4", "1e5"])
+def test_search_empty_twist_family_exit_3(Q, tmp_path, capsys):
+    # the base pair exists, but no fundamental d up to Q^(1/3) has the signature
+    argv = ["search", "--mode", "odd_sum", "--Q", Q, "--k", "2", "--out", str(tmp_path)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"empty family: odd_sum at Q={float(Q):g}" in err and "Traceback" not in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_eval_oversized_composite_refused_before_any_table(tmp_path, capsys, monkeypatch):
     # 8191 * 8209 > 2**26, though each component's own tables are small
     def refuse(*args, **kwargs):
@@ -221,6 +232,16 @@ def test_verify_moments_suite(tmp_path, capsys):
     assert "started_at" not in summary
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert man["started_at"] and man["finished_at"]
+
+
+def test_verify_manifest_times_each_check(tmp_path, capsys):
+    assert main(["verify", "census", "--out", str(tmp_path)]) == 0
+    names = ["census:order_k_census", "census:pair_witness", "census:fundamental_census"]
+    seconds = json.loads((tmp_path / "manifest.json").read_text())["seconds"]
+    assert sorted(seconds) == sorted(names)  # canonical JSON sorts its keys
+    assert all(math.isfinite(t) and t >= 0 for t in seconds.values())
+    summary = (tmp_path / "summary.json").read_text()
+    assert "seconds" not in summary
 
 
 def test_verify_unknown_suite_usage_error():

@@ -4,12 +4,16 @@ corrupted weight, matrix row or character sum fails the check it feeds."""
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from chx import verify
 from chx.character import CharacterMatrix
+from chx.lfunction import PrimeSumSpec
+from chx.moments import QuadFamilySpec
+from chx.ntheory import kronecker
 
 # (check, arguments, the detail counts of the per-character loops they replaced)
 SMALL = [
@@ -124,6 +128,24 @@ def test_empty_scan_fails(check, args, counts):
     assert {k: res.detail[k] for k in counts} == counts
 
 
+@pytest.mark.parametrize("q", [3, 4, 8, 9, 12, 45, 120, 1009])
+def test_half_period_max_partial_sums(q):
+    # S(q-1-x) = -chi(-1) S(x) for every non-principal chi, imprimitive ones too
+    cm = CharacterMatrix(q)
+    for _, W in cm.blocks(np.flatnonzero(cm.order > 1)):
+        full = np.abs(np.cumsum(W, axis=1)).max(axis=1)
+        assert np.allclose(verify._max_partial_sums(W), full, rtol=0, atol=1e-10)
+
+
+def test_quad_moment_oracle_matches_exact_average():
+    # the Gram product against the per-d average of (sum_p chi_d(p)/p)^2 in rationals
+    fam, window = QuadFamilySpec(2000), PrimeSumSpec(10, 100)
+    ps = [int(p) for p in window.primes()]
+    ds = [int(d) for d in fam.d_values()]
+    exact = sum(sum(Fraction(kronecker(d, p), p) for p in ps) ** 2 for d in ds) / len(ds)
+    assert abs(verify._quad_moment_oracle_r1(fam, window) / exact - 1) <= 1e-14
+
+
 def test_afe_vs_exact_ties_and_fails_when_corrupted(monkeypatch):
     res = verify._check_afe_vs_exact()
     assert res.passed, res.detail
@@ -135,3 +157,17 @@ def test_afe_vs_exact_ties_and_fails_when_corrupted(monkeypatch):
 
     monkeypatch.setattr(verify, "l1_afe", corrupt)
     assert not verify._check_afe_vs_exact().passed
+
+
+def test_suite_table_pins_every_check():
+    # read without running a check: dropping one from a suite fails here
+    v = verify
+    assert verify._SUITES == {
+        "identities": (v._check_gauss_modulus, v._check_half_sum, v._check_exact_vs_series,
+                       v._check_afe_vs_exact, v._check_b_combinatorics),
+        "census": (v._check_order_counts, v._check_pair_witness, v._check_fundamental_census),
+        "bounds": (v._check_bridges, v._check_euler_calibration, v._check_polya_vinogradov),
+        "moments": (v._check_quad_moments, v._check_orderk_moments),
+    }
+    assert verify.SUITE_NAMES == ("identities", "census", "bounds", "moments")
+    assert [len(checks) for checks in verify._SUITES.values()] == [5, 3, 3, 2]
