@@ -24,11 +24,11 @@ period views that start at phase lo mod p^a, so an entry has the same bits
 whichever range it is built in.  `DirichletCharacter.value_table` (one row,
 all columns), `_column_blocks` (one row from its component rows, in column
 blocks of _BLOCK_ELEMENTS up to a stop column, through one reused buffer:
-O(block + sum p^a) bytes, the way search members are evaluated; all columns
-by `DirichletCharacter.value_blocks`) and `CharacterMatrix.blocks` (row
-blocks of all characters mod q) all call it.  `CharacterMatrix.sums(f)` gives
-sum_n chi(n) f[n] for every chi mod q with no table at all: one DFT of f
-read on the grid of digit logs (`_unit_grid`, which `_log_tables` inverts).
+O(block + sum p^a) bytes, the way search members are evaluated) and
+`CharacterMatrix.blocks` (row blocks of all characters mod q) all call it.
+`CharacterMatrix.sums(f)` gives sum_n chi(n) f[n] for every chi mod q with
+no table at all: one DFT of f read on the grid of digit logs (`_unit_grid`,
+which `_log_tables` inverts).
 
 `values_up_to(chars, N)` gives chi(n) for n <= N only, for characters of
 one odd modulus, with no table of length q: the digit logs of the primes up
@@ -461,14 +461,6 @@ class DirichletCharacter:
     def value_table(self) -> np.ndarray:
         """chi(n) for n = 0..q-1 as complex128 (0 on non-units)."""
         return _table_rows(self._rows(), self.modulus)[0]
-
-    def value_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """(lo, block) over the value table in order: block[i] = chi(lo + i),
-        _BLOCK_ELEMENTS columns at most, each entry bit-identical to
-        value_table()'s.  Every block is the same buffer, refilled by the
-        next, so a caller may overwrite it.  A modulus past the table cap is
-        refused by the call, before any work: it bounds time, not memory."""
-        return _column_blocks(self._rows(), self.modulus)
 
     def _rows(self) -> list:
         """Each component's values mod p^a, as `_table_rows` takes them; a

@@ -2,9 +2,9 @@
 from M(chi) to L-values.
 
 max_partial_sum is one cumulative sum over a period, `_MScan`, which reads
-the value table in column blocks (`DirichletCharacter.value_blocks`) and
-holds no array of length q; it returns only M(chi) and what is derived from
-it.  half_sum_check builds its own table and sums its half period with fsum.
+the value table in column blocks (`character._column_blocks`) and holds no
+array of length q; it returns only M(chi) and what is derived from it.
+half_sum_check builds its own table and sums its half period with fsum.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .character import DirichletCharacter, kronecker_character, product_character
+from .character import DirichletCharacter, _column_blocks, kronecker_character, product_character
 from .errors import ConstraintError
 from .lfunction import gauss_sum, l1_exact
 
@@ -71,7 +71,7 @@ def max_partial_sum(chi: DirichletCharacter) -> MsumRecord:
             "M(chi) is undefined for principal characters (linear growth)"
         )
     scan = _MScan(chi.modulus)
-    for lo, block in chi.value_blocks():
+    for lo, block in _column_blocks(chi._rows(), chi.modulus):
         scan.add(lo, block)
     return scan.record()
 

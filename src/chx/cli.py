@@ -65,14 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--mode", required=True, choices=_MODES)
     se.add_argument("--Q", required=True, type=float, help="family height, >= 1e4")
     se.add_argument("--k", required=True, type=int, help="character order")
-    se.add_argument("--y-mult", dest="y_mult", type=float, default=1.0,
-                    help="multiplier on the default signature cutoff y")
-    se.add_argument("--z", type=float, default=None,
-                    help="Euler truncation for the reported L1_euler column")
-    se.add_argument("--delta", type=int, choices=(1, -1), default=None,
-                    help="twist parity (twisted modes only)")
-    se.add_argument("--xi", type=int, choices=(1, 3), default=None,
-                    help="auxiliary twist conductor (twisted modes only)")
     se.add_argument("--jobs", type=int, default=1, help="worker processes")
     se.add_argument("--out", default=None,
                     help="directory for manifest.json, records.jsonl, records.csv")
@@ -161,34 +153,11 @@ def cmd_eval(args) -> int:
 def cmd_search(args) -> int:
     if not 1e4 <= args.Q < math.inf:
         raise ValueError(f"search requires a finite Q >= 1e4, got {args.Q:g}")
-    if not 0 < args.y_mult < math.inf:
-        raise ValueError(f"--y-mult must be finite and > 0, got {args.y_mult:g}")
-    _check_z(args.z)
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
-    if args.mode == "orderk":
-        for flag, value in (("--delta", args.delta), ("--xi", args.xi)):
-            if value is not None:
-                raise ValueError(f"{flag} applies to the twisted modes only, not --mode orderk")
-        if not args.y_mult * math.log(args.Q) < math.sqrt(args.Q):  # y stays below the window
-            raise ValueError(
-                f"--y-mult {args.y_mult:g} puts y = {args.y_mult * math.log(args.Q):g} at or past "
-                f"sqrt(Q) = {math.sqrt(args.Q):g}, where the orderk window starts"
-            )
-    else:
-        y = (math.log(args.Q) / 3.0) * args.y_mult  # the twisted signature cutoff
-        if y > math.log(args.Q) * (1.0 + 1e-12):  # out of range past log Q
-            raise ValueError(
-                f"--y-mult {args.y_mult:g} puts the signature cutoff y = {y:g} past "
-                f"log Q = {math.log(args.Q):g}, where the twisted family may be empty"
-            )
     started = _utcnow()
     outdir = _out_dir(args.out)
-    res = extremal_pipeline(
-        args.Q, args.k, args.mode,
-        y_mult=args.y_mult, z=args.z, delta=args.delta,
-        xi_conductor=args.xi, jobs=args.jobs,
-    )
+    res = extremal_pipeline(args.Q, args.k, args.mode, jobs=args.jobs)
     rank = "|L(1,chi)|" if args.mode == "orderk" else "M(chi)"
     print(f"mode {args.mode}  k={args.k}  Q={args.Q:g}  "
           f"members={res.family_size}  ranked by {rank}")
@@ -203,11 +172,7 @@ def cmd_search(args) -> int:
         }
         write_jsonl(paths["records_jsonl"], (r.to_json_dict() for r in res.records))
         write_csv(paths["records_csv"], (r.csv_row() for r in res.records))
-        params = {
-            "mode": args.mode, "Q": args.Q, "k": args.k,
-            "y_mult": args.y_mult, "z": args.z, "delta": args.delta,
-            "xi": args.xi, "jobs": args.jobs,
-        }
+        params = {"mode": args.mode, "Q": args.Q, "k": args.k, "jobs": args.jobs}
         man = _manifest("search", params, started, paths)
         write_json(outdir / "manifest.json", man.to_json_dict())
     return EXIT_OK

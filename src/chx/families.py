@@ -309,7 +309,9 @@ class QuadTwistSpec:
     def __post_init__(self):
         if not self.Q >= 16**3:
             raise ValueError(f"twist family needs Q >= {16 ** 3}, got {self.Q}")
-        if self.k % 2 != 0 or self.k < 2:
+        if not (isinstance(self.k, int) and self.k >= 2):
+            raise ValueError(f"character order must be an integer >= 2, got {self.k}")
+        if self.k % 2 != 0:
             raise ConstraintError(
                 "quadratic twists preserve order k only for even k; "
                 f"got k={self.k}"
@@ -400,18 +402,12 @@ class PipelineResult:
         return self.records[0] if self.records else None
 
 
-def extremal_pipeline(
-    Q: float,
-    k: int,
-    mode: str,
-    y_mult: float = 1.0,
-    z: Optional[float] = None,
-    delta: Optional[int] = None,
-    xi_conductor: Optional[int] = None,
-    jobs: int = 1,
-) -> PipelineResult:
+def extremal_pipeline(Q: float, k: int, mode: str, jobs: int = 1) -> PipelineResult:
     """Run one search: orderk ranks pigeonholed psi_tilde by |L(1, .)|;
-    odd_sum / even_sum rank twisted characters by M(chi)."""
+    odd_sum / even_sum rank twisted characters by M(chi).  Each mode fixes
+    its family: orderk at y = log Q, odd_sum at (delta, xi) = (-1, principal),
+    even_sum at (+1, (./3)), both at y = log Q / 3; every member's L1_euler
+    is truncated at z = (log Q)^2."""
     if mode not in ("orderk", "odd_sum", "even_sum"):
         raise ValueError(f"unknown search mode {mode!r}")
     if not Q >= 1e4:
@@ -425,21 +421,19 @@ def extremal_pipeline(
             f"exceed {min_conductor:.4g} >= 2**{_DLOG_TABLE_CAP.bit_length() - 1}, "
             "the value-table cap"
         )
-    if z is None:
-        z = math.log(Q) ** 2  # truncation (log Q)^A at the default A = 2
+    z = math.log(Q) ** 2  # truncation (log Q)^A at A = 2
     xi = None
     if mode == "orderk":
-        spec = OrderKFamilySpec(Q, k, y=y_mult * math.log(Q))
+        spec = OrderKFamilySpec(Q, k)
         res = pigeonhole_with_retry(spec)
         chars = [chi for _, chi in res.pairs]
         y_used, substituted = res.y_used, res.substituted
     else:
-        if delta is None:
-            delta = -1 if mode == "odd_sum" else 1
-        if xi_conductor is None:
-            xi_conductor = 1 if mode == "odd_sum" else 3
-        xi = principal_character(1) if xi_conductor == 1 else kronecker_character(-3)
-        tspec = QuadTwistSpec(Q, k, delta, xi=xi, y=(math.log(Q) / 3.0) * y_mult)
+        if mode == "odd_sum":
+            delta, xi = -1, principal_character(1)
+        else:
+            delta, xi = 1, kronecker_character(-3)
+        tspec = QuadTwistSpec(Q, k, delta, xi=xi)
         fam = twisted_family(tspec)
         if not fam.members:
             raise ConstraintError(
@@ -480,12 +474,14 @@ def _evaluate_many(chars, z, xi, jobs):
     return [evaluate(chi) for chi in chars]
 
 
+_BASELINE_MODULI = 25  # prime moduli random_l1_baseline draws its characters from
+
+
 def random_l1_baseline(
     Q: float,
     count: int = 500,
     order: Optional[int] = None,
     seed: int = 20260815,
-    n_moduli: int = 25,
 ) -> np.ndarray:
     """|L(1, chi)| for `count` random primitive characters of prime modulus
     in (Q, 4Q) (conductors comparable to the family's q1*q2 in (Q, 4Q)).
@@ -499,7 +495,7 @@ def random_l1_baseline(
         ps = ps[ps % order == 1]
     if len(ps) == 0:
         raise ConstraintError(f"no usable prime moduli in ({Q}, {4 * Q})")
-    moduli = rng.choice(ps, size=min(n_moduli, len(ps)), replace=False)
+    moduli = rng.choice(ps, size=min(_BASELINE_MODULI, len(ps)), replace=False)
     units = (
         [a for a in range(1, order + 1) if math.gcd(a, order) == 1]
         if order is not None

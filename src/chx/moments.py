@@ -26,6 +26,7 @@ _B_IDENTITY_MAX_PRIMES = 8
 _B_IDENTITY_MAX_T = 6
 _DIAGONAL_MAX_PRIMES = 6
 _DIAGONAL_MAX_R = 4
+_A = 2.0  # exponent in the z = (log Q)^A regime bookkeeping
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,6 @@ class MomentSpec:
     r: int
     window: PrimeSumSpec
     weights: Optional[Mapping[int, complex]] = None
-    A: float = 2.0  # exponent in the z = (log Q)^A regime bookkeeping
 
     def __post_init__(self):
         if self.r < 1:
@@ -233,13 +233,13 @@ def empirical_moment(spec: MomentSpec) -> MomentRecord:
         sums = _orderk_prime_sums(spec.family, primes, w)
         rhs_main = 2**r * math.factorial(r) * spec.family.Q * p2**r
         rhs_error = spec.family.Q ** (1.0 - 1.0 / (4.0 * k))
-        r_max = logQ / (3.0 * spec.A * k * k * loglogQ)
+        r_max = logQ / (3.0 * _A * k * k * loglogQ)
     elif isinstance(spec.family, QuadFamilySpec):
         kind = "quadratic"
         sums = _quadratic_prime_sums(spec.family, primes, w)
         rhs_main = math.factorial(2 * r) / math.factorial(r) * p2**r
         rhs_error = spec.family.Q ** (-1.0 / 3.0)
-        r_max = logQ / (6.0 * spec.A * loglogQ)
+        r_max = logQ / (6.0 * _A * loglogQ)
     else:
         raise TypeError(f"unsupported family {type(spec.family).__name__}")
     if len(sums) == 0:
@@ -247,7 +247,7 @@ def empirical_moment(spec: MomentSpec) -> MomentRecord:
     warned = r > r_max
     if warned:
         warnings.warn(
-            f"r={r} is outside the regime r <= {r_max:.2f} (A={spec.A})",
+            f"r={r} is outside the regime r <= {r_max:.2f} (A={_A})",
             stacklevel=2,
         )
     powers = np.abs(sums) ** (2 * r)

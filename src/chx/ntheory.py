@@ -21,6 +21,8 @@ import numpy as np
 _SEGMENT = 1 << 22
 _SIEVE_LIMIT_MAX = 1 << 32
 _TRIAL_BOUND = 10**6
+# mixing constant of the rho rng's seed: the library's only fixed randomness
+RHO_SEED_CONSTANT = 0x9E3779B97F4A7C15
 
 
 def _sieve(limit: int) -> np.ndarray:
@@ -146,7 +148,7 @@ def _trial_primes() -> list[int]:
 
 def _brent_rho(n: int) -> int:
     """One nontrivial factor of composite odd n (no prime factor < 10**6)."""
-    rng = random.Random(n * 0x9E3779B97F4A7C15 & (2**64 - 1))
+    rng = random.Random(n * RHO_SEED_CONSTANT & (2**64 - 1))
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)

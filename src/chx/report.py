@@ -25,6 +25,7 @@ from .lfunction import (
     l1_finite,
     l1_truncated_euler,
 )
+from .ntheory import RHO_SEED_CONSTANT
 # bench/test_bench.py::test_tracer_patches_every_binding asserts report.l1_exact
 from .lfunction import l1_exact  # noqa: F401
 
@@ -210,9 +211,6 @@ class RunManifest:
     started_at: str
     finished_at: str
     output_paths: dict
-    # the only seeded randomness in the library: the mixing constant of the
-    # deterministic rho-factorization rng (and rng seeds recorded in params)
-    rho_seed_constant: str = "0x9E3779B97F4A7C15"
 
     def to_json_dict(self) -> dict:
         return {
@@ -222,5 +220,6 @@ class RunManifest:
             "started_at": self.started_at,
             "finished_at": self.finished_at,
             "output_paths": self.output_paths,
-            "rho_seed_constant": self.rho_seed_constant,
+            # with the rng seeds in params, the run's only seeded randomness
+            "rho_seed_constant": f"0x{RHO_SEED_CONSTANT:X}",
         }

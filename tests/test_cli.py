@@ -55,17 +55,7 @@ def test_search_small_q_exit_2(Q, capsys):
     (["eval", "--q", "13", "--t", "4", "--z", "inf"], "--z"),
     (["eval", "--q", "13", "--t", "4", "--z", "nan"], "--z"),
     (["eval", "--q", "13", "--t", "4", "--z", "-5"], "--z"),
-    (["search", "--mode", "orderk", "--Q", "1e4", "--k", "2", "--z", "inf"], "--z"),
-    (["search", "--mode", "even_sum", "--Q", "1e4", "--k", "2", "--z", "inf"], "--z"),
-    (["search", "--mode", "orderk", "--Q", "1e4", "--k", "2", "--y-mult", "inf"], "--y-mult"),
-    (["search", "--mode", "even_sum", "--Q", "1e4", "--k", "2", "--y-mult", "inf"], "--y-mult"),
-    (["search", "--mode", "orderk", "--Q", "1e4", "--k", "2", "--y-mult", "-1"], "--y-mult"),
-    (["search", "--mode", "orderk", "--Q", "1e4", "--k", "2", "--y-mult", "nan"], "--y-mult"),
     (["eval", "--q", "13", "--t", "4", "--z", "1e30"], "--z"),
-    (["search", "--mode", "orderk", "--Q", "1e4", "--k", "2", "--z", "1e30"], "--z"),
-    (["search", "--mode", "orderk", "--Q", "1e4", "--k", "2", "--y-mult", "11"], "--y-mult"),
-    (["search", "--mode", "even_sum", "--Q", "1e4", "--k", "2", "--y-mult", "50"], "--y-mult"),
-    (["search", "--mode", "odd_sum", "--Q", "1e4", "--k", "2", "--y-mult", "3.01"], "--y-mult"),
 ])
 def test_bad_float_flag_exit_2(argv, flag, capsys):
     assert main(argv) == 2
@@ -89,8 +79,6 @@ def test_search_out_of_scale_q_exit_3(mode, Q, capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["eval", "--q", "13", "--t", "4", "--z", "4294967296"],
     ["eval", "--kronecker", "-4", "--z", str(2**26 + 1)],
-    ["search", "--mode", "orderk", "--Q", "1e4", "--k", "2", "--z", "4294967296"],
-    ["search", "--mode", "even_sum", "--Q", "1e4", "--k", "2", "--z", "4294967296"],
 ])
 def test_huge_z_exit_3(argv, capsys, monkeypatch):
     def refuse(limit):
@@ -103,14 +91,26 @@ def test_huge_z_exit_3(argv, capsys, monkeypatch):
     assert "--z" in err and "2**26" in err
 
 
-@pytest.mark.parametrize("flag,value", [("--delta", "1"), ("--delta", "-1"), ("--xi", "3")])
-def test_orderk_refuses_twist_flags_exit_2(flag, value, tmp_path, capsys):
-    argv = ["search", "--mode", "orderk", "--Q", "1e4", "--k", "2", flag, value,
-            "--out", str(tmp_path)]
-    assert main(argv) == 2
+@pytest.mark.parametrize("mode", ["orderk", "odd_sum", "even_sum"])
+@pytest.mark.parametrize("flag,value", [("--y-mult", "1"), ("--delta", "1"), ("--xi", "3"),
+                                        ("--z", "100")])
+def test_search_retired_flags_usage_error(mode, flag, value, tmp_path, capsys):
+    # each mode fixes its family and its y, z, delta and xi: none is an option
+    argv = ["search", "--mode", mode, "--Q", "1e4", "--k", "2", flag, value,
+            "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", ["odd_sum", "even_sum"])
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_search_twisted_k_below_2_exit_2(mode, k, capsys):
+    assert main(["search", "--mode", mode, "--Q", "1e4", "--k", k]) == 2
     err = capsys.readouterr().err
-    assert flag in err and "Traceback" not in err
-    assert not (tmp_path / "manifest.json").exists()
+    assert "integer >= 2" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("mode,k", [("orderk", "97"), ("even_sum", "1000")])
@@ -205,7 +205,7 @@ def test_search_writes_reports(tmp_path, capsys):
     assert top["modulus"] == 14111
     assert "references" in top
     man = json.loads((out1 / "manifest.json").read_text())
-    assert man["params"]["mode"] == "orderk"
+    assert man["params"] == {"mode": "orderk", "Q": 1e4, "k": 2, "jobs": 1}
     header = (out1 / "records.csv").read_text().splitlines()[0]
     assert header == "char_id,q,order,parity,M,argmax,L1_abs,ratio_odd,ratio_even"
 

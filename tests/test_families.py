@@ -191,6 +191,9 @@ def test_quad_twist_spec_guards():
         QuadTwistSpec(1000, 2, 1)  # scale floor
     with pytest.raises(ValueError):
         QuadTwistSpec(1e4, 2, 0)
+    for k in (0, 1):  # not an order at all: a usage error, as in OrderKFamilySpec
+        with pytest.raises(ValueError, match="integer >= 2"):
+            QuadTwistSpec(1e4, k, 1)
     with pytest.raises(ValueError):
         QuadTwistSpec(1e4, 2, 1, xi=kronecker_character(5))
 
@@ -257,6 +260,14 @@ def test_pipeline_modes_and_ranking():
     assert res.references["e_gamma_loglog_Q"] == pytest.approx(
         math.exp(np.euler_gamma) * math.log(math.log(1e4))
     )
+
+
+def test_pipeline_odd_sum_members():
+    res = extremal_pipeline(2e5, 2, "odd_sum")
+    assert res.family_size == 2
+    assert all(r.parity == -1 and r.xi_id is None for r in res.records)
+    ms = [r.M for r in res.records]
+    assert ms == sorted(ms, reverse=True)
 
 
 def test_pipeline_guards():

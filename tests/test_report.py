@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chx import character, cli, lfunction, verify
+from chx import character, cli, lfunction, ntheory, verify
 from chx.character import (
     all_characters,
     character_from_id,
@@ -24,6 +24,7 @@ from chx.families import psi_tilde
 from chx.lfunction import _phases, gauss_sum, l1_exact, l1_finite
 from chx.report import (
     REFERENCE_CONSTANTS,
+    RunManifest,
     canonical_json,
     evaluate_character,
     write_csv,
@@ -241,6 +242,11 @@ def test_eval_record_is_strict_json(tmp_path, capsys):
     rec = _strict_loads((tmp_path / "record.json").read_text())
     assert rec["L1_euler"]["err"] is None
     _strict_loads((tmp_path / "manifest.json").read_text())
+
+
+def test_manifest_rho_seed_constant_is_ntheorys():
+    man = RunManifest("eval", {}, "0", "a", "b", {}).to_json_dict()
+    assert man["rho_seed_constant"] == f"0x{ntheory.RHO_SEED_CONSTANT:X}" == "0x9E3779B97F4A7C15"
 
 
 def test_empty_bridge_scan_is_strict_json():
