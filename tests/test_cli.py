@@ -55,6 +55,12 @@ def test_search_small_q_exit_2(Q, capsys):
     (["eval", "--q", "13", "--t", "4", "--z", "inf"], "--z"),
     (["eval", "--q", "13", "--t", "4", "--z", "nan"], "--z"),
     (["eval", "--q", "13", "--t", "4", "--z", "-5"], "--z"),
+    (["eval", "--q", "13", "--t", "4", "--z", "1.99"], "--z"),
+    (["eval", "--q", "13", "--t", "4", "--z", "0"], "--z"),
+    (["eval", "--q", "13", "--t", "4", "--z", str(2**32 + 1)], "--z"),
+    (["eval", "--kronecker", "-4", "--z", "-5"], "--z"),
+    (["eval", "--kronecker", "-4", "--z", "inf"], "--z"),
+    (["eval", "--id", "q=5;comps=5:1", "--z", "nan"], "--z"),
     (["eval", "--q", "13", "--t", "4", "--z", "1e30"], "--z"),
 ])
 def test_bad_float_flag_exit_2(argv, flag, capsys):
