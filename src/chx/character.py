@@ -18,14 +18,15 @@ p^a = 2**26, baby-step/giant-step above for odd p), read by `values_at`,
 
 Value tables have one builder, `_table_rows`, which writes any column range
 [lo, hi) of them: each component's rows come from its roots of unity by a
-gather over its log tables (`_component_rows`, p^a entries), and the
-components multiply in, in component order from ones, through slices and
-period views that start at phase lo mod p^a, so an entry has the same bits
-whichever range it is built in.  `DirichletCharacter.value_table` (one row,
-all columns), `_column_blocks` (one row from its component rows, in column
-blocks of _BLOCK_ELEMENTS up to a stop column, through one reused buffer:
-O(block + sum p^a) bytes, the way search members are evaluated) and
-`CharacterMatrix.blocks` (row blocks of all characters mod q) all call it.
+gather over its log tables (`_component_rows`, p^a entries); the first
+component is written in and the others multiply in, in component order,
+through slices and period views that start at phase lo mod p^a, so an
+entry has the same bits whichever range it is built in.
+`DirichletCharacter.value_table` (one row, all columns), `_column_blocks`
+(one row from its component rows, in column blocks of _BLOCK_ELEMENTS up
+to a stop column, through one reused buffer: O(block + sum p^a) bytes, the
+way search members are evaluated) and `CharacterMatrix.blocks` (row blocks
+of all characters mod q) all call it.
 `CharacterMatrix.sums(f)` gives sum_n chi(n) f[n] for every chi mod q with
 no table at all: one DFT of f read on the grid of digit logs (`_unit_grid`,
 which `_log_tables` inverts).
@@ -48,6 +49,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
+import numpy.fft  # noqa: F401 -- numpy loads it lazily; load it here, not in the first call
 
 from .errors import ConstraintError, ResourceError
 from .ntheory import (
@@ -521,29 +523,37 @@ def _table_rows(rows: list, q: int, lo: int = 0, hi: int | None = None, out=None
     component, in component order), one table per row, written into `out`
     when given.
 
-    Each component is multiplied in, in component order, from ones: a head
-    of the columns up to the next multiple of p^a, the whole periods as a
-    (rows, periods, p^a) view, and a tail, each against the component's row
-    from the phase of its first column mod p^a.  There is no index array or
-    gather, so every entry has the same bits in any range.  A single
-    component's rows are the whole table as they stand."""
+    The first component is written in and each later one multiplied in, in
+    component order: a head of the columns up to the next multiple of p^a,
+    the whole periods as a (rows, periods, p^a) view, and a tail, each
+    against the component's row from the phase of its first column mod p^a.
+    There is no index array or gather, so every entry has the same bits in
+    any range, and the same as multiplying the first component into ones.
+    A single component's rows are the whole table as they stand; q = 1 has
+    no components and its table is ones."""
     hi = q if hi is None else hi
     w = hi - lo
     if out is None:
         if len(rows) == 1 and w == q:
             return rows[0]
         out = np.empty((len(rows[0]) if rows else 1, w), dtype=np.complex128)
-    out[...] = 1
-    for r in rows:
+    if not rows:
+        out[...] = 1
+    for i, r in enumerate(rows):
         pa = r.shape[1]
         phase = lo % pa
         head = min(w, -phase % pa)
-        out[:, :head] *= r[:, phase : phase + head]
         k = (w - head) // pa
-        periods = out[:, head : head + k * pa].reshape(len(out), k, pa)  # a view: writes go to out
-        periods *= r[:, None, :]
         tail = w - head - k * pa
-        out[:, w - tail :] *= r[:, :tail]
+        periods = out[:, head : head + k * pa].reshape(len(out), k, pa)  # a view: writes go to out
+        if i == 0:
+            out[:, :head] = r[:, phase : phase + head]
+            periods[...] = r[:, None, :]
+            out[:, w - tail :] = r[:, :tail]
+        else:
+            out[:, :head] *= r[:, phase : phase + head]
+            periods *= r[:, None, :]
+            out[:, w - tail :] *= r[:, :tail]
     return out
 
 

@@ -18,6 +18,7 @@ from itertools import combinations
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
+import numpy.random  # noqa: F401 -- numpy loads it lazily; load it here, not in the first call
 
 from .character import (
     _DLOG_TABLE_CAP,

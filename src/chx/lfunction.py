@@ -26,6 +26,15 @@ solves for the root number and L(1, chi) at two smoothing parameters, and
 each value carries an explicit bound (Gamma tails past N plus roundoff,
 scaled by the solve's conditioning; ~1e-13 relative in practice).
 `families.random_l1_baseline` takes its values from it.
+
+The special functions come from numpy kernels in `_special`, so importing
+this module loads no scipy: `digamma` (0 < x <= 1, the recurrence to x + 10
+and the Stirling series) for `digamma_weights`; `exp1` (x > 0: the power
+series to 1, a composite Gauss-Legendre rule to 8, a continued fraction
+past it) and `erfc_sqrt` (erfc(sqrt t) from t itself, t >= 0: a Taylor step
+from a table below 16, a continued fraction above) for `_afe_weights`.
+Against mpmath they measured within 4, 3 and 4 ulp on a/q (q <= 2000),
+(1e-4, 200] and [0, 200].
 """
 
 from __future__ import annotations
@@ -35,8 +44,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.special import digamma
 
+from ._special import digamma, erfc_sqrt, exp1
 from .character import _DLOG_TABLE_CAP, DirichletCharacter, _column_blocks, values_up_to
 from .errors import ConstraintError, ResourceError
 from .ntheory import sieve_primes
@@ -368,14 +377,16 @@ def _tail(K: float, b: int, c: float, N: int) -> float:
     return K * N**-b * math.exp(-c * N * N) / (2.0 * c * N)
 
 
-def _afe_weights(q: int, odd: bool, delta: float, N: int) -> tuple[np.ndarray, float]:
-    """(w, err): w = (w1(n), w0(n)), two rows over n = 1..N, with
+def _afe_weights(q: int, odd: bool, deltas: tuple, N: int) -> tuple[np.ndarray, list]:
+    """(w, err): w = (w1(n), w0(n)) for each delta of `deltas` in turn, two
+    rows each over n = 1..N, with
 
         L(1, chi) = sum_n chi(n) w1(n) + eps(chi) sum_n conj(chi(n)) w0(n)
 
     for every primitive chi mod q of that parity and every delta > 0
-    (eps(chi) = tau(chi) / (i^a sqrt(q)), a = 1 for odd chi), and err a
-    bound on both sums' Gamma tails past N plus a roundoff allowance.
+    (eps(chi) = tau(chi) / (i^a sqrt(q)), a = 1 for odd chi), and err, one
+    per delta, a bound on both sums' Gamma tails past N plus a roundoff
+    allowance.
 
     Lambda(1, chi) = (q/pi)^((1+a)/2) Gamma((1+a)/2) L(1, chi) is
     sum chi(n) n^a (q/(pi n^2))^((1+a)/2) Gamma((1+a)/2, pi n^2 delta/q)
@@ -383,20 +394,26 @@ def _afe_weights(q: int, odd: bool, delta: float, N: int) -> tuple[np.ndarray, f
     (Davenport, Multiplicative Number Theory, ch. 9); w is it divided by
     the factor in front of L(1, chi), with Gamma(1/2, x) = sqrt(pi) erfc(sqrt x),
     Gamma(1, x) = e^-x and Gamma(0, x) = E1(x).  The tails use
-    Gamma(s, x) <= x^(s-1) e^-x for s <= 1.
+    Gamma(s, x) <= x^(s-1) e^-x for s <= 1.  The deltas' weights are
+    computed in one pass of each kernel.
     """
-    from scipy.special import erfc, exp1  # deferred: only the AFE needs them
-
     n = np.arange(1, N + 1, dtype=np.float64)
     x = (math.pi / q) * n * n
-    c1, c0, rq = math.pi * delta / q, math.pi / (delta * q), math.sqrt(q)
+    d = np.array(deltas)[:, None]
+    rq = math.sqrt(q)
     if odd:
-        w = np.stack([np.exp(-delta * x) / n, (math.pi / rq) * erfc(np.sqrt(x / delta))])
-        tails = _tail(1.0, 1, c1, N) + _tail(math.sqrt(delta), 1, c0, N)
+        w = np.stack([np.exp(-d * x) / n, (math.pi / rq) * erfc_sqrt(x / d)], axis=1)
     else:
-        w = np.stack([erfc(np.sqrt(delta * x)) / n, exp1(x / delta) / rq])
-        tails = _tail(rq / (math.pi * math.sqrt(delta)), 2, c1, N) + _tail(delta * rq / math.pi, 2, c0, N)
-    return w, tails + 32.0 * _EPS * float(w.sum())
+        w = np.stack([erfc_sqrt(d * x) / n, exp1(x / d) / rq], axis=1)
+    err = []
+    for delta, wd in zip(deltas, w):
+        c1, c0 = math.pi * delta / q, math.pi / (delta * q)
+        if odd:
+            tails = _tail(1.0, 1, c1, N) + _tail(math.sqrt(delta), 1, c0, N)
+        else:
+            tails = _tail(rq / (math.pi * math.sqrt(delta)), 2, c1, N) + _tail(delta * rq / math.pi, 2, c0, N)
+        err.append(tails + 32.0 * _EPS * float(wd.sum()))
+    return w.reshape(-1, N), err
 
 
 def _afe_sums(X: np.ndarray, odd: bool, deltas: tuple, q: int, weights: dict) -> tuple:
@@ -405,8 +422,7 @@ def _afe_sums(X: np.ndarray, odd: bool, deltas: tuple, q: int, weights: dict) ->
     n = 1..N in X; the weights mod q are cached in `weights`."""
     key = odd, deltas, len(X)
     if key not in weights:
-        built = [_afe_weights(q, odd, d, len(X)) for d in deltas]
-        weights[key] = np.concatenate([w for w, _ in built]), [e for _, e in built]
+        weights[key] = _afe_weights(q, odd, deltas, len(X))
     w, err = weights[key]
     # (sum w re chi, sum w im chi) from X's float view, per row of w
     re, im = (w @ X.view(np.float64).reshape(-1, 2)).T

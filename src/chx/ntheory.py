@@ -182,6 +182,11 @@ def factor(n: int) -> Factorization:
         raise ValueError(f"factor expects an integer, got {n!r}")
     if n < 1 or n >= 2**63:
         raise ValueError(f"factor argument {n} outside [1, 2**63)")
+    return _factor(n)
+
+
+@lru_cache(maxsize=4096, typed=True)  # b_coefficient re-factors each n once per r
+def _factor(n: int) -> Factorization:
     out: dict[int, int] = {}
     rem = n
     for p in _trial_primes():

@@ -144,6 +144,67 @@ def test_character_matrix_matches_value_tables(q):
     assert cm.order.tolist() == [chi.order for chi in chars]
 
 
+def _table_rows_from_ones(rows, q, lo=0, hi=None):
+    """The value tables' columns [lo, hi) with every component multiplied
+    into ones through the same slices and period views as `_table_rows`."""
+    hi = q if hi is None else hi
+    w = hi - lo
+    out = np.ones((len(rows[0]) if rows else 1, w), dtype=np.complex128)
+    for r in rows:
+        pa = r.shape[1]
+        phase = lo % pa
+        head = min(w, -phase % pa)
+        out[:, :head] *= r[:, phase : phase + head]
+        k = (w - head) // pa
+        out[:, head : head + k * pa].reshape(len(out), k, pa)[...] *= r[:, None, :]
+        tail = w - head - k * pa
+        out[:, w - tail :] *= r[:, :tail]
+    return out
+
+
+def _assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_table_rows_match_multiplying_into_ones(monkeypatch):
+    # the first component is written, not multiplied into ones: same bits,
+    # signed zeros included, for every block of every CharacterMatrix(q <= 400)
+    seen, table_rows = [], character._table_rows
+
+    def checked(rows, q):
+        got = table_rows(rows, q)
+        _assert_same_bits(got, _table_rows_from_ones(rows, q))
+        seen.append(q)
+        return got
+
+    monkeypatch.setattr(character, "_table_rows", checked)
+    for q in range(1, 401):
+        cm = character.CharacterMatrix(q)
+        for _ in cm.blocks(np.arange(cm.order.size)):
+            pass
+    assert sorted(set(seen)) == list(range(1, 401))
+
+
+def test_table_rows_match_multiplying_into_ones_on_search_members():
+    # the bench search_mix members: orderk k = 2, 3 and even_sum k = 2 at Q = 2e5,
+    # whole and in column blocks that start at every phase
+    from chx import families
+
+    chars = [chi for k in (2, 3)
+             for _, chi in families.pigeonhole_with_retry(families.OrderKFamilySpec(2e5, k)).pairs]
+    twist = families.QuadTwistSpec(2e5, 2, 1, xi=kronecker_character(-3))
+    chars += [m.chi for m in families.twisted_family(twist).members]
+    assert len(chars) >= 10
+    for chi in chars:
+        rows, q = chi._rows(), chi.modulus
+        assert len(rows) >= 2
+        _assert_same_bits(character._table_rows(rows, q), _table_rows_from_ones(rows, q))
+        for lo in (1, q // 3, q - 1000):
+            hi = min(q, lo + 5000)
+            _assert_same_bits(character._table_rows(rows, q, lo, hi), _table_rows_from_ones(rows, q, lo, hi))
+
+
 @pytest.mark.parametrize("q", [13, 120, 360])
 def test_character_matrix_blocks_stay_in_budget(q, monkeypatch):
     cm = character.CharacterMatrix(q)

@@ -93,6 +93,15 @@ def test_factor_reassembles():
         assert prod == n
 
 
+def test_factor_checks_come_before_the_cache():
+    assert factor(5).factors == ((5, 1),)
+    assert factor(5) is factor(5)  # cached
+    for bad in (5.0, np.int64(5), "5", 0, -5, 2**63):
+        with pytest.raises(ValueError):
+            factor(bad)
+    assert factor(2**63 - 1).n == 2**63 - 1
+
+
 def test_factor_semiprime_rho_path():
     p, q = 1000003, 1000033
     fm = factor(p * q)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import chx
@@ -42,3 +45,11 @@ def test_deferred_imports_only_break_cycles():
         if name not in imported_at_top.get(node.module, set())
     ]
     assert found == []
+
+
+def test_import_loads_no_scipy():
+    # the special functions are numpy kernels (chx._special): no scipy at import
+    code = "import chx, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
