@@ -174,7 +174,10 @@ def cmd_search(args) -> int:
         write_csv(paths["records_csv"], (r.csv_row() for r in res.records))
         params = {"mode": args.mode, "Q": args.Q, "k": args.k, "jobs": args.jobs}
         man = _manifest("search", params, started, paths)
-        write_json(outdir / "manifest.json", man.to_json_dict())
+        # the signature cutoff the pigeonhole used (the base family's in the twisted
+        # modes) and whether a retry lowered it to get a pair
+        family = {"y_used": res.y_used, "substituted": res.substituted}
+        write_json(outdir / "manifest.json", {**man.to_json_dict(), "family": family})
     return EXIT_OK
 
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 import numpy.random  # noqa: F401 -- numpy loads it lazily; load it here, not in the first call
@@ -41,24 +41,21 @@ Signature = tuple  # per-prime value exponents in Z/k, one entry per p <= y
 @dataclass(frozen=True)
 class OrderKFamilySpec:
     """Family of psi_tilde_m, m = q1 q2, over the prime window
-    (sqrt(Q), 2 sqrt(Q)) with q_i = 1 mod k; y is the signature cutoff."""
+    (sqrt(Q), 2 sqrt(Q)) with q_i = 1 mod k; y = log Q is the signature
+    cutoff (below sqrt(Q), where the window starts, for every Q >= 16)."""
 
     Q: float
     k: int
-    y: Optional[float] = None
 
     def __post_init__(self):
         if not self.Q >= 16:
             raise ValueError(f"family scale must satisfy Q >= 16, got {self.Q}")
         if not (isinstance(self.k, int) and self.k >= 2):
             raise ValueError(f"character order must be an integer >= 2, got {self.k}")
-        if self.y is None:
-            object.__setattr__(self, "y", math.log(self.Q))
-        if not self.y < math.sqrt(self.Q):  # a signature prime would be a window prime
-            raise ValueError(
-                f"signature cutoff y = {self.y:g} must stay below sqrt(Q) = "
-                f"{math.sqrt(self.Q):g}, where the window starts"
-            )
+
+    @property
+    def y(self) -> float:
+        return math.log(self.Q)
 
     @property
     def window(self) -> tuple[float, float]:
@@ -299,13 +296,12 @@ class QuadTwistSpec:
     """Twists chi = psi * chi_d of a pigeonholed order-k base character psi
     (conductor q1 q2 from the window (Q^{1/3}, 2 Q^{1/3})) by fundamental
     d = 1 mod 4 with 0 < eps*delta*d <= Q^{1/3} and chi_d(p) = xi(p) for
-    p <= y, p coprime to the conductor of xi."""
+    p <= y = log Q / 3, p coprime to the conductor of xi.  The parity delta
+    fixes xi: principal (mod 1) for delta = -1, (./3) for delta = +1."""
 
     Q: float
     k: int
     delta: int
-    xi: DirichletCharacter = None
-    y: Optional[float] = None
 
     def __post_init__(self):
         if not self.Q >= 16**3:
@@ -319,12 +315,14 @@ class QuadTwistSpec:
             )
         if self.delta not in (1, -1):
             raise ValueError("delta must be +1 or -1")
-        if self.xi is None:
-            object.__setattr__(self, "xi", principal_character(1))
-        if self.xi.modulus not in (1, 3):
-            raise ValueError("xi must be principal or the quadratic character mod 3")
-        if self.y is None:
-            object.__setattr__(self, "y", math.log(self.Q) / 3.0)
+
+    @cached_property  # built once: twisted_family and the search each read it
+    def xi(self) -> DirichletCharacter:
+        return principal_character(1) if self.delta == -1 else kronecker_character(-3)
+
+    @property
+    def y(self) -> float:
+        return math.log(self.Q) / 3.0
 
     @property
     def D(self) -> float:
@@ -335,8 +333,6 @@ class QuadTwistSpec:
 class TwistedMember:
     d: int
     chi: DirichletCharacter
-    conductor: int
-    char_id: str
 
 
 @dataclass(frozen=True)
@@ -345,7 +341,6 @@ class TwistedFamily:
     psi: DirichletCharacter
     q1: int
     q2: int
-    base_y_requested: float
     base_y_used: float
     base_substituted: bool
     members: list
@@ -377,10 +372,8 @@ def twisted_family(spec: QuadTwistSpec) -> TwistedFamily:
             raise AssertionError(f"twist by d={d} is not primitive of order {spec.k}")
         if not (chi.conductor == cond and chi.parity() == spec.delta):
             raise AssertionError(f"twist by d={d} has the wrong conductor or parity")
-        members.append(TwistedMember(d, chi, cond, chi.char_id))
-    return TwistedFamily(
-        spec, psi, q1, q2, base_spec.y, res.y_used, res.substituted, members
-    )
+        members.append(TwistedMember(d, chi))
+    return TwistedFamily(spec, psi, q1, q2, res.y_used, res.substituted, members)
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +423,8 @@ def extremal_pipeline(Q: float, k: int, mode: str, jobs: int = 1) -> PipelineRes
         chars = [chi for _, chi in res.pairs]
         y_used, substituted = res.y_used, res.substituted
     else:
-        if mode == "odd_sum":
-            delta, xi = -1, principal_character(1)
-        else:
-            delta, xi = 1, kronecker_character(-3)
-        tspec = QuadTwistSpec(Q, k, delta, xi=xi)
+        tspec = QuadTwistSpec(Q, k, -1 if mode == "odd_sum" else 1)
+        xi = tspec.xi
         fam = twisted_family(tspec)
         if not fam.members:
             raise ConstraintError(
@@ -478,36 +468,20 @@ def _evaluate_many(chars, z, xi, jobs):
 _BASELINE_MODULI = 25  # prime moduli random_l1_baseline draws its characters from
 
 
-def random_l1_baseline(
-    Q: float,
-    count: int = 500,
-    order: Optional[int] = None,
-    seed: int = 20260815,
-) -> np.ndarray:
-    """|L(1, chi)| for `count` random primitive characters of prime modulus
-    in (Q, 4Q) (conductors comparable to the family's q1*q2 in (Q, 4Q)).
-    order=None samples all non-principal characters; order=k restricts to
-    order exactly k.  Deterministic for a fixed seed.  The values come from
-    the smoothed approximate functional equation (`lfunction.l1_afe`), in
-    O(sqrt q) per character."""
+def random_l1_baseline(Q: float, count: int = 500, seed: int = 20260815) -> np.ndarray:
+    """|L(1, chi)| for `count` random non-principal characters of prime
+    modulus in (Q, 4Q) (conductors comparable to the family's q1*q2 in
+    (Q, 4Q)): 25 moduli drawn first, then one index t in [1, q-1) per
+    character, cycling through the moduli.  Deterministic for a fixed seed.
+    The values come from the smoothed approximate functional equation
+    (`lfunction.l1_afe`), in O(sqrt q) per character."""
     rng = np.random.default_rng(seed)
     ps = sieve_primes(int(4 * Q) + 1).in_range(Q, 4 * Q)
-    if order is not None:
-        ps = ps[ps % order == 1]
     if len(ps) == 0:
         raise ConstraintError(f"no usable prime moduli in ({Q}, {4 * Q})")
     moduli = rng.choice(ps, size=min(_BASELINE_MODULI, len(ps)), replace=False)
-    units = (
-        [a for a in range(1, order + 1) if math.gcd(a, order) == 1]
-        if order is not None
-        else None
-    )
     chars = []
     for i in range(count):
         q = int(moduli[i % len(moduli)])
-        if order is None:
-            t = int(rng.integers(1, q - 1))
-        else:
-            t = (q - 1) // order * units[int(rng.integers(0, len(units)))]
-        chars.append(character_from_index(q, t))
+        chars.append(character_from_index(q, int(rng.integers(1, q - 1))))
     return np.array([lv.abs for lv in l1_afe(chars)])

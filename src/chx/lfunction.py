@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -149,9 +149,9 @@ def l1_exact(chi: DirichletCharacter) -> LValue:
     tau = gauss_sum(chi)
     vals = np.conj(chi.value_table()[1:])
     a = np.arange(1, q, dtype=np.float64)
-    if chi.parity() == -1:
+    odd = chi.parity() == -1
+    if odd:
         s = _fsum_complex(vals * a)
-        value = 1j * math.pi * tau / (q * q) * s
     else:
         # sin(pi a/q) = sin(pi (q - a)/q): the argument is taken in (0, pi/2],
         # where log sin keeps its accuracy; the sum stays over the whole period
@@ -159,8 +159,7 @@ def l1_exact(chi: DirichletCharacter) -> LValue:
         if not (0.0 < x.min() and x.max() < math.pi):
             raise AssertionError(f"log sin argument left (0, pi) for q={q}")
         s = _fsum_complex(vals * np.log(np.sin(x)))
-        value = -(tau / q) * s
-    return _finite_lvalue(value, q)
+    return _finite_lvalue(_finite_l1(tau, s, q, odd), q)
 
 
 def _finite_lvalue(value: complex, q: int) -> LValue:
@@ -251,27 +250,11 @@ def l1_truncated_euler(chi: DirichletCharacter, z: float) -> LValue:
     return LValue(value, EULER_TRUNCATED, float(z), band, rigorous=False)
 
 
-def weight_vector(primes: np.ndarray, weights: Optional[Mapping[int, complex]]) -> np.ndarray:
-    """a(p) for each of `primes`, 1 where `weights` has none; |a(p)| <= 1."""
-    w = np.array([weights.get(p, 1.0) if weights else 1.0 for p in primes.tolist()], complex)
-    over = np.flatnonzero(np.abs(w) > 1.0 + 1e-12)
-    if len(over):
-        raise ValueError(f"weight at p={primes[over[0]]} has |a(p)| = {abs(w[over[0]])} > 1")
-    return w
-
-
-def prime_sum(
-    chi: DirichletCharacter,
-    spec: PrimeSumSpec,
-    weights: Optional[Mapping[int, complex]] = None,
-) -> complex:
-    """sum over primes y < p < z of a(p) * chi(p) / p, |a(p)| <= 1, by fsum.
-
-    Primes missing from `weights` get a(p) = 1.
-    """
+def prime_sum(chi: DirichletCharacter, spec: PrimeSumSpec) -> complex:
+    """sum over primes y < p < z of chi(p) / p, by fsum over the terms."""
     ps = spec.primes()
-    a, vals = weight_vector(ps, weights).tolist(), chi.complex_at(ps).tolist()
-    return _fsum_complex(np.array([a_p * v / p for a_p, v, p in zip(a, vals, ps.tolist())]))
+    vals = chi.complex_at(ps)
+    return complex(math.fsum(vals.real / ps), math.fsum(vals.imag / ps))
 
 
 # ---------------------------------------------------------------------------

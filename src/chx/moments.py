@@ -8,7 +8,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Mapping, Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .families import (
     _kronecker_column,
     psi_q,
 )
-from .lfunction import PrimeSumSpec, weight_vector
+from .lfunction import PrimeSumSpec
 from .ntheory import factor, is_kth_power
 
 _B_IDENTITY_MAX_PRIMES = 8
@@ -31,18 +31,16 @@ _A = 2.0  # exponent in the z = (log Q)^A regime bookkeeping
 
 @dataclass(frozen=True)
 class QuadFamilySpec:
-    """Fundamental discriminants d = 1 mod 4 with 0 < delta*d <= Q
-    (d = 1 excluded); delta=None takes both signs, so |d| <= Q."""
+    """Fundamental discriminants d = 1 mod 4 with |d| <= Q (d = 1
+    excluded), the positive ones first, then the negative ones."""
 
     Q: float
-    delta: Optional[int] = None
 
     def d_values(self) -> np.ndarray:
         limit = int(math.floor(self.Q))
-        out = []
-        for delta in (1, -1) if self.delta is None else (self.delta,):
-            out.append(delta * np.flatnonzero(_discriminant_mask(limit, delta)))
-        return np.concatenate(out)
+        return np.concatenate(
+            [delta * np.flatnonzero(_discriminant_mask(limit, delta)) for delta in (1, -1)]
+        )
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,6 @@ class MomentSpec:
     family: Union[OrderKFamilySpec, QuadFamilySpec]
     r: int
     window: PrimeSumSpec
-    weights: Optional[Mapping[int, complex]] = None
 
     def __post_init__(self):
         if self.r < 1:
@@ -181,35 +178,30 @@ class MomentRecord:
     regime_warned: bool
 
 
-def _orderk_prime_sums(
-    spec: OrderKFamilySpec, primes: np.ndarray, w: np.ndarray
-) -> np.ndarray:
-    """S_m = sum_p a(p) psi_tilde_m(p)/p for every m = q1 q2, via per-prime
-    rows of psi_q values (psi_tilde = psi_{q1} conj(psi_{q2}) pointwise)."""
+def _orderk_prime_sums(spec: OrderKFamilySpec, primes: np.ndarray) -> np.ndarray:
+    """S_m = sum_p psi_tilde_m(p)/p for every m = q1 q2, via per-prime rows
+    of psi_q values (psi_tilde = psi_{q1} conj(psi_{q2}) pointwise)."""
     qs = [int(q) for q in spec.window_primes()]
     if len(qs) < 2:
         return np.zeros(0, dtype=np.complex128)
     rows = np.array([psi_q(q, spec.k).complex_at(primes) for q in qs])
-    t = rows * (w / primes)  # row i scaled by a(p)/p
+    t = rows * (1.0 / primes)  # row i scaled by 1/p
     gram = t @ rows.conj().T  # gram[i, j] = S_{q_i q_j}
     iu = np.triu_indices(len(qs), k=1)
     return gram[iu]
 
 
-def _quadratic_prime_sums(
-    spec: QuadFamilySpec, primes: np.ndarray, w: np.ndarray
-) -> np.ndarray:
+def _quadratic_prime_sums(spec: QuadFamilySpec, primes: np.ndarray) -> np.ndarray:
+    """S_d = sum_p chi_d(p)/p for every d of the family."""
     ds = spec.d_values()
-    if len(ds) == 0:
-        return np.zeros(0, dtype=np.complex128)
     s = np.zeros(len(ds), dtype=np.complex128)
-    for i, p in enumerate(primes):
-        s += (w[i] / int(p)) * _kronecker_column(ds, int(p))
+    for p in primes.tolist():
+        s += (1.0 / p) * _kronecker_column(ds, p)
     return s
 
 
 def empirical_moment(spec: MomentSpec) -> MomentRecord:
-    """Average |sum_{y<p<z} a(p) chi(p)/p|^{2r} over the family, against the
+    """Average |sum_{y<p<z} chi(p)/p|^{2r} over the family, against the
     moment bound's main term.
 
     order-k families: the bound is on the family SUM, main term
@@ -218,7 +210,6 @@ def empirical_moment(spec: MomentSpec) -> MomentRecord:
     (2r)!/r! (sum 1/p^2)^r; implied_constant = lhs_avg / rhs_main.
     """
     primes = spec.window.primes()
-    w = weight_vector(primes, spec.weights)
     p2 = float(np.sum(1.0 / primes.astype(np.float64) ** 2)) if len(primes) else 0.0
     r = spec.r
     loglogQ = math.log(max(math.e, math.log(spec.family.Q)))
@@ -230,13 +221,13 @@ def empirical_moment(spec: MomentSpec) -> MomentRecord:
             warnings.warn(
                 f"window start y={spec.window.y} is not above k={k}", stacklevel=2
             )
-        sums = _orderk_prime_sums(spec.family, primes, w)
+        sums = _orderk_prime_sums(spec.family, primes)
         rhs_main = 2**r * math.factorial(r) * spec.family.Q * p2**r
         rhs_error = spec.family.Q ** (1.0 - 1.0 / (4.0 * k))
         r_max = logQ / (3.0 * _A * k * k * loglogQ)
     elif isinstance(spec.family, QuadFamilySpec):
         kind = "quadratic"
-        sums = _quadratic_prime_sums(spec.family, primes, w)
+        sums = _quadratic_prime_sums(spec.family, primes)
         rhs_main = math.factorial(2 * r) / math.factorial(r) * p2**r
         rhs_error = spec.family.Q ** (-1.0 / 3.0)
         r_max = logQ / (6.0 * _A * loglogQ)

@@ -111,11 +111,12 @@ def evaluate_character(
     sums for M(chi).  chi*xi's table is read only on [0, ceil(q/2)) for
     L(1, chi*xi) (`l1_finite`).  A member holds O(block + sum p^a) bytes,
     not O(q), and a modulus past the table cap (chi*xi's, when it is
-    larger) is refused before any work.
+    larger) is refused before any work, before even chi's order and
+    conductor, which factor p - 1 for each prime p | q.
     """
-    _require_primitive_nonprincipal(chi)
     twisted = product_character(chi, xi) if xi is not None and not xi.is_principal else None
     _check_table_size(chi.modulus if twisted is None else twisted.modulus)
+    _require_primitive_nonprincipal(chi)
     rows = chi._rows()
     finite, sums = _FiniteScan(chi, rows), _MScan(chi.modulus)
     for lo, block in _column_blocks(rows, chi.modulus):

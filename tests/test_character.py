@@ -193,7 +193,7 @@ def test_table_rows_match_multiplying_into_ones_on_search_members():
 
     chars = [chi for k in (2, 3)
              for _, chi in families.pigeonhole_with_retry(families.OrderKFamilySpec(2e5, k)).pairs]
-    twist = families.QuadTwistSpec(2e5, 2, 1, xi=kronecker_character(-3))
+    twist = families.QuadTwistSpec(2e5, 2, 1)
     chars += [m.chi for m in families.twisted_family(twist).members]
     assert len(chars) >= 10
     for chi in chars:

@@ -152,6 +152,14 @@ def test_eval_oversized_composite_refused_before_any_table(tmp_path, capsys, mon
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_eval_prime_modulus_past_2_63_exit_3(capsys):
+    # q - 1 is past factor's range: the cap check comes before chi's order is asked for
+    assert main(["eval", "--q", "9223372036854775837", "--t", "3"]) == 3
+    err = capsys.readouterr().err
+    assert "value table of size 9223372036854775837 exceeds cap 2**26" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("mode,Q", [("even_sum", "1e8"), ("orderk", "3e7"), ("odd_sum", "1e8")])
 def test_search_oversized_member_refused_before_evaluating(mode, Q, tmp_path, capsys, monkeypatch):
     # the conductor floor passes, but the largest member's table is over the cap
@@ -214,6 +222,15 @@ def test_search_writes_reports(tmp_path, capsys):
     assert man["params"] == {"mode": "orderk", "Q": 1e4, "k": 2, "jobs": 1}
     header = (out1 / "records.csv").read_text().splitlines()[0]
     assert header == "char_id,q,order,parity,M,argmax,L1_abs,ratio_odd,ratio_even"
+
+
+def test_search_manifest_records_the_lowered_cutoff(tmp_path, capsys):
+    # orderk k = 3 at Q = 1e4: y = log Q ~ 9.21 gives no pair, the retry lowers it to 5
+    assert main(["search", "--mode", "orderk", "--Q", "1e4", "--k", "3",
+                 "--out", str(tmp_path)]) == 0
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert man["family"] == {"y_used": 5.0, "substituted": True}
+    assert man["params"] == {"mode": "orderk", "Q": 1e4, "k": 3, "jobs": 1}
 
 
 def test_search_twisted_mode_defaults(tmp_path, capsys):

@@ -165,25 +165,12 @@ def test_prime_sum_window_example():
     assert abs(got - (-1 / 3 + 1 / 5 - 1 / 7)) < 1e-15
 
 
-def test_prime_sum_weights_and_caps():
-    chi = kronecker_character(5)
-    w = PrimeSumSpec(2, 20)
-    ps = [int(p) for p in w.primes()]
-    full = prime_sum(chi, w)
-    half = prime_sum(chi, w, weights={p: 0.5 for p in ps})
-    assert abs(full - 2 * half) < 1e-15
-    with pytest.raises(ValueError):
-        prime_sum(chi, w, weights={ps[0]: 2.0})  # |a(p)| <= 1 required
-
-
 def test_prime_sum_is_the_pointwise_fsum():
     chi = character_from_index(1009, 7)
     w = PrimeSumSpec(3, 3000)
-    weights = {p: complex(math.cos(p), math.sin(p)) for p in w.primes().tolist()[::3]}
-    terms = [weights.get(p, 1.0 + 0.0j) * chi.eval(p).to_complex() / p
-             for p in w.primes().tolist()]
+    terms = [chi.eval(p).to_complex() / p for p in w.primes().tolist()]
     want = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-    assert prime_sum(chi, w, weights) == want
+    assert prime_sum(chi, w) == want
 
 
 def test_prime_sum_spec_validation():

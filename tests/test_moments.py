@@ -81,17 +81,17 @@ def test_diagonal_terms_caps():
 
 
 def test_quad_family_spec_d_values():
-    fam = QuadFamilySpec(100, delta=1)
-    assert fam.d_values().tolist() == [
-        5, 13, 17, 21, 29, 33, 37, 41, 53, 57, 61, 65, 69, 73, 77, 85, 89, 93, 97
-    ]
-    both = QuadFamilySpec(100)
-    assert len(both.d_values()) > len(fam.d_values())
-    assert 1 not in np.abs(both.d_values()).tolist()
+    ds = QuadFamilySpec(100).d_values().tolist()
+    positive = [5, 13, 17, 21, 29, 33, 37, 41, 53, 57, 61, 65, 69, 73, 77, 85, 89, 93, 97]
+    # the positive d first, then the negative ones in order of |d|
+    assert ds[: len(positive)] == positive
+    negative = ds[len(positive):]
+    assert negative[:6] == [-3, -7, -11, -15, -19, -23]
+    assert negative == sorted(negative, reverse=True) and 1 not in np.abs(ds).tolist()
 
 
 def test_quadratic_moment_brute_force():
-    fam = QuadFamilySpec(300, delta=-1)
+    fam = QuadFamilySpec(300)
     window = PrimeSumSpec(2, 30)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -137,11 +137,3 @@ def test_moment_rejects_empty_family():
         warnings.simplefilter("ignore")
         with pytest.raises(ValueError):
             empirical_moment(MomentSpec(spec, 1, PrimeSumSpec(2, 30)))
-
-
-def test_moment_weights_cap():
-    window = PrimeSumSpec(2, 30)
-    ps = [int(p) for p in window.primes()]
-    spec = MomentSpec(QuadFamilySpec(300), 1, window, weights={p: 2.0 for p in ps})
-    with pytest.raises(ValueError):
-        empirical_moment(spec)
