@@ -12,16 +12,18 @@ conductor has a closed form per p.
 Values are roots of unity carried as exact (order, exponent) pairs; nothing
 is embedded into floating point until a caller asks for a complex value or a
 bulk value table.  Each component has one point evaluator, `exponents(n)`
-for an int array n (a gather from one cached set of digit-log tables up to
-p^a = 2**26, baby-step/giant-step above for odd p), read by `values_at`,
-`eval` and `complex_at`.  The parity is read from the labels.
+for an int array n (a gather from one set of digit-log tables up to
+p^a = 2**26, kept in a cache bounded by bytes, `_log_tables`;
+baby-step/giant-step above for odd p), read by `values_at`, `eval` and
+`complex_at`.  The parity is read from the labels.
 
 Value tables have one builder, `_table_rows`, which writes any column range
 [lo, hi) of them: each component's rows come from its roots of unity by a
-gather over its log tables (`_component_rows`, p^a entries); the first
-component is written in and the others multiply in, in component order,
-through slices and period views that start at phase lo mod p^a, so an
-entry has the same bits whichever range it is built in.
+gather over its log tables (`_component_rows`, p^a entries; a real
+character's are float64 rows of exact 0/+-1, and its table takes their
+dtype); the first component is written in and the others multiply in, in
+component order, through slices and period views that start at phase
+lo mod p^a, so an entry has the same bits whichever range it is built in.
 `DirichletCharacter.value_table` (one row, all columns), `_column_blocks`
 (one row from its component rows, in column blocks of _BLOCK_ELEMENTS up
 to a stop column, through one reused buffer: O(block + sum p^a) bytes, the
@@ -44,8 +46,9 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -65,6 +68,9 @@ _DLOG_TABLE_CAP = 1 << 26  # full tables up to here, baby-step/giant-step above
 _NUMPY_MODULUS_CAP = 1 << 31  # int64 products stay exact below this
 _BABY_STEP_CAP = 1 << 22  # baby-step table entries (64 MB with their indices)
 _BLOCK_ELEMENTS = 1 << 14  # entries per value block (256 KB): 16 MB blocks measured slower
+# digit-log tables kept between calls: the small p^a that recur across search
+# members and verify's moduli fit; a larger bound measured only more peak RSS
+_LOG_CACHE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -248,8 +254,39 @@ def _unit_grid(p: int, a: int) -> np.ndarray:
     return units
 
 
-@lru_cache(maxsize=8)
-def _log_tables(p: int, a: int) -> tuple[np.ndarray, ...]:
+class _BytesLRU:
+    """A least-recently-used cache of `fn`'s results (tuples of arrays),
+    bounded by the bytes they hold rather than by a count: the oldest go
+    first, and a result larger than `limit` is returned but not kept.
+    Like `lru_cache`, it has `cache_clear()`, and `hits`, `misses` and
+    `nbytes` count since the last clear."""
+
+    def __init__(self, fn, limit: int):
+        update_wrapper(self, fn)
+        self.fn, self.limit = fn, limit
+        self.cache_clear()
+
+    def __call__(self, *key):
+        if key in self._entries:
+            self.hits += 1
+            self._entries.move_to_end(key)
+            return self._entries[key][0]
+        self.misses += 1
+        value = self.fn(*key)
+        size = sum(x.nbytes for x in value)
+        if size <= self.limit:
+            self._entries[key] = value, size
+            self.nbytes += size
+            while self.nbytes > self.limit:
+                self.nbytes -= self._entries.popitem(last=False)[1][1]
+        return value
+
+    def cache_clear(self) -> None:
+        self._entries: OrderedDict = OrderedDict()
+        self.hits = self.misses = self.nbytes = 0
+
+
+def _build_log_tables(p: int, a: int) -> tuple[np.ndarray, ...]:
     """One digit table per cyclic factor: n = prod_j g_j^log_j[n] mod p^a
     (units only; -1 elsewhere), the inverse of `_unit_grid`."""
     pa = p**a
@@ -262,6 +299,11 @@ def _log_tables(p: int, a: int) -> tuple[np.ndarray, ...]:
         table[units] = np.arange(m, dtype=np.int64).reshape((m,) + (1,) * (units.ndim - 1 - j))
         tables.append(table)
     return tuple(tables)
+
+
+# 8 B per residue: a table past 2**17 residues is rebuilt on each use, so none
+# near the 2**26 cap (512 MB) stays pinned
+_log_tables = _BytesLRU(_build_log_tables, _LOG_CACHE_BYTES)
 
 
 def _baby_steps(g: int, s: int, pa: int) -> tuple[np.ndarray, np.ndarray]:
@@ -464,11 +506,14 @@ class DirichletCharacter:
         """chi(n) for n = 0..q-1 as complex128 (0 on non-units)."""
         return _table_rows(self._rows(), self.modulus)[0]
 
-    def _rows(self) -> list:
-        """Each component's values mod p^a, as `_table_rows` takes them; a
-        modulus past the table cap is refused first."""
+    def _rows(self, real: bool = False) -> list:
+        """Each component's values mod p^a, as `_table_rows` takes them:
+        complex128, or for `real` (chi of order <= 2, whose components are
+        all real) float64 rows of exact 0 and +-1.  A modulus past the table
+        cap is refused first."""
         _check_table_size(self.modulus)
-        return [_component_rows(c, np.array([c.t]), c.roots()) for c in self.components]
+        return [_component_rows(c, np.array([c.t]), None if real else c.roots())
+                for c in self.components]
 
     # -- algebra -----------------------------------------------------------
 
@@ -507,12 +552,15 @@ class DirichletCharacter:
 # value tables
 
 
-def _component_rows(c, labels: np.ndarray, roots: np.ndarray) -> np.ndarray:
+def _component_rows(c, labels: np.ndarray, roots: np.ndarray | None) -> np.ndarray:
     """The values mod p^a of the component characters with index `labels`,
     one row each, from the roots of unity `roots` = c.roots(); `c` is any
-    component of that p^a."""
+    component of that p^a.  For real characters, `roots` None gives float64
+    rows with no roots: a unit's exponent is 0 or phi/2, so its value is
+    1 or -1 exactly."""
     factors = c.factors
-    vals = roots[_exponents(factors, _digits(factors, labels[:, None]), _log_tables(c.p, c.a))]
+    e = _exponents(factors, _digits(factors, labels[:, None]), _log_tables(c.p, c.a))
+    vals = roots[e] if roots is not None else np.where(e == 0, 1.0, -1.0)
     vals[:, :: c.p] = 0
     return vals
 
@@ -520,8 +568,8 @@ def _component_rows(c, labels: np.ndarray, roots: np.ndarray) -> np.ndarray:
 def _table_rows(rows: list, q: int, lo: int = 0, hi: int | None = None, out=None) -> np.ndarray:
     """Columns [lo, hi) (by default all of [0, q)) of the value tables mod q
     whose components have the values `rows` (one `_component_rows` array per
-    component, in component order), one table per row, written into `out`
-    when given.
+    component, in component order), one table per row, of the rows' dtype,
+    written into `out` when given.
 
     The first component is written in and each later one multiplied in, in
     component order: a head of the columns up to the next multiple of p^a,
@@ -536,7 +584,7 @@ def _table_rows(rows: list, q: int, lo: int = 0, hi: int | None = None, out=None
     if out is None:
         if len(rows) == 1 and w == q:
             return rows[0]
-        out = np.empty((len(rows[0]) if rows else 1, w), dtype=np.complex128)
+        out = np.empty((len(rows[0]) if rows else 1, w), dtype=_dtype(rows))
     if not rows:
         out[...] = 1
     for i, r in enumerate(rows):
@@ -557,11 +605,17 @@ def _table_rows(rows: list, q: int, lo: int = 0, hi: int | None = None, out=None
     return out
 
 
+def _dtype(rows: list) -> np.dtype:
+    """The dtype of the tables of `rows`: theirs (complex128 for q = 1)."""
+    return rows[0].dtype if rows else np.dtype(np.complex128)
+
+
 def _column_blocks(rows: list, q: int, stop: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
     """(lo, columns [lo, lo + _BLOCK_ELEMENTS) of the one table of `rows`)
-    up to column `stop` (by default q), all written into one buffer."""
+    up to column `stop` (by default q), all written into one buffer of the
+    rows' dtype."""
     stop = q if stop is None else stop
-    buf = np.empty((1, min(stop, _BLOCK_ELEMENTS)), dtype=np.complex128)
+    buf = np.empty((1, min(stop, _BLOCK_ELEMENTS)), dtype=_dtype(rows))
     for lo in range(0, stop, _BLOCK_ELEMENTS):
         hi = min(lo + _BLOCK_ELEMENTS, stop)
         yield lo, _table_rows(rows, q, lo, hi, buf[:, : hi - lo])[0]

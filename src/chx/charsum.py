@@ -2,8 +2,10 @@
 from M(chi) to L-values.
 
 max_partial_sum is one cumulative sum over a period, `_MScan`, which reads
-the value table in column blocks (`character._column_blocks`) and holds no
-array of length q; it returns only M(chi) and what is derived from it.
+the complex value table in column blocks (`character._column_blocks`) and
+holds no array of length q; it returns only M(chi) and what is derived from
+it, and is the full-period reference for `report.evaluate_character`, which
+scans a real chi over half a period of a float64 table.
 half_sum_check builds its own table and sums its half period with fsum.
 """
 
@@ -38,7 +40,9 @@ CSV_COLUMNS = (
 @dataclass(frozen=True)
 class MsumRecord:
     """M(chi) = max_x |S(x)|, S(x) = sum_{n<=x} chi(n), the first maximizer
-    of the computed |S(x)| (see max_partial_sum), and the normalized ratios
+    of the computed |S(x)| (see max_partial_sum; for a real chi, whose sums
+    are exact integers, the first maximizer itself, which lies below
+    ceil(q/2) -- see `_MScan`), and the normalized ratios
 
     ratio_odd  = M*pi/(sqrt(q)*loglog q)        -- target e^gamma for odd chi
     ratio_even = M*pi*sqrt(3)/(sqrt(q)*loglog q) -- target e^gamma for even chi
@@ -52,19 +56,40 @@ class MsumRecord:
     ratio_even: Optional[float]
 
 
-def _check_period_sum(total: complex, q: int) -> None:
-    """A full period of a non-principal character sums to 0; a table that
-    does not is corrupt."""
-    if abs(total) > 1e-6 * max(1.0, math.sqrt(q)):
-        raise AssertionError("period sum not ~0")
+def _check_period_sum(total: complex, q: int, want: complex = 0.0,
+                      what: str = "period sum") -> None:
+    """A full period of a non-principal character sums to 0, and a real
+    chi's half period to `_half_period_sum`; a table (or an L(1) behind
+    `want`) that misses by more than 1e-6 sqrt(q) is corrupt."""
+    if abs(total - want) > 1e-6 * max(1.0, math.sqrt(q)):
+        raise AssertionError(f"{what} {total} is not ~{want}")
+
+
+def _half_period_sum(chi: DirichletCharacter, rows: list, tau: complex, l1: complex) -> complex:
+    """S(floor(q/2)) for a primitive real chi, from tau(chi) and L(1, chi);
+    `rows` are chi's float64 component rows (`DirichletCharacter._rows`).
+
+    even chi: 0, as S(q-1-x) = -S(x) at x = floor(q/2) (for even q,
+              chi(q/2) = 0 makes S(q/2) = S(q/2 - 1));
+    odd chi:  (2 - chi(2)) tau L(1, chi)/(i pi), the half-sum identity of
+              `half_sum_check` (conj is moot for real chi), which holds for
+              every primitive odd chi, 2-adic q included, where chi(2) = 0.
+    chi(2) is the product of the rows' entries at 2 mod p^a."""
+    if chi.parity() == 1:
+        return 0.0
+    chi2 = math.prod(float(r[0, 2 % r.shape[1]]) for r in rows)
+    return (2.0 - chi2) * tau * l1 / (1j * math.pi)
 
 
 def max_partial_sum(chi: DirichletCharacter) -> MsumRecord:
-    """Exact scan of one period: M = max_{1<=x<=q} |sum_{n<=x} chi(n)|.
+    """Exact scan of one period of chi's complex table, real chi included:
+    M = max_{1<=x<=q} |sum_{n<=x} chi(n)|.
 
     argmax is the first maximizer of the computed |S(x)|: |S(q-1-x)| = |S(x)|,
     so for non-real chi roundoff picks which of the two is reported.  The
-    period-sum check |prefix(q)| ~ 0 guards against table corruption.
+    period-sum check |prefix(q)| ~ 0 guards against table corruption.  This
+    is the full-period reference for `report.evaluate_character`, which
+    scans a real chi on [0, ceil(q/2)) only.
     """
     if chi.is_principal:
         raise ConstraintError(
@@ -77,16 +102,27 @@ def max_partial_sum(chi: DirichletCharacter) -> MsumRecord:
 
 
 class _MScan:
-    """max_partial_sum over a value table read in column blocks, in order.
+    """M(chi) and its first maximizer over the columns [0, stop) of a value
+    table (complex128, or float64 for a real chi) read in column blocks, in
+    order.
+
+    stop = q scans a period: `max_partial_sum`, and every complex chi in
+    `report.evaluate_character`.  A real chi is scanned on its float64 table
+    over [0, ceil(q/2)) only: S(q-1-x) = -chi(-1) S(x) exactly, and its
+    prefix sums are integers, exact in float64, so M and the first maximizer
+    both lie there (the partner q-1-x of any x >= ceil(q/2) is smaller).
 
     `add` turns each block into its prefix sums in place: the running prefix
     is added into the block's first entry before `np.cumsum`, so every sum
     has the bits of one cumulative sum over the whole table.  The first
-    maximizer across blocks is kept."""
+    maximizer across blocks is kept.  `record(want)` checks the last sum,
+    S(stop - 1), against `want`: 0 over a period; over half a period
+    S(floor(q/2)) = `_half_period_sum`, which ties M to L(1, chi)."""
 
-    def __init__(self, q: int):
+    def __init__(self, q: int, stop: int | None = None):
         self.q = q
-        self.prefix = 0j
+        self.stop = q if stop is None else stop
+        self.prefix = 0
         self.M, self.argmax = -1.0, 0
 
     def add(self, lo: int, block: np.ndarray) -> None:
@@ -98,9 +134,10 @@ class _MScan:
             self.M, self.argmax = float(mags[i]), lo + i
         self.prefix = block[-1]
 
-    def record(self) -> MsumRecord:
+    def record(self, want: complex = 0.0) -> MsumRecord:
         q, M = self.q, self.M
-        _check_period_sum(self.prefix, q)
+        what = "period sum" if self.stop == q else "half-period sum"
+        _check_period_sum(self.prefix, q, want, what)
         ratio_odd = ratio_even = None
         if q >= _RATIO_MIN_MODULUS:
             norm = math.sqrt(q) * math.log(math.log(q))

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .character import (
+    _check_table_size,
     character_from_id,
     character_from_index,
     kronecker_character,
@@ -116,6 +118,13 @@ def _check_z(z) -> None:
         check_euler_truncation(z)  # exit 3 past the table cap, before any sieve
 
 
+def _id_modulus(char_id: str) -> int:
+    """q of an id "q=<q>;comps=...", read without factoring it (1 when that
+    part is malformed: character_from_id refuses the id)."""
+    head = re.match(r"q=([1-9][0-9]*);", char_id)
+    return int(head[1]) if head else 1
+
+
 def cmd_eval(args) -> int:
     started = _utcnow()
     _check_z(args.z)
@@ -123,9 +132,13 @@ def cmd_eval(args) -> int:
               args.q is not None or args.t is not None]
     if sum(chosen) != 1:
         raise ValueError("choose exactly one of --id, --kronecker, or --q/--t")
+    # a modulus past the table cap exits 3 before it is factored to build chi
+    # (factor refuses 2**63 and above); --q is checked by evaluate_character
     if args.id is not None:
+        _check_table_size(_id_modulus(args.id))
         chi = character_from_id(args.id)
     elif args.kronecker is not None:
+        _check_table_size(abs(args.kronecker))
         chi = kronecker_character(args.kronecker)
     else:
         if args.q is None or args.t is None:

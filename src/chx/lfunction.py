@@ -15,7 +15,11 @@ q_i || q, read straight from chi's component rows at n q/q_i mod q_i
 chi(q - a) = chi(-1) chi(a) folds the sum onto a < q/2, with the weights
 2a - q or 2 log sin(pi a/q) for the character's parity, summed per block
 over that block's weights only, the partials added by fsum, so no array of
-length q is held past the prime powers' own.  `gauss_sum` and `l1_exact`
+length q is held past the prime powers' own.  A real chi (order 2) is read
+as a float64 table of exact 0/+-1, one real dot per block; the same half
+period is all that `report.evaluate_character` scans for its M(chi), with
+the half-period identity (`charsum._half_period_sum`) as the guard that
+ties the two scans.  `gauss_sum` and `l1_exact`
 evaluate the same formulas over the whole period with compensated sums;
 they are the kernel's oracles.  (All characters of one modulus at once:
 `character.CharacterMatrix.sums`.)
@@ -314,20 +318,21 @@ class _FiniteScan:
             return
         a = np.arange(first, hi, dtype=np.float64)
         w = 2.0 * a - self.q if self.odd else 2.0 * np.log(np.sin((math.pi / self.q) * a))
-        self._partials.append(w @ block[first - lo : hi - lo].view(np.float64).reshape(-1, 2))
+        cols = block[first - lo : hi - lo].view(np.float64).reshape(hi - first, -1)
+        self._partials.append(w @ cols)  # (re, im) dots, or one re dot for a real table
 
     def result(self) -> tuple[complex, LValue]:
-        re, im = (math.fsum(p) for p in zip(*self._partials))
-        value = _finite_l1(self.tau, complex(re, -im), self.q, self.odd)
+        re, *im = (math.fsum(p) for p in zip(*self._partials))
+        value = _finite_l1(self.tau, complex(re, -im[0] if im else 0.0), self.q, self.odd)
         return self.tau, _finite_lvalue(complex(value), self.q)
 
 
 def l1_finite(chi: DirichletCharacter) -> tuple[complex, LValue]:
     """(tau(chi), L(1, chi)) for one character by the kernel: tau from its
     component rows, L(1, chi) over the columns [0, ceil(q/2)) of its value
-    table in column blocks."""
+    table in column blocks, a float64 table for a real chi."""
     _require_primitive_nonprincipal(chi)
-    rows = chi._rows()
+    rows = chi._rows(real=chi.order == 2)
     scan = _FiniteScan(chi, rows)
     for lo, block in _column_blocks(rows, chi.modulus, scan.stop):
         scan.add(lo, block)

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .character import DirichletCharacter, _check_table_size, _column_blocks, product_character
-from .charsum import CSV_COLUMNS, _MScan
+from .charsum import CSV_COLUMNS, _MScan, _half_period_sum
 from .lfunction import (
     LValue,
     _FiniteScan,
@@ -108,22 +108,32 @@ def evaluate_character(
     and chi's value table is read from them once, in column blocks through
     one reused buffer (`character._column_blocks`).  Each block below
     ceil(q/2) feeds the L(1) sum, then every block becomes its own prefix
-    sums for M(chi).  chi*xi's table is read only on [0, ceil(q/2)) for
-    L(1, chi*xi) (`l1_finite`).  A member holds O(block + sum p^a) bytes,
-    not O(q), and a modulus past the table cap (chi*xi's, when it is
-    larger) is refused before any work, before even chi's order and
-    conductor, which factor p - 1 for each prime p | q.
+    sums for M(chi).  A complex chi (order >= 3) is read over its whole
+    period as complex128.  A real chi (order 2) is read as float64 rows of
+    exact 0/+-1 over [0, ceil(q/2)) only: its prefix sums are exact
+    integers and S(q-1-x) = -chi(-1) S(x), so M and the first maximizer
+    argmax lie there exactly (`charsum._MScan`).  Its guard is the
+    half-period identity (`charsum._half_period_sum`): S(floor(q/2)) is 0
+    for even chi and (2 - chi(2)) tau L(1, chi)/(i pi) for odd chi, which
+    ties the M scan to the L(1) scan; a complex chi's is the period sum 0.
+    chi*xi's table is read only on [0, ceil(q/2)) for L(1, chi*xi)
+    (`l1_finite`, float64 for a real chi*xi).  A member holds
+    O(block + sum p^a) bytes, not O(q), and a modulus past the table cap
+    (chi*xi's, when it is larger) is refused before any work, before even
+    chi's order and conductor, which factor p - 1 for each prime p | q.
     """
     twisted = product_character(chi, xi) if xi is not None and not xi.is_principal else None
     _check_table_size(chi.modulus if twisted is None else twisted.modulus)
     _require_primitive_nonprincipal(chi)
-    rows = chi._rows()
-    finite, sums = _FiniteScan(chi, rows), _MScan(chi.modulus)
-    for lo, block in _column_blocks(rows, chi.modulus):
+    q, real = chi.modulus, chi.order == 2
+    rows = chi._rows(real)
+    finite = _FiniteScan(chi, rows)
+    sums = _MScan(q, finite.stop if real else q)
+    for lo, block in _column_blocks(rows, q, sums.stop):
         finite.add(lo, block)  # the columns below ceil(q/2) only
         sums.add(lo, block)  # overwrites the block: last
     tau, l1 = finite.result()
-    msum = sums.record()
+    msum = sums.record(_half_period_sum(chi, rows, tau, l1.value) if real else 0.0)
     l1_euler = l1_truncated_euler(chi, z) if z is not None else None
     l1_twisted = l1_finite(twisted)[1] if twisted is not None else None
     xi_id = xi.char_id if twisted is not None else None

@@ -520,6 +520,33 @@ def test_two_adic_tables_refuse_past_cap(monkeypatch):
         chi.eval(3)
 
 
+def test_log_tables_cache_is_bounded_by_bytes():
+    # the oldest results go first once the bytes held pass the limit; a result
+    # over the limit is returned but not kept
+    built = []
+    cache = character._BytesLRU(lambda n: built.append(n) or (np.zeros(n, dtype=np.int8),), 10)
+    for n in (4, 4, 5, 4, 3, 11, 11):
+        assert len(cache(n)[0]) == n
+    assert built == [4, 5, 3, 11, 11]  # the second hit on 4 left 5 the oldest: 3 evicted it
+    assert (cache.hits, cache.misses, cache.nbytes) == (2, 5, 7)
+    assert list(cache._entries) == [(4,), (3,)]
+    cache.cache_clear()
+    assert (cache.hits, cache.misses, cache.nbytes, len(cache._entries)) == (0, 0, 0, 0)
+    assert character._log_tables.limit == character._LOG_CACHE_BYTES == 1 << 20
+
+
+def test_real_rows_are_the_real_part_of_the_complex_rows():
+    # exact 0/+-1 float64 rows for every real character, 2-adic ones included
+    for d in (-4, -8, 8, 5, -3, 12, -1003, 1001, 3001, -2999, 2005, -7 * 8):
+        chi = kronecker_character(d)
+        real = chi._rows(real=True)
+        assert all(r.dtype == np.float64 for r in real)
+        for r, c in zip(real, chi._rows(), strict=True):
+            assert np.array_equal(r, c.real) and set(np.unique(r)) <= {-1.0, 0.0, 1.0}
+        table = character._table_rows(real, chi.modulus)[0]
+        assert np.array_equal(table, chi.value_table().real)
+
+
 @pytest.mark.parametrize("q,t,cap", [(1009, 7, 1000), (3**7, 5, 2000)])
 def test_dlog_bsgs_matches_table(q, t, cap, monkeypatch):
     # above the table cap, dlogs come from baby-step/giant-step

@@ -160,6 +160,25 @@ def test_eval_prime_modulus_past_2_63_exit_3(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--id", "q=9223372036854775837;comps=9223372036854775837:3"],
+    ["eval", "--kronecker", "9223372036854775837"],
+    ["eval", "--kronecker", "-9223372036854775837"],
+    ["eval", "--id", "q=67239919;comps=8191:2,8209:2"],
+    ["eval", "--kronecker", "-67108867"],
+])
+def test_eval_id_and_kronecker_past_the_cap_exit_3_before_factoring(argv, capsys, monkeypatch):
+    # factor refuses 2**63 and above: the modulus is checked before it is factored
+    def refuse(n):
+        raise AssertionError(f"factor({n}) ran before the table-size check")
+
+    for mod in (ntheory, character):
+        monkeypatch.setattr(mod, "factor", refuse)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "exceeds cap 2**26" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("mode,Q", [("even_sum", "1e8"), ("orderk", "3e7"), ("odd_sum", "1e8")])
 def test_search_oversized_member_refused_before_evaluating(mode, Q, tmp_path, capsys, monkeypatch):
     # the conductor floor passes, but the largest member's table is over the cap

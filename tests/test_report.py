@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chx import character, cli, lfunction, ntheory, verify
+from chx import character, cli, families, lfunction, ntheory, report, verify
 from chx.character import (
     all_characters,
     character_from_id,
@@ -155,6 +155,79 @@ def test_streamed_member_matches_whole_table(char_id, xi, block, monkeypatch):
         msum, (tau, l1) = max_partial_sum(twisted), l1_finite(twisted)
         assert (msum.M, msum.argmax, tau) == _whole_table(twisted)
         assert l1 == rec.L1_twisted
+
+
+def _assert_real_path_matches_references(chi, xi=None):
+    """evaluate_character on a real chi: M and argmax equal the full-period
+    complex scan's exactly, and L(1) (and L(1, chi*xi)) lie within their
+    error_bound of l1_exact."""
+    rec, ref = evaluate_character(chi, xi=xi), max_partial_sum(chi)
+    assert (rec.M, rec.argmax) == (ref.M, ref.argmax), chi.char_id
+    assert rec.argmax < (chi.modulus + 1) // 2
+    assert abs(rec.L1.value - l1_exact(chi).value) <= rec.L1.error_bound, chi.char_id
+    if xi is not None:
+        twisted = l1_exact(product_character(chi, xi)).value
+        assert abs(rec.L1_twisted.value - twisted) <= rec.L1_twisted.error_bound, chi.char_id
+
+
+def test_real_path_matches_references_on_every_small_discriminant():
+    # every fundamental d with |d| <= 3000, both signs, 2-adic d included
+    ds = [d for n in range(3, 3001) for d in (n, -n) if ntheory.is_fundamental_discriminant(d)]
+    assert len(ds) == 1820 and {d % 8 for d in ds if d % 2 == 0} == {0, 4}
+    for d in ds:
+        _assert_real_path_matches_references(kronecker_character(d))
+
+
+def test_real_path_matches_references_on_the_bench_search_members():
+    # the 15 real members of the bench's search_mix: orderk k = 2 and even_sum
+    # k = 2 at Q = 2e5, the latter with their twist chi * (./3)
+    orderk = [chi for _, chi in families.pigeonhole_with_retry(families.OrderKFamilySpec(2e5, 2)).pairs]
+    spec = families.QuadTwistSpec(2e5, 2, 1)
+    even = [m.chi for m in families.twisted_family(spec).members]
+    assert (len(orderk), len(even)) == (10, 5)
+    for chi in orderk:
+        _assert_real_path_matches_references(chi)
+    for chi in even:
+        _assert_real_path_matches_references(chi, spec.xi)
+
+
+@pytest.mark.parametrize("d", [3001, -2999, -8])  # even, odd, odd and 2-adic
+def test_half_period_guard_trips_on_a_corrupt_row(d, monkeypatch):
+    # chi(1) flipped in chi's one component row: the table, tau and L(1) all
+    # read it, and S(floor(q/2)) misses the half-period identity
+    component_rows = character._component_rows
+
+    def corrupt(c, labels, roots):
+        vals = component_rows(c, labels, roots)
+        vals[:, 1] *= -1
+        return vals
+
+    chi = kronecker_character(d)
+    assert len(chi.components) == 1
+    monkeypatch.setattr(character, "_component_rows", corrupt)
+    with pytest.raises(AssertionError, match="half-period sum"):
+        evaluate_character(chi)
+
+
+def test_each_member_takes_its_path(monkeypatch):
+    # a k = 3 member is scanned over its whole period as complex128 (its pinned
+    # argmax lies past ceil(q/2)); a quadratic one over [0, ceil(q/2)) as float64
+    seen = []
+    column_blocks = report._column_blocks
+
+    def recording(rows, q, stop=None):
+        for lo, block in column_blocks(rows, q, stop):
+            seen.append((block.dtype, lo + len(block)))
+            yield lo, block
+
+    monkeypatch.setattr(report, "_column_blocks", recording)
+    rec = evaluate_character(character_from_id("q=301771;comps=523:174,577:384"))
+    assert rec.order == 3 and rec.argmax == 288491
+    assert {dt for dt, _ in seen} == {np.dtype(np.complex128)} and seen[-1][1] == 301771
+    seen.clear()
+    rec = evaluate_character(kronecker_character(-2999))
+    assert rec.order == 2
+    assert {dt for dt, _ in seen} == {np.dtype(np.float64)} and seen[-1][1] == 1500
 
 
 def test_evaluate_character_holds_no_table():
