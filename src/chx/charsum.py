@@ -5,7 +5,11 @@ max_partial_sum is one cumulative sum over a period, `_MScan`, which reads
 the complex value table in column blocks (`character._column_blocks`) and
 holds no array of length q; it returns only M(chi) and what is derived from
 it, and is the full-period reference for `report.evaluate_character`, which
-scans a real chi over half a period of a float64 table.
+scans a real chi over half a period of a float64 table.  Each block `_MScan`
+has added holds its prefix sums, so `evaluate_character` reads
+S(floor(q/3)) there: for even chi with 3 coprime to q it is the even
+bridge's L-value, S(floor(q/3)) = sqrt(3) tau(chi) L(1, conj(chi) (./3))/(2 pi),
+so an even_sum member builds no table mod 3q.
 half_sum_check builds its own table and sums its half period with fsum.
 """
 
@@ -112,7 +116,8 @@ class _MScan:
     prefix sums are integers, exact in float64, so M and the first maximizer
     both lie there (the partner q-1-x of any x >= ceil(q/2) is smaller).
 
-    `add` turns each block into its prefix sums in place: the running prefix
+    `add` turns each block into its prefix sums in place (the caller may
+    read S(x) at any of its columns afterwards): the running prefix
     is added into the block's first entry before `np.cumsum`, so every sum
     has the bits of one cumulative sum over the whole table.  The first
     maximizer across blocks is kept.  `record(want)` checks the last sum,
@@ -199,7 +204,8 @@ def bridge_bounds(chi: DirichletCharacter) -> BridgeRecord:
     """Lower bounds for M(chi) in terms of L-values, for even-order chi.
 
     odd chi:  M(chi) >= (sqrt(q)/pi) |L(1, chi)|
-    even chi: M(chi) >= (sqrt(3q)/(2 pi)) |L(1, chi * (./3))|, needs 3 ∤ q
+    even chi: M(chi) >= (sqrt(3q)/(2 pi)) |L(1, chi * (./3))|, needs 3 ∤ q;
+              |S(floor(q/3))| equals the right side (Polya's expansion)
     """
     if chi.order % 2 != 0:
         raise ConstraintError("bridge bounds require a character of even order")

@@ -10,16 +10,22 @@ Production values of tau(chi) and L(1, chi) come from the finite formulas
 as dot products (~1e-12 relative), by one kernel, `l1_finite` (through
 `_FiniteScan`).  tau is a product of one short dot per prime power
 q_i || q, read straight from chi's component rows at n q/q_i mod q_i
-(`_tau`, O(sum q_i), no table).  L(1, chi) reads only the columns
+(`_tau`, O(sum q_i), no table); a real chi's is sqrt(q) or i sqrt(q) by
+parity, with no dot.  L(1, chi) reads only the columns
 [0, ceil(q/2)) of chi's table, in column blocks (`character._column_blocks`):
 chi(q - a) = chi(-1) chi(a) folds the sum onto a < q/2, with the weights
-2a - q or 2 log sin(pi a/q) for the character's parity, summed per block
+2a - q or 2 log sin(pi a/q) for the character's parity (the sines by the
+addition formula from one (cos, sin)(pi j/q) table per character, not
+np.sin per column), summed per block
 over that block's weights only, the partials added by fsum, so no array of
 length q is held past the prime powers' own.  A real chi (order 2) is read
 as a float64 table of exact 0/+-1, one real dot per block; the same half
 period is all that `report.evaluate_character` scans for its M(chi), with
 the half-period identity (`charsum._half_period_sum`) as the guard that
-ties the two scans.  `gauss_sum` and `l1_exact`
+ties the two scans.  For even chi, 3 coprime to q, L(1, chi (./3)) is
+read off the same scan's S(floor(q/3)) (`_twisted_l1_from_third`), and
+the truncated Euler product off chi's component rows (`_euler_from_rows`).
+`gauss_sum` and `l1_exact`
 evaluate the same formulas over the whole period with compensated sums;
 they are the kernel's oracles.  (All characters of one modulus at once:
 `character.CharacterMatrix.sums`.)
@@ -50,7 +56,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ._special import digamma, erfc_sqrt, exp1
-from .character import _DLOG_TABLE_CAP, DirichletCharacter, _column_blocks, values_up_to
+from .character import _DLOG_TABLE_CAP, DirichletCharacter, _column_blocks, _dtype, values_up_to
 from .errors import ConstraintError, ResourceError
 from .ntheory import sieve_primes
 
@@ -237,15 +243,36 @@ def l1_truncated_euler(chi: DirichletCharacter, z: float) -> LValue:
     One `complex_at` call gives every chi(p); the factors divide in left to
     right.  z > 2**26 raises ResourceError before the sieve.  The error band
     is an empirical ~3 sigma estimate of the omitted factor, sized like the
-    standard deviation of sum_{p>z} chi(p)/p; non-rigorous.
+    standard deviation of sum_{p>z} chi(p)/p; non-rigorous.  This is the
+    oracle of `_euler_from_rows`, which `report.evaluate_character` uses.
     """
+    return _truncated_euler(z, chi.modulus, chi.complex_at)
+
+
+def _euler_from_rows(rows: list, q: int, z: float) -> LValue:
+    """`l1_truncated_euler` with chi(p) read from chi's component rows
+    (`DirichletCharacter._rows`): the product of the rows' entries at
+    p mod p^a, so no digit-log table is looked up again.  Within 1e-12 of
+    the oracle (a real chi's +-1 rows give its very chi(p))."""
+
+    def values(ps: np.ndarray):
+        out = np.ones(len(ps), dtype=_dtype(rows))
+        for r in rows:
+            out *= r[0, ps % r.shape[1]]
+        return out
+
+    return _truncated_euler(z, q, values)
+
+
+def _truncated_euler(z: float, q: int, values) -> LValue:
+    """The Euler product of `l1_truncated_euler`, with `values(ps)` giving
+    chi(p) at the primes ps."""
     check_euler_truncation(z)
-    q = chi.modulus
     value = 1.0 + 0.0j
     if z >= 2:
         ps = sieve_primes(max(3, int(math.floor(z)))).primes
         ps = ps[(ps <= z) & (q % ps != 0)]
-        for v, p in zip(chi.complex_at(ps).tolist(), ps.tolist()):
+        for v, p in zip(values(ps).tolist(), ps.tolist()):
             value /= 1.0 - v / p
     if z >= 3:
         band = 3.0 * abs(value) / math.sqrt(z * math.log(z))
@@ -294,37 +321,88 @@ def _tau(rows: list, q: int) -> complex:
     return complex(math.prod(dots))
 
 
+def _half_turns(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cos, sin)(pi j/q) for j < n, as the products of a coarse and a fine
+    table of s ~ sqrt(n) direct values each: e(j/2q) = e(s k/2q) e(i/2q)
+    for j = s k + i, one rounding from two directly computed roots."""
+    s = math.isqrt(max(n - 1, 0)) + 1
+    step = 1j * math.pi / q
+    t = (np.exp(step * s * np.arange(s))[:, None] * np.exp(step * np.arange(s))).ravel()[:n]
+    return t.real.copy(), t.imag.copy()
+
+
 class _FiniteScan:
     """(tau(chi), L(1, chi)) by the finite formulas of `l1_exact`, with tau
     from chi's component rows (`_tau`) and L(1, chi) from the columns
     [0, stop = ceil(q/2)) of chi's value table, read in blocks, in order.
 
+    A real chi's rows (float64, `DirichletCharacter._rows(real=True)`) give
+    its tau exactly, with no dot: tau = sqrt(q) for even chi and i sqrt(q)
+    for odd chi (Gauss; chi is primitive).
+
     chi(q - a) = chi(-1) chi(a) folds each sum onto a < q/2: the weights are
     2a - q for odd chi and 2 log sin(pi a/q) for even chi (for even q,
-    a = q/2 is not a unit).  Each block's dot takes its own columns'
-    weights; the partial sums are added by fsum.  `add` only reads the
-    block, and ignores its columns past stop."""
+    a = q/2 is not a unit).  A block's sines come from the angle theta0 =
+    pi first/q of its first column and one table of (cos, sin)(pi j/q) for
+    j below the block length, built once (`_half_turns`):
+    sin(theta0 + pi j/q) = sin theta0 cos(pi j/q) + cos theta0 sin(pi j/q),
+    both terms >= 0 on (0, pi/2], so no np.sin per column and nothing
+    cancels.  Each block's dot takes its own columns' weights; the partial
+    sums are added by fsum.  `add` only reads the block, and ignores its
+    columns past stop."""
 
     def __init__(self, chi: DirichletCharacter, rows: list):
         q = self.q = chi.modulus
         self.odd = chi.parity() == -1
         self.stop = (q + 1) // 2
-        self.tau = _tau(rows, q)
+        if rows and rows[0].dtype == np.float64:
+            self.tau = complex(0.0, math.sqrt(q)) if self.odd else complex(math.sqrt(q))
+        else:
+            self.tau = _tau(rows, q)
+        self._turns = None
         self._partials = []
 
     def add(self, lo: int, block: np.ndarray) -> None:
         first, hi = max(lo, 1), min(lo + len(block), self.stop)  # chi(0) = 0 has no weight
         if first >= hi:
             return
-        a = np.arange(first, hi, dtype=np.float64)
-        w = 2.0 * a - self.q if self.odd else 2.0 * np.log(np.sin((math.pi / self.q) * a))
         cols = block[first - lo : hi - lo].view(np.float64).reshape(hi - first, -1)
+        w = self._weights(first, hi, len(block))
         self._partials.append(w @ cols)  # (re, im) dots, or one re dot for a real table
+
+    def _weights(self, first: int, hi: int, width: int) -> np.ndarray:
+        """The folded weights of the columns [first, hi), 0 < first < hi <= stop,
+        of a block `width` columns wide."""
+        if self.odd:
+            return 2.0 * np.arange(first, hi, dtype=np.float64) - self.q
+        n = hi - first
+        if self._turns is None or len(self._turns[0]) < n:
+            self._turns = _half_turns(self.q, width)
+        cos, sin = self._turns
+        theta0 = math.pi * first / self.q
+        w = math.sin(theta0) * cos[:n]
+        w += math.cos(theta0) * sin[:n]
+        np.log(w, out=w)
+        w *= 2.0
+        return w
 
     def result(self) -> tuple[complex, LValue]:
         re, *im = (math.fsum(p) for p in zip(*self._partials))
         value = _finite_l1(self.tau, complex(re, -im[0] if im else 0.0), self.q, self.odd)
         return self.tau, _finite_lvalue(complex(value), self.q)
+
+
+def _twisted_l1_from_third(tau: complex, s_third: complex, q: int) -> LValue:
+    """L(1, chi chi_-3) for an even primitive chi mod q, 3 coprime to q, from
+    tau = tau(chi) and s_third = S_chi(floor(q/3)) = sum_{n <= q/3} chi(n).
+
+    Polya's Fourier expansion of S_chi at q/3 gives
+    S_chi(floor(q/3)) = sqrt(3) tau(chi) L(1, conj(chi) chi_-3)/(2 pi)
+    (Granville-Soundararajan, JAMS 2007), so with conj(tau) tau = q,
+    L(1, chi chi_-3) = 2 pi tau conj(S)/(sqrt(3) q).  chi chi_-3 is primitive
+    mod 3q, and the value carries that modulus's `l1_finite` allowance."""
+    value = 2.0 * math.pi * tau * complex(s_third).conjugate() / (math.sqrt(3.0) * q)
+    return _finite_lvalue(value, 3 * q)
 
 
 def l1_finite(chi: DirichletCharacter) -> tuple[complex, LValue]:

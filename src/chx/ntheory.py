@@ -11,6 +11,7 @@ by construction (moduli are capped at 2**32).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -21,6 +22,10 @@ import numpy as np
 _SEGMENT = 1 << 22
 _SIEVE_LIMIT_MAX = 1 << 32
 _TRIAL_BOUND = 10**6
+# trial division starts with the primes to _TRIAL_START, enough for every
+# search member's modulus, and grows x _TRIAL_GROWTH only for a larger cofactor
+_TRIAL_START = 1 << 10
+_TRIAL_GROWTH = 16
 # mixing constant of the rho rng's seed: the library's only fixed randomness
 RHO_SEED_CONSTANT = 0x9E3779B97F4A7C15
 
@@ -141,9 +146,18 @@ class Factorization:
         return sorted(divs)
 
 
-@lru_cache(maxsize=1)
-def _trial_primes() -> list[int]:
-    return sieve_primes(_TRIAL_BOUND).primes.tolist()
+# the trial-division primes up to _trial_limit, grown only on demand (`_grow_trial_primes`)
+_trial_primes: list[int] = []
+_trial_limit = 1
+
+
+def _grow_trial_primes() -> None:
+    """Extend `_trial_primes` to the next limit: _TRIAL_START, then
+    _TRIAL_GROWTH times the last, capped at _TRIAL_BOUND."""
+    global _trial_limit
+    limit = min(_TRIAL_BOUND, max(_TRIAL_START, _trial_limit * _TRIAL_GROWTH))
+    _trial_primes.extend(sieve_primes(limit).primes[len(_trial_primes) :].tolist())
+    _trial_limit = limit
 
 
 def _brent_rho(n: int) -> int:
@@ -188,15 +202,24 @@ def factor(n: int) -> Factorization:
 @lru_cache(maxsize=4096, typed=True)  # b_coefficient re-factors each n once per r
 def _factor(n: int) -> Factorization:
     out: dict[int, int] = {}
-    rem = n
-    for p in _trial_primes():
-        if p * p > rem:
-            break
-        while rem % p == 0:
-            out[p] = out.get(p, 0) + 1
-            rem //= p
+    rem, tried = n, 0
+    while True:
+        for p in itertools.islice(_trial_primes, tried, None):
+            if p * p > rem:
+                break
+            while rem % p == 0:
+                out[p] = out.get(p, 0) + 1
+                rem //= p
+        else:
+            # every prime up to _trial_limit is divided out: grow only while
+            # that leaves a composite rem possible, up to _TRIAL_BOUND
+            if _trial_limit * _trial_limit <= rem and _trial_limit < _TRIAL_BOUND:
+                tried = len(_trial_primes)
+                _grow_trial_primes()
+                continue
+        break
     if rem > 1:
-        if rem < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(rem):
+        if rem < _trial_limit * _trial_limit or is_prime(rem):
             # trial division already reached sqrt(rem), or rem is prime
             out[rem] = out.get(rem, 0) + 1
         else:

@@ -21,9 +21,10 @@ from .charsum import CSV_COLUMNS, _MScan, _half_period_sum
 from .lfunction import (
     LValue,
     _FiniteScan,
+    _euler_from_rows,
     _require_primitive_nonprincipal,
+    _twisted_l1_from_third,
     l1_finite,
-    l1_truncated_euler,
 )
 from .ntheory import RHO_SEED_CONSTANT
 # bench/test_bench.py::test_tracer_patches_every_binding asserts report.l1_exact
@@ -104,38 +105,54 @@ def evaluate_character(
     """Evaluate L(1, chi) (exact and optionally Euler-truncated), M(chi),
     tau(chi), and optionally L(1, chi*xi) for a companion character xi.
 
-    chi's component rows are built once: tau(chi) comes from them directly,
-    and chi's value table is read from them once, in column blocks through
-    one reused buffer (`character._column_blocks`).  Each block below
-    ceil(q/2) feeds the L(1) sum, then every block becomes its own prefix
-    sums for M(chi).  A complex chi (order >= 3) is read over its whole
-    period as complex128.  A real chi (order 2) is read as float64 rows of
-    exact 0/+-1 over [0, ceil(q/2)) only: its prefix sums are exact
-    integers and S(q-1-x) = -chi(-1) S(x), so M and the first maximizer
-    argmax lie there exactly (`charsum._MScan`).  Its guard is the
-    half-period identity (`charsum._half_period_sum`): S(floor(q/2)) is 0
-    for even chi and (2 - chi(2)) tau L(1, chi)/(i pi) for odd chi, which
-    ties the M scan to the L(1) scan; a complex chi's is the period sum 0.
-    chi*xi's table is read only on [0, ceil(q/2)) for L(1, chi*xi)
-    (`l1_finite`, float64 for a real chi*xi).  A member holds
-    O(block + sum p^a) bytes, not O(q), and a modulus past the table cap
-    (chi*xi's, when it is larger) is refused before any work, before even
-    chi's order and conductor, which factor p - 1 for each prime p | q.
+    chi's component rows are built once: tau(chi) comes from them directly
+    (exactly, for a real chi), as do the chi(p) of the Euler product
+    (`lfunction._euler_from_rows`), and chi's value table is read from them
+    once, in column blocks through one reused buffer
+    (`character._column_blocks`).  Each block below ceil(q/2) feeds the
+    L(1) sum, then every block becomes its own prefix sums for M(chi).  A
+    complex chi (order >= 3) is read over its whole period as complex128.
+    A real chi (order 2) is read as float64 rows of exact 0/+-1 over
+    [0, ceil(q/2)) only: its prefix sums are exact integers and
+    S(q-1-x) = -chi(-1) S(x), so M and the first maximizer argmax lie there
+    exactly (`charsum._MScan`).  Its guard is the half-period identity
+    (`charsum._half_period_sum`): S(floor(q/2)) is 0 for even chi and
+    (2 - chi(2)) tau L(1, chi)/(i pi) for odd chi, which ties the M scan to
+    the L(1) scan; a complex chi's is the period sum 0.
+
+    L(1, chi*xi) for xi = (./3), chi even and 3 coprime to q -- every
+    even_sum member -- comes from the same scan: the prefix sum
+    S(floor(q/3)), which lies below ceil(q/2), gives it by Polya's
+    expansion (`lfunction._twisted_l1_from_third`), so the member reads one
+    table, mod q.  Any other pair (odd chi, 3 | q, another xi: no search
+    mode makes one) reads the half period of chi*xi's table (`l1_finite`).
+    A member holds O(block + sum p^a) bytes, not O(q), and a modulus past
+    the table cap (chi*xi's, when it is larger, whichever way its L(1) is
+    read) is refused before any work, before even chi's order and
+    conductor, which factor p - 1 for each prime p | q.
     """
     twisted = product_character(chi, xi) if xi is not None and not xi.is_principal else None
     _check_table_size(chi.modulus if twisted is None else twisted.modulus)
     _require_primitive_nonprincipal(chi)
     q, real = chi.modulus, chi.order == 2
+    third = twisted is not None and xi.modulus == 3 and chi.parity() == 1 and q % 3 != 0
     rows = chi._rows(real)
     finite = _FiniteScan(chi, rows)
     sums = _MScan(q, finite.stop if real else q)
     for lo, block in _column_blocks(rows, q, sums.stop):
         finite.add(lo, block)  # the columns below ceil(q/2) only
-        sums.add(lo, block)  # overwrites the block: last
+        sums.add(lo, block)  # overwrites the block with its prefix sums: last
+        if third and lo <= q // 3 < lo + len(block):
+            s_third = complex(block[q // 3 - lo])
     tau, l1 = finite.result()
     msum = sums.record(_half_period_sum(chi, rows, tau, l1.value) if real else 0.0)
-    l1_euler = l1_truncated_euler(chi, z) if z is not None else None
-    l1_twisted = l1_finite(twisted)[1] if twisted is not None else None
+    l1_euler = _euler_from_rows(rows, q, z) if z is not None else None
+    if twisted is None:
+        l1_twisted = None
+    elif third:
+        l1_twisted = _twisted_l1_from_third(tau, s_third, q)
+    else:
+        l1_twisted = l1_finite(twisted)[1]
     xi_id = xi.char_id if twisted is not None else None
     return EvalRecord(
         char_id=chi.char_id,

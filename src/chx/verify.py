@@ -440,9 +440,14 @@ def _check_bridges(q_max: int = 400) -> CheckResult:
     """M(chi) >= (sqrt(q)/pi)|L(1,chi)| (odd) and
     M(chi) >= (sqrt(3q)/(2pi))|L(1, chi*(./3))| (even, 3 coprime to q),
     for every primitive even-order chi with q <= q_max; every 499th
-    character is also tied to bridge_bounds."""
+    character is also tied to bridge_bounds.  An even chi's bound is
+    attained at x = floor(q/3): |S(floor(q/3))| = (sqrt(3q)/(2pi))
+    |L(1, chi*(./3))| (`lfunction._twisted_l1_from_third`) within
+    1e-8 sqrt(q), the worst gap relative to sqrt(q) reported as
+    `third_gap`."""
     n_odd = violations = 0
     min_margin = float("inf")
+    third_gap = 0.0
     spot = _Spot(499, _bridge_tie)
     for q in range(3, q_max + 1):
         if q % 4 == 2:
@@ -461,7 +466,13 @@ def _check_bridges(q_max: int = 400) -> CheckResult:
         l1, l1_twisted = cm.sums(f)[:, rows]
         rhs = np.where(odd, math.sqrt(q) / math.pi * np.abs(l1),
                        math.sqrt(3 * q) / (2 * math.pi) * np.abs(l1_twisted))
-        M = np.concatenate([_max_partial_sums(W) for _, W in cm.blocks(rows)])
+        M, S_third = [], []
+        for _, W in cm.blocks(rows):
+            M.append(_max_partial_sums(W))
+            S_third.append(W[:, : q // 3 + 1].sum(axis=1))
+        M = np.concatenate(M)
+        gaps = np.abs(np.abs(np.concatenate(S_third)) - rhs)[~odd] / math.sqrt(q)
+        third_gap = float(np.max(gaps, initial=third_gap))  # a NaN gap stays, and fails
         violations += int(np.count_nonzero(~(M >= rhs - _BRIDGE_SLACK)))
         min_margin = min(min_margin, float((M - rhs).min()))
         n_odd += int(np.count_nonzero(odd))
@@ -469,7 +480,7 @@ def _check_bridges(q_max: int = 400) -> CheckResult:
     spot_worst = max(spot.diffs(), default=0.0)
     return CheckResult(
         "bridge_bounds",
-        spot.passed(violations == 0 and spot_worst <= 1e-10),
+        spot.passed(violations == 0 and spot_worst <= 1e-10 and third_gap <= 1e-8),
         {
             "q_max": q_max,
             "n_odd_branch": n_odd,
@@ -477,6 +488,7 @@ def _check_bridges(q_max: int = 400) -> CheckResult:
             "violations": violations,
             "min_margin": min_margin,
             "spot_worst_abs": spot_worst,
+            "third_gap": third_gap,
         },
     )
 

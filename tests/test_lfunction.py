@@ -342,3 +342,53 @@ def test_l1_afe_refuses_two_adic_and_imprimitive():
         lfunction.l1_afe([principal_character(13)])
     with pytest.raises(ConstraintError):
         lfunction.l1_afe([next(c for c in all_characters(45) if not c.is_primitive and c.order > 1)])
+
+
+# the even weights 2 log sin(pi a/q) of _FiniteScan, from one (cos, sin) table
+
+
+def _scan_weights(chi, width):
+    """_FiniteScan's folded weights over [1, ceil(q/2)) in blocks of `width`
+    columns, as `add` asks for them."""
+    scan = lfunction._FiniteScan(chi, chi._rows(real=chi.order == 2))
+    return np.concatenate([scan._weights(max(lo, 1), min(lo + width, scan.stop), width)
+                           for lo in range(0, scan.stop, width)])
+
+
+@pytest.mark.parametrize("char_id", [
+    "q=13;comps=13:2",  # below one block
+    "q=8072;comps=2^3:1,1009:2",  # a 2-adic component, one block
+    "q=131072;comps=2^17:1",  # 2-adic, four blocks
+    "q=1000003;comps=1000003:2",  # 31 blocks
+])
+def test_even_weights_match_log_sin(char_id):
+    # within 4 ulp of np.log(np.sin(.)) relative to max(|w|, 2): where
+    # |w| < 2 that is 4 ulp relative in the sine itself
+    chi = character_from_id(char_id)
+    assert chi.is_primitive and chi.parity() == 1
+    q = chi.modulus
+    want = 2.0 * np.log(np.sin((math.pi / q) * np.arange(1, (q + 1) // 2, dtype=np.float64)))
+    for width in (1 << 14, 1000):
+        got = _scan_weights(chi, width)
+        assert len(got) == len(want)
+        assert np.all(np.abs(got - want) <= 4 * lfunction._EPS * np.maximum(np.abs(want), 2.0))
+
+
+def test_euler_from_rows_matches_the_oracle():
+    # chi(p) from the component rows: a real chi's +-1 give every bit of the
+    # oracle, a complex chi's roots within 1e-12
+    chars = [kronecker_character(-4), kronecker_character(-2999), kronecker_character(3001),
+             character_from_index(1009, 7), character_from_id("q=40;comps=2^3:3,5:1"),
+             character_from_id("q=301771;comps=523:174,577:384"),
+             character_from_id("q=8072;comps=2^3:3,1009:5")]
+    for chi in chars:
+        real = chi.order == 2
+        for z in (1.5, 2.0, 100.0, 5000.0):
+            want = l1_truncated_euler(chi, z)
+            got = lfunction._euler_from_rows(chi._rows(real), chi.modulus, z)
+            assert (got.method, got.param, got.rigorous) == (want.method, want.param, want.rigorous)
+            if real:
+                assert (got.value, got.error_bound) == (want.value, want.error_bound)
+            else:
+                assert abs(got.value - want.value) <= 1e-12, (chi.char_id, z)
+                assert got.error_bound == pytest.approx(want.error_bound, rel=0, abs=1e-12)

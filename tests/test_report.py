@@ -86,6 +86,12 @@ def test_evaluate_character_builds_one_table_per_character(monkeypatch):
     assert {q for q, _, _ in built} == {40} and covered(40, 40) == 6  # [0, 40) once
     built.clear()
     evaluate_character(chi, z=100.0, xi=kronecker_character(-3))
+    # chi is even and 3 does not divide 40: S(13) on chi's own table gives L(1, chi*xi)
+    assert {q for q, _, _ in built} == {40} and covered(40, 40) == 6
+    built.clear()
+    odd = character_from_id("q=40;comps=2^3:1,5:1")
+    assert odd.parity() == -1 and odd.order == 4
+    evaluate_character(odd, z=100.0, xi=kronecker_character(-3))
     assert {q for q, _, _ in built} == {40, 120}  # chi whole, chi*xi's half period
     assert covered(40, 40) == 6 and covered(120, 60) == 9
     built.clear()
@@ -154,7 +160,9 @@ def test_streamed_member_matches_whole_table(char_id, xi, block, monkeypatch):
         assert _close(rec.L1_twisted.value, l1_exact(twisted).value)
         msum, (tau, l1) = max_partial_sum(twisted), l1_finite(twisted)
         assert (msum.M, msum.argmax, tau) == _whole_table(twisted)
-        assert l1 == rec.L1_twisted
+        # an even chi's L(1, chi*xi) comes from its own S(floor(q/3)), not chi*xi's table
+        assert abs(l1.value - rec.L1_twisted.value) <= rec.L1_twisted.error_bound
+        assert (l1.method, l1.error_bound) == (rec.L1_twisted.method, rec.L1_twisted.error_bound)
 
 
 def _assert_real_path_matches_references(chi, xi=None):
@@ -171,11 +179,16 @@ def _assert_real_path_matches_references(chi, xi=None):
 
 
 def test_real_path_matches_references_on_every_small_discriminant():
-    # every fundamental d with |d| <= 3000, both signs, 2-adic d included
+    # every fundamental d with |d| <= 3000, both signs, 2-adic d included;
+    # tau is sqrt(q) or i sqrt(q) by parity, with no dot
     ds = [d for n in range(3, 3001) for d in (n, -n) if ntheory.is_fundamental_discriminant(d)]
     assert len(ds) == 1820 and {d % 8 for d in ds if d % 2 == 0} == {0, 4}
     for d in ds:
-        _assert_real_path_matches_references(kronecker_character(d))
+        chi = kronecker_character(d)
+        _assert_real_path_matches_references(chi)
+        tau = lfunction._FiniteScan(chi, chi._rows(real=True)).tau
+        assert tau == (math.sqrt(d) if d > 0 else 1j * math.sqrt(-d))
+        assert abs(tau - gauss_sum(chi)) <= 1e-13 * math.sqrt(abs(d)), d
 
 
 def test_real_path_matches_references_on_the_bench_search_members():
@@ -189,6 +202,54 @@ def test_real_path_matches_references_on_the_bench_search_members():
         _assert_real_path_matches_references(chi)
     for chi in even:
         _assert_real_path_matches_references(chi, spec.xi)
+
+
+def _assert_twist_from_the_third(chi, xi, oracle=l1_exact):
+    """An even chi's L(1, chi*xi), xi = (./3), from its own S(floor(q/3)):
+    within its error_bound of `oracle` on chi*xi, with the allowance of
+    chi*xi's modulus."""
+    rec = evaluate_character(chi, xi=xi)
+    want = oracle(product_character(chi, xi))
+    assert abs(rec.L1_twisted.value - want.value) <= rec.L1_twisted.error_bound, chi.char_id
+    assert (rec.L1_twisted.method, rec.L1_twisted.error_bound) == ("exact_finite", want.error_bound)
+
+
+def test_twist_from_the_third_on_every_small_even_discriminant():
+    xi = kronecker_character(-3)
+    ds = [d for d in range(5, 3001) if d % 3 and ntheory.is_fundamental_discriminant(d)]
+    assert len(ds) == 679
+    for d in ds:
+        _assert_twist_from_the_third(kronecker_character(d), xi)
+
+
+@pytest.mark.parametrize("Q", [2e5, 1e6])
+@pytest.mark.parametrize("k", [2, 4])
+def test_twist_from_the_third_on_the_even_sum_members(Q, k):
+    # l1_exact mod 3q is the oracle at Q = 2e5; at Q = 1e6 (3q up to 5e6,
+    # where it takes 14 s and 330 MB in all) the table-mod-3q kernel is
+    spec = families.QuadTwistSpec(Q, k, 1)
+    members = [m.chi for m in families.twisted_family(spec).members]
+    assert len(members) == (5 if Q == 2e5 else 8)
+    for chi in members:
+        assert chi.parity() == 1 and chi.modulus % 3
+        _assert_twist_from_the_third(chi, spec.xi, l1_exact if Q == 2e5 else lambda c: l1_finite(c)[1])
+
+
+def test_an_even_sum_member_builds_tables_mod_q_only(monkeypatch):
+    built = []
+    table_rows = character._table_rows
+
+    def recording(rows, q, lo=0, hi=None, out=None):
+        built.append(q)
+        return table_rows(rows, q, lo, hi, out)
+
+    monkeypatch.setattr(character, "_table_rows", recording)
+    for k in (2, 4):
+        spec = families.QuadTwistSpec(2e5, k, 1)
+        for m in families.twisted_family(spec).members:
+            built.clear()
+            evaluate_character(m.chi, z=math.log(2e5) ** 2, xi=spec.xi)
+            assert set(built) == {m.chi.modulus}, m.chi.char_id
 
 
 @pytest.mark.parametrize("d", [3001, -2999, -8])  # even, odd, odd and 2-adic

@@ -171,3 +171,21 @@ def test_suite_table_pins_every_check():
     }
     assert verify.SUITE_NAMES == ("identities", "census", "bounds", "moments")
     assert [len(checks) for checks in verify._SUITES.values()] == [5, 3, 3, 2]
+
+
+def test_bridges_tie_the_even_bound_to_the_third(monkeypatch):
+    # |S(floor(q/3))| = (sqrt(3q)/(2 pi)) |L(1, chi*(./3))| for each even row;
+    # a table off by 1e-6 at n = 1 misses it by 1e-6, past 1e-8 sqrt(q)
+    res = verify._check_bridges(60)
+    assert res.passed and 0 < res.detail["third_gap"] <= 1e-13
+    blocks = CharacterMatrix.blocks
+
+    def corrupt_blocks(self, rows):
+        for r, W in blocks(self, rows):
+            W = W.copy()
+            W[:, 1] += 1e-6
+            yield r, W
+
+    monkeypatch.setattr(CharacterMatrix, "blocks", corrupt_blocks)
+    res = verify._check_bridges(60)
+    assert not res.passed and res.detail["third_gap"] > 1e-8
