@@ -443,7 +443,31 @@ def _tail(K: float, b: int, c: float, N: int) -> float:
     return K * N**-b * math.exp(-c * N * N) / (2.0 * c * N)
 
 
-def _afe_weights(q: int, odd: bool, deltas: tuple, N: int) -> tuple[np.ndarray, list]:
+def _afe_points(q: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, x): n = 1..N as float64 and x = pi n^2 / q."""
+    n = np.arange(1, N + 1, dtype=np.float64)
+    return n, (math.pi / q) * n * n
+
+
+def _erfc_scales(odd: bool, deltas: tuple) -> list:
+    """c with erfc(sqrt(c x)) in the weights at `deltas`: 1/delta (odd) or delta (even)."""
+    return [1.0 / delta if odd else delta for delta in deltas]
+
+
+def _erfc_rows(q: int, N: int, scales: list, memo: dict) -> np.ndarray:
+    """erfc(sqrt(c x)) over n = 1..N, one row per c of `scales`, from `memo`,
+    one modulus's rows keyed by (c, N).  The missing rows are computed in
+    one call, as at N ~ 2000 a call's fixed cost is most of a row's.  The
+    deltas are powers of two, so x / delta = (1/delta) x exactly, and the
+    two parities' delta = 1 rows are one row."""
+    missing = [c for c in dict.fromkeys(scales) if (c, N) not in memo]
+    if missing:
+        rows = erfc_sqrt(np.array(missing)[:, None] * _afe_points(q, N)[1])
+        memo.update(((c, N), row) for c, row in zip(missing, rows))
+    return np.stack([memo[c, N] for c in scales])
+
+
+def _afe_weights(q: int, odd: bool, deltas: tuple, N: int, erfc_rows: dict) -> tuple[np.ndarray, list]:
     """(w, err): w = (w1(n), w0(n)) for each delta of `deltas` in turn, two
     rows each over n = 1..N, with
 
@@ -460,17 +484,18 @@ def _afe_weights(q: int, odd: bool, deltas: tuple, N: int) -> tuple[np.ndarray, 
     (Davenport, Multiplicative Number Theory, ch. 9); w is it divided by
     the factor in front of L(1, chi), with Gamma(1/2, x) = sqrt(pi) erfc(sqrt x),
     Gamma(1, x) = e^-x and Gamma(0, x) = E1(x).  The tails use
-    Gamma(s, x) <= x^(s-1) e^-x for s <= 1.  The deltas' weights are
-    computed in one pass of each kernel.
+    Gamma(s, x) <= x^(s-1) e^-x for s <= 1.  The deltas' exp and E1 rows
+    are computed in one call of each kernel, and the erfc rows come from
+    the memo `erfc_rows` (`_erfc_rows`), which the other parity shares.
     """
-    n = np.arange(1, N + 1, dtype=np.float64)
-    x = (math.pi / q) * n * n
+    n, x = _afe_points(q, N)
     d = np.array(deltas)[:, None]
     rq = math.sqrt(q)
-    if odd:
-        w = np.stack([np.exp(-d * x) / n, (math.pi / rq) * erfc_sqrt(x / d)], axis=1)
-    else:
-        w = np.stack([erfc_sqrt(d * x) / n, exp1(x / d) / rq], axis=1)
+    # the exp or E1 rows first: E1's quadrature holds the largest temporaries,
+    # so it runs before this call's other rows exist
+    rest = np.exp(-d * x) / n if odd else exp1(x / d) / rq
+    erfc = _erfc_rows(q, N, _erfc_scales(odd, deltas), erfc_rows)
+    w = np.stack([rest, (math.pi / rq) * erfc] if odd else [erfc / n, rest], axis=1)
     err = []
     for delta, wd in zip(deltas, w):
         c1, c0 = math.pi * delta / q, math.pi / (delta * q)
@@ -482,13 +507,14 @@ def _afe_weights(q: int, odd: bool, deltas: tuple, N: int) -> tuple[np.ndarray, 
     return w.reshape(-1, N), err
 
 
-def _afe_sums(X: np.ndarray, odd: bool, deltas: tuple, q: int, weights: dict) -> tuple:
+def _afe_sums(X: np.ndarray, odd: bool, deltas: tuple, q: int, weights: dict, erfc_rows: dict) -> tuple:
     """(A, B, err), one entry per delta of `deltas`: A = sum chi(n) w1(n),
     B = sum conj(chi(n)) w0(n) and err their allowance, from chi(n) for
-    n = 1..N in X; the weights mod q are cached in `weights`."""
+    n = 1..N in X; the weights mod q are cached in `weights`, and the erfc
+    rows both parities' weights share in `erfc_rows`."""
     key = odd, deltas, len(X)
     if key not in weights:
-        weights[key] = _afe_weights(q, odd, deltas, len(X))
+        weights[key] = _afe_weights(q, odd, deltas, len(X), erfc_rows)
     w, err = weights[key]
     # (sum w re chi, sum w im chi) from X's float view, per row of w
     re, im = (w @ X.view(np.float64).reshape(-1, 2)).T
@@ -520,7 +546,8 @@ def l1_afe(chars: Sequence[DirichletCharacter]) -> list[LValue]:
     eps(chi) is not computed from tau: L(1, chi) = A(delta) + eps B(delta)
     holds at every delta, so two deltas determine both (Rubinstein,
     arXiv math/0412181).  The characters of one modulus share the values'
-    discrete logs and the weights, so each costs four length-N dot products;
+    discrete logs and the weights (the two parities' weights share their
+    erfc rows), so each costs four length-N dot products;
     a solve whose conditioning is below _AFE_MIN_CONDITIONING is redone
     with a third, wider delta over a longer sum (its `param` stays the
     first N), keeping the best-conditioned pair.  A 2-adic
@@ -533,14 +560,20 @@ def l1_afe(chars: Sequence[DirichletCharacter]) -> list[LValue]:
         by_q.setdefault(chi.modulus, []).append(i)
     for q, idx in by_q.items():
         weights: dict = {}
+        erfc_rows: dict = {}
         N = afe_length(q)
+        # the erfc rows of every parity present, in one call
+        odds = {chars[i].parity() == -1 for i in idx}
+        _erfc_rows(q, N, [c for odd in odds for c in _erfc_scales(odd, _AFE_DELTAS[:2])], erfc_rows)
         for i, row in zip(idx, values_up_to([chars[i] for i in idx], N)):
             chi = chars[i]
             odd = chi.parity() == -1
-            value, bound, cond = _afe_solve(*_afe_sums(row[1:], odd, _AFE_DELTAS[:2], q, weights), 0, 1)
+            sums = _afe_sums(row[1:], odd, _AFE_DELTAS[:2], q, weights, erfc_rows)
+            value, bound, cond = _afe_solve(*sums, 0, 1)
             if not cond >= _AFE_MIN_CONDITIONING:
                 N3 = afe_length(q, _AFE_DELTAS[2])
-                solved = _afe_sums(next(values_up_to([chi], N3))[1:], odd, _AFE_DELTAS, q, weights)
+                solved = _afe_sums(next(values_up_to([chi], N3))[1:], odd, _AFE_DELTAS, q,
+                                   weights, erfc_rows)
                 value, bound, cond = max(
                     (_afe_solve(*solved, *pair) for pair in ((0, 1), (0, 2), (1, 2))),
                     key=lambda v: v[2],

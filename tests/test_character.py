@@ -610,6 +610,25 @@ def test_dlog_bsgs_baby_table_sized_for_the_points(monkeypatch):
     assert all(pow(g, int(e), q) == n for e, n in zip(x, ns.tolist()))
 
 
+@pytest.mark.parametrize("cap", [64, 4096])
+def test_dlog_bsgs_capped_passes(cap, monkeypatch):
+    # a capped baby-step table splits the grid into passes: one point each at
+    # cap 64, cap / 4 // ceil(m / cap) points each (and a short last) at 4096
+    q = 100003
+    (g, m), = character._factors(q, 1)
+    primes = sieve_primes(2000).primes
+    ns = np.concatenate([[1, q - 1], primes, primes[::7], [q - 1, 1, 2]])
+    monkeypatch.setattr(character, "_BABY_STEP_CAP", cap)
+    sizes, passes = [], []
+    baby_steps, searchsorted = character._baby_steps, np.searchsorted
+    monkeypatch.setattr(character, "_baby_steps", lambda *a: sizes.append(a[1]) or baby_steps(*a))
+    monkeypatch.setattr(np, "searchsorted", lambda *a, **k: passes.append(len(a[1])) or searchsorted(*a, **k))
+    x = character._dlog_bsgs(ns, g, m, q)
+    assert sizes == [cap] and len(passes) > 2 and sum(passes) == len(ns) * -(-m // cap)
+    assert np.array_equal(x, character._log_tables(q, 1)[0][ns])
+    assert all(pow(g, int(e), q) == n for e, n in zip(x, ns.tolist()))
+
+
 def test_baby_steps_are_int64_past_int32_products():
     # past 2**31 the power table holds Python ints; the sorted steps need not
     q = 2147483659

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from chx import character, lfunction
+from chx._special import erfc_sqrt
 from chx.character import (
     CharacterMatrix,
     all_characters,
@@ -296,6 +297,36 @@ def test_l1_afe_matches_exact_within_its_bound():
     _assert_afe_within_bound(chars, values)
     # the bound is explicit: the Gamma tails past N and roundoff, no wider than ~1e-11
     assert all(0 < lv.error_bound < 1e-10 and not lv.rigorous for lv in values)
+
+
+@pytest.mark.parametrize("q", [1009, 100003])
+@pytest.mark.parametrize("deltas", [lfunction._AFE_DELTAS[:2], lfunction._AFE_DELTAS])
+def test_afe_weights_share_erfc_rows_across_parities(q, deltas):
+    N = lfunction.afe_length(q, deltas[-1])
+    shared: dict = {}
+    both = [lfunction._afe_weights(q, odd, deltas, N, shared) for odd in (False, True)]
+    assert len(shared) == 2 * len(deltas) - 1  # the delta = 1 row serves both parities
+    n = np.arange(1, N + 1, dtype=np.float64)
+    x = (math.pi / q) * n * n
+    for odd, (w, err) in zip((False, True), both):
+        alone, alone_err = lfunction._afe_weights(q, odd, deltas, N, {})
+        assert np.array_equal(w, alone) and err == alone_err
+        if odd:  # x / delta and (1/delta) x are the same bits
+            for k, delta in enumerate(deltas):
+                assert np.array_equal(w[2 * k + 1], (math.pi / math.sqrt(q)) * erfc_sqrt(x / delta))
+
+
+def test_l1_afe_one_erfc_call_per_modulus(monkeypatch):
+    # the rows of every parity present, in one call: 3 rows for both, 2 for one
+    calls = []
+    erfc_sqrt = lfunction.erfc_sqrt
+    monkeypatch.setattr(lfunction, "erfc_sqrt", lambda t: calls.append(np.shape(t)) or erfc_sqrt(t))
+    chars = _primitive_sample(1009, 3) + _primitive_sample(4001, 3)
+    lfunction.l1_afe(chars)
+    assert calls == [(3, lfunction.afe_length(1009)), (3, lfunction.afe_length(4001))]
+    calls.clear()
+    lfunction.l1_afe([chi for chi in chars if chi.parity() == -1])
+    assert calls == [(2, lfunction.afe_length(1009)), (2, lfunction.afe_length(4001))]
 
 
 def test_l1_afe_third_delta_when_ill_conditioned(monkeypatch):
