@@ -433,9 +433,8 @@ def extremal_pipeline(Q: float, k: int, mode: str, jobs: int = 1) -> PipelineRes
             )
         chars = [mem.chi for mem in fam.members]
         y_used, substituted = fam.base_y_used, fam.base_substituted
-    # refuse before evaluating: the largest table is chi xi's in the twisted modes
-    twist = xi.modulus if xi is not None else 1
-    _check_table_size(max((chi.modulus for chi in chars), default=1) * twist)
+    # refuse before evaluating any member
+    _check_table_size(max((chi.modulus for chi in chars), default=1))
     records = _evaluate_many(chars, z, xi, jobs)
     if mode == "orderk":
         records.sort(key=lambda r: (-abs(r.L1.value), r.char_id))

@@ -7,12 +7,13 @@ extremal-search heuristics, and the smoothed approximate functional
 equation (`l1_afe`).
 
 Production values of tau(chi) and L(1, chi) come from the finite formulas
-as dot products (~1e-12 relative), by one kernel, `l1_finite` (through
-`_FiniteScan`).  tau is a product of one short dot per prime power
-q_i || q, read straight from chi's component rows at n q/q_i mod q_i
-(`_tau`, O(sum q_i), no table); a real chi's is sqrt(q) or i sqrt(q) by
-parity, with no dot.  L(1, chi) reads only the columns
-[0, ceil(q/2)) of chi's table, in column blocks (`character._column_blocks`):
+as dot products (~1e-12 relative), by one kernel, `_FiniteScan`, which
+`report.evaluate_character` feeds (`l1_finite` runs it alone).  tau is a
+product of one short dot per prime power q_i || q, read straight from
+chi's component rows at n q/q_i mod q_i (`_tau`, O(sum q_i), no table); a
+real chi's is sqrt(q) or i sqrt(q) by parity, with no dot.  L(1, chi)
+reads only the columns [0, ceil(q/2)) of chi's table, in column blocks
+(`character._column_blocks`):
 chi(q - a) = chi(-1) chi(a) folds the sum onto a < q/2, with the weights
 2a - q or 2 log sin(pi a/q) for the character's parity (the sines by the
 addition formula from one (cos, sin)(pi j/q) table per character, not
@@ -449,27 +450,10 @@ def _afe_points(q: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     return n, (math.pi / q) * n * n
 
 
-def _erfc_scales(odd: bool, deltas: tuple) -> list:
-    """c with erfc(sqrt(c x)) in the weights at `deltas`: 1/delta (odd) or delta (even)."""
-    return [1.0 / delta if odd else delta for delta in deltas]
-
-
-def _erfc_rows(q: int, N: int, scales: list, memo: dict) -> np.ndarray:
-    """erfc(sqrt(c x)) over n = 1..N, one row per c of `scales`, from `memo`,
-    one modulus's rows keyed by (c, N).  The missing rows are computed in
-    one call, as at N ~ 2000 a call's fixed cost is most of a row's.  The
-    deltas are powers of two, so x / delta = (1/delta) x exactly, and the
-    two parities' delta = 1 rows are one row."""
-    missing = [c for c in dict.fromkeys(scales) if (c, N) not in memo]
-    if missing:
-        rows = erfc_sqrt(np.array(missing)[:, None] * _afe_points(q, N)[1])
-        memo.update(((c, N), row) for c, row in zip(missing, rows))
-    return np.stack([memo[c, N] for c in scales])
-
-
-def _afe_weights(q: int, odd: bool, deltas: tuple, N: int, erfc_rows: dict) -> tuple[np.ndarray, list]:
-    """(w, err): w = (w1(n), w0(n)) for each delta of `deltas` in turn, two
-    rows each over n = 1..N, with
+def _afe_weights(q: int, odds, deltas: tuple, N: int) -> dict:
+    """{odd: (w, err)} for each parity of `odds` (odd = True for odd chi):
+    w = (w1(n), w0(n)) for each delta of `deltas` in turn, two rows each
+    over n = 1..N, with
 
         L(1, chi) = sum_n chi(n) w1(n) + eps(chi) sum_n conj(chi(n)) w0(n)
 
@@ -484,38 +468,43 @@ def _afe_weights(q: int, odd: bool, deltas: tuple, N: int, erfc_rows: dict) -> t
     (Davenport, Multiplicative Number Theory, ch. 9); w is it divided by
     the factor in front of L(1, chi), with Gamma(1/2, x) = sqrt(pi) erfc(sqrt x),
     Gamma(1, x) = e^-x and Gamma(0, x) = E1(x).  The tails use
-    Gamma(s, x) <= x^(s-1) e^-x for s <= 1.  The deltas' exp and E1 rows
-    are computed in one call of each kernel, and the erfc rows come from
-    the memo `erfc_rows` (`_erfc_rows`), which the other parity shares.
+    Gamma(s, x) <= x^(s-1) e^-x for s <= 1.  Each parity's exp or E1 rows
+    are computed in one call of that kernel, then every parity's erfc rows,
+    erfc(sqrt(c x)) with c = 1/delta (odd) or delta (even), in one call of
+    `erfc_sqrt`, as at N ~ 2000 a call's fixed cost is most of a row's.
+    The deltas are powers of two, so x / delta = (1/delta) x exactly, and
+    the two parities' delta = 1 rows are one row.
     """
     n, x = _afe_points(q, N)
     d = np.array(deltas)[:, None]
     rq = math.sqrt(q)
+    odds = sorted(set(odds))
     # the exp or E1 rows first: E1's quadrature holds the largest temporaries,
-    # so it runs before this call's other rows exist
-    rest = np.exp(-d * x) / n if odd else exp1(x / d) / rq
-    erfc = _erfc_rows(q, N, _erfc_scales(odd, deltas), erfc_rows)
-    w = np.stack([rest, (math.pi / rq) * erfc] if odd else [erfc / n, rest], axis=1)
-    err = []
-    for delta, wd in zip(deltas, w):
-        c1, c0 = math.pi * delta / q, math.pi / (delta * q)
-        if odd:
-            tails = _tail(1.0, 1, c1, N) + _tail(math.sqrt(delta), 1, c0, N)
-        else:
-            tails = _tail(rq / (math.pi * math.sqrt(delta)), 2, c1, N) + _tail(delta * rq / math.pi, 2, c0, N)
-        err.append(tails + 32.0 * _EPS * float(wd.sum()))
-    return w.reshape(-1, N), err
+    # so it runs before the erfc rows exist
+    rest = {odd: np.exp(-d * x) / n if odd else exp1(x / d) / rq for odd in odds}
+    scales = {odd: [1.0 / delta if odd else delta for delta in deltas] for odd in odds}
+    cs = list(dict.fromkeys(c for odd in odds for c in scales[odd]))
+    erfc = dict(zip(cs, erfc_sqrt(np.array(cs)[:, None] * x)))
+    out = {}
+    for odd in odds:
+        rows = np.stack([erfc[c] for c in scales[odd]])
+        w = np.stack([rest[odd], (math.pi / rq) * rows] if odd else [rows / n, rest[odd]], axis=1)
+        err = []
+        for delta, wd in zip(deltas, w):
+            c1, c0 = math.pi * delta / q, math.pi / (delta * q)
+            if odd:
+                tails = _tail(1.0, 1, c1, N) + _tail(math.sqrt(delta), 1, c0, N)
+            else:
+                tails = _tail(rq / (math.pi * math.sqrt(delta)), 2, c1, N) + _tail(delta * rq / math.pi, 2, c0, N)
+            err.append(tails + 32.0 * _EPS * float(wd.sum()))
+        out[odd] = w.reshape(-1, N), err
+    return out
 
 
-def _afe_sums(X: np.ndarray, odd: bool, deltas: tuple, q: int, weights: dict, erfc_rows: dict) -> tuple:
-    """(A, B, err), one entry per delta of `deltas`: A = sum chi(n) w1(n),
-    B = sum conj(chi(n)) w0(n) and err their allowance, from chi(n) for
-    n = 1..N in X; the weights mod q are cached in `weights`, and the erfc
-    rows both parities' weights share in `erfc_rows`."""
-    key = odd, deltas, len(X)
-    if key not in weights:
-        weights[key] = _afe_weights(q, odd, deltas, len(X), erfc_rows)
-    w, err = weights[key]
+def _afe_sums(X: np.ndarray, w: np.ndarray, err: list) -> tuple:
+    """(A, B, err), one entry per delta of `_afe_weights`' (w, err):
+    A = sum chi(n) w1(n), B = sum conj(chi(n)) w0(n) and err their
+    allowance, from chi(n) for n = 1..N in X."""
     # (sum w re chi, sum w im chi) from X's float view, per row of w
     re, im = (w @ X.view(np.float64).reshape(-1, 2)).T
     A = [complex(r, s) for r, s in zip(re[0::2], im[0::2])]
@@ -546,8 +535,8 @@ def l1_afe(chars: Sequence[DirichletCharacter]) -> list[LValue]:
     eps(chi) is not computed from tau: L(1, chi) = A(delta) + eps B(delta)
     holds at every delta, so two deltas determine both (Rubinstein,
     arXiv math/0412181).  The characters of one modulus share the values'
-    discrete logs and the weights (the two parities' weights share their
-    erfc rows), so each costs four length-N dot products;
+    discrete logs and the weights (`_afe_weights`, built once for the
+    parities present), so each costs four length-N dot products;
     a solve whose conditioning is below _AFE_MIN_CONDITIONING is redone
     with a third, wider delta over a longer sum (its `param` stays the
     first N), keeping the best-conditioned pair.  A 2-adic
@@ -559,21 +548,18 @@ def l1_afe(chars: Sequence[DirichletCharacter]) -> list[LValue]:
         _require_primitive_nonprincipal(chi)
         by_q.setdefault(chi.modulus, []).append(i)
     for q, idx in by_q.items():
-        weights: dict = {}
-        erfc_rows: dict = {}
         N = afe_length(q)
-        # the erfc rows of every parity present, in one call
-        odds = {chars[i].parity() == -1 for i in idx}
-        _erfc_rows(q, N, [c for odd in odds for c in _erfc_scales(odd, _AFE_DELTAS[:2])], erfc_rows)
+        weights = _afe_weights(q, {chars[i].parity() == -1 for i in idx}, _AFE_DELTAS[:2], N)
+        wide: dict = {}  # the third delta's, per parity on first use
         for i, row in zip(idx, values_up_to([chars[i] for i in idx], N)):
             chi = chars[i]
             odd = chi.parity() == -1
-            sums = _afe_sums(row[1:], odd, _AFE_DELTAS[:2], q, weights, erfc_rows)
-            value, bound, cond = _afe_solve(*sums, 0, 1)
+            value, bound, cond = _afe_solve(*_afe_sums(row[1:], *weights[odd]), 0, 1)
             if not cond >= _AFE_MIN_CONDITIONING:
                 N3 = afe_length(q, _AFE_DELTAS[2])
-                solved = _afe_sums(next(values_up_to([chi], N3))[1:], odd, _AFE_DELTAS, q,
-                                   weights, erfc_rows)
+                if odd not in wide:
+                    wide.update(_afe_weights(q, (odd,), _AFE_DELTAS, N3))
+                solved = _afe_sums(next(values_up_to([chi], N3))[1:], *wide[odd])
                 value, bound, cond = max(
                     (_afe_solve(*solved, *pair) for pair in ((0, 1), (0, 2), (1, 2))),
                     key=lambda v: v[2],

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .character import DirichletCharacter, _check_table_size, _column_blocks, product_character
+from .character import DirichletCharacter, _check_table_size, _column_blocks
 from .charsum import CSV_COLUMNS, _MScan, _half_period_sum
 from .lfunction import (
     LValue,
@@ -24,8 +24,8 @@ from .lfunction import (
     _euler_from_rows,
     _require_primitive_nonprincipal,
     _twisted_l1_from_third,
-    l1_finite,
 )
+from .errors import ConstraintError
 from .ntheory import RHO_SEED_CONSTANT
 # bench/test_bench.py::test_tracer_patches_every_binding asserts report.l1_exact
 from .lfunction import l1_exact  # noqa: F401
@@ -120,40 +120,38 @@ def evaluate_character(
     (2 - chi(2)) tau L(1, chi)/(i pi) for odd chi, which ties the M scan to
     the L(1) scan; a complex chi's is the period sum 0.
 
-    L(1, chi*xi) for xi = (./3), chi even and 3 coprime to q -- every
-    even_sum member -- comes from the same scan: the prefix sum
+    L(1, chi*xi) is read for xi = (./3), chi even and 3 coprime to q --
+    every even_sum member -- from the same scan: the prefix sum
     S(floor(q/3)), which lies below ceil(q/2), gives it by Polya's
     expansion (`lfunction._twisted_l1_from_third`), so the member reads one
-    table, mod q.  Any other pair (odd chi, 3 | q, another xi: no search
-    mode makes one) reads the half period of chi*xi's table (`l1_finite`).
-    A member holds O(block + sum p^a) bytes, not O(q), and a modulus past
-    the table cap (chi*xi's, when it is larger, whichever way its L(1) is
-    read) is refused before any work, before even chi's order and
+    table, mod q.  A principal xi (odd_sum's) leaves L1_twisted None, and
+    any other xi raises ConstraintError before any table is built.  A
+    member holds O(block + sum p^a) bytes, not O(q), and a modulus past
+    the table cap is refused before any work, before even chi's order and
     conductor, which factor p - 1 for each prime p | q.
     """
-    twisted = product_character(chi, xi) if xi is not None and not xi.is_principal else None
-    _check_table_size(chi.modulus if twisted is None else twisted.modulus)
+    _check_table_size(chi.modulus)
+    twisted = xi is not None and not xi.is_principal
+    if twisted and not (xi.modulus == 3 and chi.parity() == 1 and chi.modulus % 3 != 0):
+        raise ConstraintError(
+            f"L(1, chi*xi) is read only for xi = (./3) with chi even and 3 coprime to q; "
+            f"got chi {chi.char_id} (parity {chi.parity()}) and xi {xi.char_id}"
+        )
     _require_primitive_nonprincipal(chi)
     q, real = chi.modulus, chi.order == 2
-    third = twisted is not None and xi.modulus == 3 and chi.parity() == 1 and q % 3 != 0
     rows = chi._rows(real)
     finite = _FiniteScan(chi, rows)
     sums = _MScan(q, finite.stop if real else q)
     for lo, block in _column_blocks(rows, q, sums.stop):
         finite.add(lo, block)  # the columns below ceil(q/2) only
         sums.add(lo, block)  # overwrites the block with its prefix sums: last
-        if third and lo <= q // 3 < lo + len(block):
+        if twisted and lo <= q // 3 < lo + len(block):
             s_third = complex(block[q // 3 - lo])
     tau, l1 = finite.result()
     msum = sums.record(_half_period_sum(chi, rows, tau, l1.value) if real else 0.0)
     l1_euler = _euler_from_rows(rows, q, z) if z is not None else None
-    if twisted is None:
-        l1_twisted = None
-    elif third:
-        l1_twisted = _twisted_l1_from_third(tau, s_third, q)
-    else:
-        l1_twisted = l1_finite(twisted)[1]
-    xi_id = xi.char_id if twisted is not None else None
+    l1_twisted = _twisted_l1_from_third(tau, s_third, q) if twisted else None
+    xi_id = xi.char_id if twisted else None
     return EvalRecord(
         char_id=chi.char_id,
         modulus=chi.modulus,

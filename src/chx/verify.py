@@ -444,7 +444,11 @@ def _check_bridges(q_max: int = 400) -> CheckResult:
     attained at x = floor(q/3): |S(floor(q/3))| = (sqrt(3q)/(2pi))
     |L(1, chi*(./3))| (`lfunction._twisted_l1_from_third`) within
     1e-8 sqrt(q), the worst gap relative to sqrt(q) reported as
-    `third_gap`."""
+    `third_gap`.  So `min_margin`, the least M - bound over both branches,
+    is 0 up to roundoff wherever the even bound is attained, and may read
+    just below 0 on a passing check (-1.07e-14 at q_max 400, where the odd
+    branch's least margin alone is 0.50); `violations` counts only the
+    characters whose M falls short of the bound by more than _BRIDGE_SLACK."""
     n_odd = violations = 0
     min_margin = float("inf")
     third_gap = 0.0

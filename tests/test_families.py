@@ -9,7 +9,7 @@ import pickle
 import numpy as np
 import pytest
 
-from chx import families
+from chx import character, families
 from chx.character import RootOfUnity, character_from_index, kronecker_character
 from chx.errors import ConstraintError
 from chx.families import (
@@ -279,6 +279,14 @@ def test_pipeline_odd_sum_members():
     assert ms == sorted(ms, reverse=True)
 
 
+def test_pipeline_caps_even_sum_members_at_their_own_modulus(monkeypatch):
+    # no table mod 3q is built, so a cap at the largest member's q refuses none
+    plain = extremal_pipeline(2e5, 2, "even_sum")
+    q_max = max(r.modulus for r in plain.records)
+    monkeypatch.setattr(character, "_DLOG_TABLE_CAP", q_max)
+    assert extremal_pipeline(2e5, 2, "even_sum").records == plain.records
+
+
 def test_pipeline_guards():
     with pytest.raises(ValueError):
         extremal_pipeline(100, 2, "orderk")  # Q floor
@@ -360,8 +368,8 @@ class _RecordingPool:
 def test_pool_never_exceeds_members(n_chars, jobs, sizes, monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    chars = [kronecker_character(d) for d in (-3, -4, 5)][:n_chars]
-    xi = kronecker_character(-7)
+    chars = [kronecker_character(d) for d in (5, 8, 13)][:n_chars]
+    xi = kronecker_character(-3)
     records = _evaluate_many(chars, 50.0, xi, jobs)
     assert _RecordingPool.sizes == sizes
     assert records == [evaluate_character(chi, z=50.0, xi=xi) for chi in chars]

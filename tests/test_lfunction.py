@@ -301,16 +301,19 @@ def test_l1_afe_matches_exact_within_its_bound():
 
 @pytest.mark.parametrize("q", [1009, 100003])
 @pytest.mark.parametrize("deltas", [lfunction._AFE_DELTAS[:2], lfunction._AFE_DELTAS])
-def test_afe_weights_share_erfc_rows_across_parities(q, deltas):
+def test_afe_weights_share_erfc_rows_across_parities(q, deltas, monkeypatch):
     N = lfunction.afe_length(q, deltas[-1])
-    shared: dict = {}
-    both = [lfunction._afe_weights(q, odd, deltas, N, shared) for odd in (False, True)]
-    assert len(shared) == 2 * len(deltas) - 1  # the delta = 1 row serves both parities
+    alone = {odd: lfunction._afe_weights(q, (odd,), deltas, N)[odd] for odd in (False, True)}
+    calls = []
+    erfc_sqrt = lfunction.erfc_sqrt
+    monkeypatch.setattr(lfunction, "erfc_sqrt", lambda t: calls.append(np.shape(t)) or erfc_sqrt(t))
+    both = lfunction._afe_weights(q, (False, True), deltas, N)
+    assert calls == [(2 * len(deltas) - 1, N)]  # the delta = 1 row serves both parities
     n = np.arange(1, N + 1, dtype=np.float64)
     x = (math.pi / q) * n * n
-    for odd, (w, err) in zip((False, True), both):
-        alone, alone_err = lfunction._afe_weights(q, odd, deltas, N, {})
-        assert np.array_equal(w, alone) and err == alone_err
+    for odd in (False, True):
+        w, err = both[odd]
+        assert np.array_equal(w, alone[odd][0]) and err == alone[odd][1]
         if odd:  # x / delta and (1/delta) x are the same bits
             for k, delta in enumerate(deltas):
                 assert np.array_equal(w[2 * k + 1], (math.pi / math.sqrt(q)) * erfc_sqrt(x / delta))

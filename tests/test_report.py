@@ -19,7 +19,7 @@ from chx.character import (
     product_character,
 )
 from chx.charsum import max_partial_sum
-from chx.errors import ResourceError
+from chx.errors import ConstraintError
 from chx.families import psi_tilde
 from chx.lfunction import _phases, gauss_sum, l1_exact, l1_finite
 from chx.report import (
@@ -56,11 +56,15 @@ def test_evaluate_character_matches_oracles():
     composite = character_from_id("q=40;comps=2^3:3,5:1")
     assert (odd.parity(), even.parity(), composite.is_primitive) == (-1, 1, True)
     for chi in (odd, even, composite):
-        rec = evaluate_character(chi, xi=xi)
+        twist = xi if chi.parity() == 1 else None  # L(1, chi*xi) is read for even chi only
+        rec = evaluate_character(chi, xi=twist)
         assert abs(rec.L1.value - l1_exact(chi).value) < 1e-10
         assert abs(rec.tau_abs - abs(gauss_sum(chi))) < 1e-9
-        twisted = l1_exact(product_character(chi, xi)).value
-        assert abs(rec.L1_twisted.value - twisted) < 1e-10
+        if twist is None:
+            assert rec.L1_twisted is None and rec.xi_id is None
+        else:
+            twisted = l1_exact(product_character(chi, xi)).value
+            assert abs(rec.L1_twisted.value - twisted) < 1e-10
 
 
 def test_evaluate_character_builds_one_table_per_character(monkeypatch):
@@ -88,12 +92,6 @@ def test_evaluate_character_builds_one_table_per_character(monkeypatch):
     evaluate_character(chi, z=100.0, xi=kronecker_character(-3))
     # chi is even and 3 does not divide 40: S(13) on chi's own table gives L(1, chi*xi)
     assert {q for q, _, _ in built} == {40} and covered(40, 40) == 6
-    built.clear()
-    odd = character_from_id("q=40;comps=2^3:1,5:1")
-    assert odd.parity() == -1 and odd.order == 4
-    evaluate_character(odd, z=100.0, xi=kronecker_character(-3))
-    assert {q for q, _, _ in built} == {40, 120}  # chi whole, chi*xi's half period
-    assert covered(40, 40) == 6 and covered(120, 60) == 9
     built.clear()
     for chi in (character_from_id("q=120;comps=2^3:3,3:1,5:1"), kronecker_character(-3)):
         l1_finite(chi)  # [0, ceil(q/2)) once: 60 columns mod 120, 2 mod 3
@@ -303,21 +301,46 @@ def test_evaluate_character_holds_no_table():
     assert peak < 4 << 20
 
 
-def test_evaluate_character_refuses_an_oversized_twist_first(monkeypatch):
-    # chi's table is under the cap, chi*xi's (3 * 23107213) is over it
+def test_an_even_member_past_the_cap_at_3q_reads_its_own_table(monkeypatch):
+    # q is under the table cap and 3q = 69321639 is over it: L(1, chi*xi)
+    # comes from chi's own S(floor(q/3)), tied here to the AFE mod 3q
+    built = set()
+    table_rows = character._table_rows
+
+    def recording(rows, q, lo=0, hi=None, out=None):
+        built.add(q)
+        return table_rows(rows, q, lo, hi, out)
+
+    chi, xi = character_from_id("q=23107213;comps=4801:1,4813:1"), kronecker_character(-3)
+    assert 3 * chi.modulus > character._DLOG_TABLE_CAP >= chi.modulus
+    monkeypatch.setattr(character, "_table_rows", recording)
+    rec = evaluate_character(chi, xi=xi)
+    assert built == {chi.modulus}
+    (afe,) = lfunction.l1_afe([product_character(chi, xi)])
+    assert abs(rec.L1_twisted.value - afe.value) <= rec.L1_twisted.error_bound + afe.error_bound
+
+
+@pytest.mark.parametrize("d,xi", [
+    (-4, -3),  # odd chi
+    (12, -3),  # even chi, 3 | q
+    (13, 5),  # even chi, xi other than (./3)
+])
+def test_evaluate_character_refuses_other_twists_first(d, xi, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a value table was built before the size check")
+        raise AssertionError("a value table was built before the twist check")
 
     monkeypatch.setattr(character, "_table_rows", refuse)
-    chi = character_from_id("q=23107213;comps=4801:1,4813:1")
-    with pytest.raises(ResourceError, match="69321639 exceeds cap"):
-        evaluate_character(chi, xi=kronecker_character(-3))
+    with pytest.raises(ConstraintError, match="only for xi = "):
+        evaluate_character(kronecker_character(d), xi=kronecker_character(xi))
 
 
 def test_evaluate_character_with_twist():
-    rec = evaluate_character(character_from_index(5, 1), xi=kronecker_character(-3))
+    rec = evaluate_character(character_from_index(5, 2), xi=kronecker_character(-3))
     assert rec.xi_id == "q=3;comps=3:1"
     assert rec.L1_twisted is not None
+    # a principal xi, as odd_sum passes, reads no twist
+    rec = evaluate_character(character_from_index(5, 1), xi=principal_character(1))
+    assert rec.xi_id is None and rec.L1_twisted is None
 
 
 def test_canonical_json_determinism():
