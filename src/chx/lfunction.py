@@ -1,10 +1,11 @@
 """Evaluation of L(1, chi) and windowed prime sums.
 
-Four routes to L(1, chi) are provided: closed finite formulas, a
-tail-bounded partial sum of the defining series (the oracle everything
-else is checked against), the truncated Euler product used by the
-extremal-search heuristics, and the smoothed approximate functional
-equation (`l1_afe`).
+Four routes to L(1, chi) are provided: closed finite formulas, a partial
+sum of the defining series (`l1_series_oracle`: with its exact digamma
+tail it is what `verify` ties the finite formulas and `l1_exact` to; only
+its own test uses the rigorous tail bound), the truncated Euler product
+used by the extremal-search heuristics, and the smoothed approximate
+functional equation (`l1_afe`).
 
 Production values of tau(chi) and L(1, chi) come from the finite formulas
 as dot products (~1e-12 relative), by one kernel, `_FiniteScan`, which

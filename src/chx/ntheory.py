@@ -11,7 +11,6 @@ by construction (moduli are capped at 2**32).
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -21,11 +20,6 @@ import numpy as np
 
 _SEGMENT = 1 << 22
 _SIEVE_LIMIT_MAX = 1 << 32
-_TRIAL_BOUND = 10**6
-# trial division starts with the primes to _TRIAL_START, enough for every
-# search member's modulus, and grows x _TRIAL_GROWTH only for a larger cofactor
-_TRIAL_START = 1 << 10
-_TRIAL_GROWTH = 16
 # mixing constant of the rho rng's seed: the library's only fixed randomness
 RHO_SEED_CONSTANT = 0x9E3779B97F4A7C15
 
@@ -89,7 +83,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 2**64."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -146,22 +140,13 @@ class Factorization:
         return sorted(divs)
 
 
-# the trial-division primes up to _trial_limit, grown only on demand (`_grow_trial_primes`)
-_trial_primes: list[int] = []
-_trial_limit = 1
-
-
-def _grow_trial_primes() -> None:
-    """Extend `_trial_primes` to the next limit: _TRIAL_START, then
-    _TRIAL_GROWTH times the last, capped at _TRIAL_BOUND."""
-    global _trial_limit
-    limit = min(_TRIAL_BOUND, max(_TRIAL_START, _trial_limit * _TRIAL_GROWTH))
-    _trial_primes.extend(sieve_primes(limit).primes[len(_trial_primes) :].tolist())
-    _trial_limit = limit
+# the trial-division primes, all below 2**10: once they are divided out,
+# every prime left is >= 1031, and 1031**2 > 2**20
+_TRIAL_PRIMES = tuple(_sieve(1 << 10).tolist())
 
 
 def _brent_rho(n: int) -> int:
-    """One nontrivial factor of composite odd n (no prime factor < 10**6)."""
+    """One nontrivial factor of composite n (no prime factor below 2**10)."""
     rng = random.Random(n * RHO_SEED_CONSTANT & (2**64 - 1))
     while True:
         y = rng.randrange(1, n)
@@ -202,36 +187,23 @@ def factor(n: int) -> Factorization:
 @lru_cache(maxsize=4096, typed=True)  # b_coefficient re-factors each n once per r
 def _factor(n: int) -> Factorization:
     out: dict[int, int] = {}
-    rem, tried = n, 0
-    while True:
-        for p in itertools.islice(_trial_primes, tried, None):
-            if p * p > rem:
-                break
-            while rem % p == 0:
-                out[p] = out.get(p, 0) + 1
-                rem //= p
+    rem = n
+    for p in _TRIAL_PRIMES:
+        if p * p > rem:
+            break
+        while rem % p == 0:
+            out[p] = out.get(p, 0) + 1
+            rem //= p
+    # rem is prime if the loop stopped early; otherwise no part on the stack
+    # has a prime factor below 2**10, so a part below 2**20 is prime
+    stack = [rem] if rem > 1 else []
+    while stack:
+        m = stack.pop()
+        if m < 1 << 20 or is_prime(m):
+            out[m] = out.get(m, 0) + 1
         else:
-            # every prime up to _trial_limit is divided out: grow only while
-            # that leaves a composite rem possible, up to _TRIAL_BOUND
-            if _trial_limit * _trial_limit <= rem and _trial_limit < _TRIAL_BOUND:
-                tried = len(_trial_primes)
-                _grow_trial_primes()
-                continue
-        break
-    if rem > 1:
-        if rem < _trial_limit * _trial_limit or is_prime(rem):
-            # trial division already reached sqrt(rem), or rem is prime
-            out[rem] = out.get(rem, 0) + 1
-        else:
-            stack = [rem]
-            while stack:
-                m = stack.pop()
-                if is_prime(m):
-                    out[m] = out.get(m, 0) + 1
-                    continue
-                d = _brent_rho(m)
-                stack.append(d)
-                stack.append(m // d)
+            d = _brent_rho(m)
+            stack += (d, m // d)
     return Factorization(n=n, factors=tuple(sorted(out.items())))
 
 

@@ -17,9 +17,11 @@ character fails.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,7 +59,7 @@ from .moments import (
     diagonal_terms,
     empirical_moment,
 )
-from .ntheory import factor, sieve_primes
+from .ntheory import sieve_primes
 
 _SEED = 20260815
 
@@ -305,23 +307,20 @@ def _check_afe_vs_exact() -> CheckResult:
 
 
 def _check_b_combinatorics() -> CheckResult:
-    """b_r multinomial equality, exact power identities, product inequality
+    """b_r against a direct tuple count, exact power identities, product inequality
     sweep, and the diagonal bound (all exact arithmetic)."""
     w = PrimeSumSpec(2, 14)  # primes 3, 5, 7, 11, 13
     details: dict = {}
     ok = True
-    # b_r is the multinomial on its support, bounded by r!
+    # b_r(n) against a direct count of the ordered r-tuples of window primes
+    # with product n (at most 5**4 tuples, no factorization), bounded by r!
+    ps = [int(p) for p in w.primes()]
+    tuples = {r: Counter(math.prod(t) for t in itertools.product(ps, repeat=r))
+              for r in (1, 2, 3, 4)}
     for n in range(1, 2001):
-        f = factor(n)
         for r in (1, 2, 3, 4):
             b = b_coefficient(r, n, w)
-            if f.big_omega() == r and all(2 < p < 14 for p, _ in f.factors):
-                expected = math.factorial(r)
-                for _, a in f.factors:
-                    expected //= math.factorial(a)
-            else:
-                expected = 0
-            ok &= b == expected and 0 <= b <= math.factorial(r)
+            ok &= b == tuples[r][n] and 0 <= b <= math.factorial(r)
     details["multinomial_n_max"] = 2000
     # exact identities sum b_t(n)/n^alpha = (sum 1/p^alpha)^t
     ident = []

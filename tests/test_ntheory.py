@@ -175,35 +175,7 @@ def test_squarefree_mask_matches_mobius():
         assert bool(mask[n]) == (factor(n).mobius() != 0)
 
 
-def _fresh_trial_primes(monkeypatch):
-    """Start from an empty trial-prime table and an empty factor cache."""
-    monkeypatch.setattr(ntheory, "_trial_primes", [])
-    monkeypatch.setattr(ntheory, "_trial_limit", 1)
-    ntheory._factor.cache_clear()
-
-
-def test_factor_grows_its_trial_primes_on_demand(monkeypatch):
-    _fresh_trial_primes(monkeypatch)
-    try:
-        assert factor(360).factors == ((2, 3), (3, 2), (5, 1))
-        assert ntheory._trial_limit == ntheory._TRIAL_START
-        cases = {
-            999983**2: ((999983, 2),),
-            1000003**2: ((1000003, 2),),
-            999983 * 1000003: ((999983, 1), (1000003, 1)),
-            2**61 - 1: ((2**61 - 1, 1),),
-            2 * 1021 * 1031: ((2, 1), (1021, 1), (1031, 1)),  # primes on both sides of 2**10
-        }
-        for n, want in cases.items():
-            assert factor(n).factors == want, n
-        assert ntheory._trial_limit == ntheory._TRIAL_BOUND
-        assert ntheory._trial_primes == sieve_primes(ntheory._TRIAL_BOUND).primes.tolist()
-    finally:
-        ntheory._factor.cache_clear()
-
-
-def test_factor_below_5000_from_every_trial_limit(monkeypatch):
-    naive = {}
+def test_factor_below_5000_matches_trial_division():
     for n in range(1, 5001):
         m, out, p = n, {}, 2
         while p * p <= m:
@@ -212,27 +184,17 @@ def test_factor_below_5000_from_every_trial_limit(monkeypatch):
             p += 1
         if m > 1:
             out[m] = out.get(m, 0) + 1
-        naive[n] = tuple(sorted(out.items()))
-    for grow in range(3):  # limits 2**10, 2**14 and 2**18 at the start
-        _fresh_trial_primes(monkeypatch)
-        for _ in range(grow + 1):
-            ntheory._grow_trial_primes()
-        try:
-            assert all(factor(n).factors == want for n, want in naive.items())
-        finally:
-            ntheory._factor.cache_clear()
+        assert factor(n).factors == tuple(sorted(out.items())), n
 
 
-def test_a_search_keeps_the_trial_primes_small(monkeypatch):
-    # a search factors its members' moduli and each p - 1: no more than 2**10
-    from chx import families
-
-    _fresh_trial_primes(monkeypatch)
-    try:
-        res = families.extremal_pipeline(2e5, 2, "even_sum")
-        for rec in res.records:
-            factor(rec.modulus)
-        factor(max(rec.modulus for rec in res.records) * 3)
-        assert 0 < ntheory._trial_limit <= 1 << 10
-    finally:
-        ntheory._factor.cache_clear()
+@pytest.mark.parametrize("n", [
+    1031**2, 1021 * 1031, 1031 * 1033, 1031**6, 3 * 1031**5,  # both sides of 2**10
+    (2**31 - 1) ** 2, 2147483587 * 2147483629,
+    999983**2, 1000003**2, 999983 * 1000003, 2**61 - 1,
+])
+def test_factor_past_the_trial_primes(n):
+    prod = 1
+    for p, a in factor(n).factors:
+        assert is_prime(p), p
+        prod *= p**a
+    assert prod == n

@@ -24,6 +24,17 @@ def test_no_assert_statements_in_library():
     assert found == []
 
 
+def test_no_global_statements_in_library():
+    # module state rebound from a function is shared by every caller in the process
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []
+
+
 def _relative_imports(nodes) -> list[ast.ImportFrom]:
     """The `from .x import ...` statements among `nodes`."""
     return [n for n in nodes if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module]

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chx import verify
+from chx import ntheory, verify
 from chx.character import CharacterMatrix
 from chx.lfunction import PrimeSumSpec
 from chx.moments import QuadFamilySpec
@@ -157,6 +157,18 @@ def test_afe_vs_exact_ties_and_fails_when_corrupted(monkeypatch):
 
     monkeypatch.setattr(verify, "l1_afe", corrupt)
     assert not verify._check_afe_vs_exact().passed
+
+
+def test_b_combinatorics_fails_when_factor_is_wrong(monkeypatch):
+    # a factor that leaves 15 = 3 * 5 whole makes b_2(15) = 0; the tuple count gives 2
+    assert verify._check_b_combinatorics().passed
+    original = ntheory._factor
+
+    def fused(n):
+        return ntheory.Factorization(15, ((15, 1),)) if n == 15 else original(n)
+
+    monkeypatch.setattr(ntheory, "_factor", fused)
+    assert not verify._check_b_combinatorics().passed
 
 
 def test_suite_table_pins_every_check():
