@@ -12,14 +12,16 @@ conductor has a closed form per p.
 Values are roots of unity carried as exact (order, exponent) pairs; nothing
 is embedded into floating point until a caller asks for a complex value or a
 bulk value table.  Each component has one point evaluator, `exponents(n)`
-for an int array n (a gather from one set of digit-log tables up to
-p^a = 2**26, kept in a cache bounded by bytes, `_log_tables`;
-baby-step/giant-step above for odd p), read by `values_at`, `eval` and
-`complex_at`.  The parity is read from the labels.
+for an int array n, read by `values_at`, `eval` and `complex_at`: it builds
+no table, but takes each point's digit logs by baby-step/giant-step
+(`_dlog_bsgs`), to g for odd p, and on 2^a, a >= 3, writes
+n = (-1)^d0 5^d1 with d0 read off n mod 4 and d1 the log of +-n to 5.
+The parity is read from the labels.
 
 Value tables have one builder, `_table_rows`, which writes any column range
 [lo, hi) of them: each component's rows come from its roots of unity by a
-gather over its log tables (`_component_rows`, p^a entries; a real
+gather over its digit-log tables (`_component_rows`, p^a entries, built by
+`_build_log_tables` for the rows at hand and then dropped; a real
 character's are float64 rows of exact 0/+-1, and its table takes their
 dtype); the first component is written in and the others multiply in, in
 component order, through slices and period views that start at phase
@@ -31,12 +33,12 @@ way search members are evaluated) and `CharacterMatrix.blocks` (row blocks
 of all characters mod q) all call it.
 `CharacterMatrix.sums(f)` gives sum_n chi(n) f[n] for every chi mod q with
 no table at all: one DFT of f read on the grid of digit logs (`_unit_grid`,
-which `_log_tables` inverts).
+which `_build_log_tables` inverts).
 
 `values_up_to(chars, N)` gives chi(n) for n <= N only, for characters of
 one odd modulus, with no table of length q: the digit logs of the primes up
 to N (from `ntheory.sieve_primes`) by one vectorized baby-step/giant-step
-pass (`_dlog_bsgs`, the same one `exponents` uses past the cap, its
+pass (`_dlog_bsgs`, the same one `exponents` uses, its
 baby-step table sized for the number of points; each pass, of at most
 _BABY_STEP_CAP / 4 giant-step keys, sorts them so that the table is
 searched in order), extended by complete multiplicativity.
@@ -47,9 +49,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, update_wrapper
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -65,15 +66,12 @@ from .ntheory import (
     smallest_primitive_root_mod_pp,
 )
 
-_DLOG_TABLE_CAP = 1 << 26  # full tables up to here, baby-step/giant-step above
+_DLOG_TABLE_CAP = 1 << 26  # value and digit-log tables up to here; points have no cap
 _NUMPY_MODULUS_CAP = 1 << 31  # int64 products stay exact below this
 # baby-step table entries (64 MB with their indices); a pass of `_dlog_bsgs`
 # holds at most a quarter as many giant-step keys, 32 B each at once (32 MB)
 _BABY_STEP_CAP = 1 << 22
 _BLOCK_ELEMENTS = 1 << 14  # entries per value block (256 KB): 16 MB blocks measured slower
-# digit-log tables kept between calls: the small p^a that recur across search
-# members and verify's moduli fit; a larger bound measured only more peak RSS
-_LOG_CACHE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -257,38 +255,6 @@ def _unit_grid(p: int, a: int) -> np.ndarray:
     return units
 
 
-class _BytesLRU:
-    """A least-recently-used cache of `fn`'s results (tuples of arrays),
-    bounded by the bytes they hold rather than by a count: the oldest go
-    first, and a result larger than `limit` is returned but not kept.
-    Like `lru_cache`, it has `cache_clear()`, and `hits`, `misses` and
-    `nbytes` count since the last clear."""
-
-    def __init__(self, fn, limit: int):
-        update_wrapper(self, fn)
-        self.fn, self.limit = fn, limit
-        self.cache_clear()
-
-    def __call__(self, *key):
-        if key in self._entries:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return self._entries[key][0]
-        self.misses += 1
-        value = self.fn(*key)
-        size = sum(x.nbytes for x in value)
-        if size <= self.limit:
-            self._entries[key] = value, size
-            self.nbytes += size
-            while self.nbytes > self.limit:
-                self.nbytes -= self._entries.popitem(last=False)[1][1]
-        return value
-
-    def cache_clear(self) -> None:
-        self._entries: OrderedDict = OrderedDict()
-        self.hits = self.misses = self.nbytes = 0
-
-
 def _build_log_tables(p: int, a: int) -> tuple[np.ndarray, ...]:
     """One digit table per cyclic factor: n = prod_j g_j^log_j[n] mod p^a
     (units only; -1 elsewhere), the inverse of `_unit_grid`."""
@@ -302,11 +268,6 @@ def _build_log_tables(p: int, a: int) -> tuple[np.ndarray, ...]:
         table[units] = np.arange(m, dtype=np.int64).reshape((m,) + (1,) * (units.ndim - 1 - j))
         tables.append(table)
     return tuple(tables)
-
-
-# 8 B per residue: a table past 2**17 residues is rebuilt on each use, so none
-# near the 2**26 cap (512 MB) stays pinned
-_log_tables = _BytesLRU(_build_log_tables, _LOG_CACHE_BYTES)
 
 
 def _baby_steps(g: int, s: int, pa: int) -> tuple[np.ndarray, np.ndarray]:
@@ -396,18 +357,19 @@ class _Component:
 
     def exponents(self, n: np.ndarray) -> np.ndarray:
         """e with chi(n) = zeta_phi^e, phi = phi(p^a), for an int array n >= 0;
-        entries at non-units are meaningless.  The digit logs are gathered
-        from the tables up to the cap; above it a cyclic group's come by
-        baby-step/giant-step, and a 2-adic one's are refused."""
+        entries at non-units are meaningless.  The digit logs come by
+        baby-step/giant-step with no table, of any p^a: a cyclic group's to
+        its generator, and on 2^a, a >= 3, n = (-1)^d0 5^d1 with d0 read off
+        n mod 4 and d1 the log of +-n to 5, in the subgroup 1 mod 4."""
         n = n % self.pa
-        if self.pa <= _DLOG_TABLE_CAP or len(self.factors) > 1:
-            at = n.astype(np.int64, copy=False)
-            logs = [table[at] for table in _log_tables(self.p, self.a)]
-        else:
-            ((g, m),) = self.factors
-            logs = [np.zeros_like(n)]
-            units = n % self.p != 0
-            logs[0][units] = _dlog_bsgs(n[units], g, m, self.pa).astype(n.dtype, copy=False)
+        units = n % self.p != 0
+        u = n[units]
+        logs = [np.zeros_like(n) for _ in self.factors]
+        if len(self.factors) > 1:
+            logs[0][units] = u % 4 // 2
+            u = np.where(u % 4 == 3, self.pa - u, u)
+        g, m = self.factors[-1]
+        logs[-1][units] = _dlog_bsgs(u, g, m, self.pa).astype(n.dtype, copy=False)
         return _exponents(self.factors, self.digits, logs)
 
     def roots(self) -> np.ndarray:
@@ -528,7 +490,8 @@ class DirichletCharacter:
         all real) float64 rows of exact 0 and +-1.  A modulus past the table
         cap is refused first."""
         _check_table_size(self.modulus)
-        return [_component_rows(c, np.array([c.t]), None if real else c.roots())
+        return [_component_rows(c, np.array([c.t]), None if real else c.roots(),
+                                _build_log_tables(c.p, c.a))
                 for c in self.components]
 
     # -- algebra -----------------------------------------------------------
@@ -568,14 +531,14 @@ class DirichletCharacter:
 # value tables
 
 
-def _component_rows(c, labels: np.ndarray, roots: np.ndarray | None) -> np.ndarray:
+def _component_rows(c, labels: np.ndarray, roots: np.ndarray | None, logs: tuple) -> np.ndarray:
     """The values mod p^a of the component characters with index `labels`,
-    one row each, from the roots of unity `roots` = c.roots(); `c` is any
-    component of that p^a.  For real characters, `roots` None gives float64
-    rows with no roots: a unit's exponent is 0 or phi/2, so its value is
-    1 or -1 exactly."""
+    one row each, from the roots of unity `roots` = c.roots() and the digit
+    logs `logs` = _build_log_tables(c.p, c.a); `c` is any component of that
+    p^a.  For real characters, `roots` None gives float64 rows with no
+    roots: a unit's exponent is 0 or phi/2, so its value is 1 or -1 exactly."""
     factors = c.factors
-    e = _exponents(factors, _digits(factors, labels[:, None]), _log_tables(c.p, c.a))
+    e = _exponents(factors, _digits(factors, labels[:, None]), logs)
     vals = roots[e] if roots is not None else np.where(e == 0, 1.0, -1.0)
     vals[:, :: c.p] = 0
     return vals
@@ -647,8 +610,8 @@ def values_up_to(chars: Sequence[DirichletCharacter], N: int) -> Iterator[np.nda
     every n <= N by complete multiplicativity, log(n) = log(spf(n)) +
     log(n / spf(n)), over the doubling ranges [2^k, 2^(k+1)): ~log2 N vector
     steps; spf comes from the same primes, one vector step per p <= sqrt(N).
-    Raises ConstraintError for a 2-adic component, whose logs come only from
-    tables.
+    Raises ConstraintError for a 2-adic component, whose unit group is not
+    cyclic.
     """
     if len({chi.modulus for chi in chars}) > 1:
         raise ValueError("values_up_to needs characters of one modulus")
@@ -754,10 +717,11 @@ class CharacterMatrix:
         rows = np.asarray(rows, dtype=np.int64)
         step = max(1, _BLOCK_ELEMENTS // q)
         roots = [c.roots() for c in self.components]
+        logs = [_build_log_tables(c.p, c.a) for c in self.components]
         for lo in range(0, len(rows), step):
             chunk = rows[lo : lo + step]
-            comp_rows = [_component_rows(c, lab, r)
-                         for c, lab, r in zip(self.components, self._labels(chunk), roots)]
+            comp_rows = [_component_rows(c, lab, r, lg)
+                         for c, lab, r, lg in zip(self.components, self._labels(chunk), roots, logs)]
             yield chunk, _table_rows(comp_rows, q)
 
     def sums(self, f: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from .character import (
 )
 from .errors import ConstraintError, ResourceError
 from .lfunction import l1_afe
-from .ntheory import sieve_primes, squarefree_mask, factor
+from .ntheory import factor, sieve_primes, smallest_primitive_root_mod_pp, squarefree_mask
 from .report import REFERENCE_CONSTANTS, evaluate_character
 
 Signature = tuple  # per-prime value exponents in Z/k, one entry per p <= y
@@ -93,7 +93,8 @@ def family_size(spec: OrderKFamilySpec) -> int:
 def signature_of(
     psi: DirichletCharacter, k: int, sig_primes: Sequence[int]
 ) -> Signature:
-    """Exponent vector of psi on the signature primes, entries in Z/k."""
+    """Exponent vector of psi on the signature primes, entries in Z/k: read
+    off psi's values, the oracle for `_signatures`' modular powers."""
     e, units = psi.values_at(sig_primes)
     if not units.all() or k % psi.order != 0:
         raise AssertionError(f"{psi.char_id} is not k-th root valued on {sig_primes}, k={k}")
@@ -114,13 +115,24 @@ class PigeonholeResult:
     substituted: bool = False  # True when y was lowered to get a pair
 
 
+def _psi_q_signature(q: int, k: int, sig_primes: Sequence[int]) -> Signature:
+    """psi_q's signature on sig_primes (all below the prime q = 1 mod k),
+    with no table: psi_q(p) = zeta_k^j for p^((q-1)/k) = h^j mod q, where
+    h = g^((q-1)/k) for the least primitive root g, so j is read off the
+    walk h^0, ..., h^(k-1)."""
+    e = (q - 1) // k
+    h = pow(smallest_primitive_root_mod_pp(q, 1), e, q)
+    walk = [pow(h, j, q) for j in range(k)]
+    return tuple(walk.index(pow(p, e, q)) for p in sig_primes)
+
+
 def _signatures(spec: OrderKFamilySpec) -> tuple[list, list, list]:
     """The signature primes p <= y, the window primes, and each window
     prime's signature on all the signature primes."""
     sig_primes = sieve_primes(max(2, int(math.floor(spec.y)))).primes
     sig_primes = [int(p) for p in sig_primes if p <= spec.y]
     ps = [int(p) for p in spec.window_primes()]
-    sigs = [signature_of(psi_q(q, spec.k), spec.k, sig_primes) for q in ps]
+    sigs = [_psi_q_signature(q, spec.k, sig_primes) for q in ps]
     return sig_primes, ps, sigs
 
 

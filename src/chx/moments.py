@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConstraintError, ResourceError
+from .errors import ResourceError
 from .families import (
     OrderKFamilySpec,
     _discriminant_mask,

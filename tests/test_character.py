@@ -427,7 +427,7 @@ def test_parity_builds_no_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("parity built a table")
 
-    monkeypatch.setattr(character, "_log_tables", refuse)
+    monkeypatch.setattr(character, "_build_log_tables", refuse)
     monkeypatch.setattr(character, "_power_table", refuse)
     assert [chi.parity() for chi in chars] == [-1, -1, 1]
 
@@ -510,29 +510,65 @@ def test_character_structure_properties():
     assert chi.is_primitive and chi.parity() == 1
 
 
-def test_two_adic_tables_refuse_past_cap(monkeypatch):
-    # 2-adic logs come only from tables, so past the cap they are refused
-    monkeypatch.setattr(character, "_DLOG_TABLE_CAP", 1 << 9)
-    character._log_tables.cache_clear()
-    chi = character_from_components(1 << 10, {1 << 10: 3})
-    assert chi.parity() == 1
-    with pytest.raises(ResourceError):
-        chi.eval(3)
+def _table_oracle(chi):
+    """(e, units) of chi at n = 0..q-1, as `values_at` gives them, but with
+    every digit log gathered from `_build_log_tables`."""
+    q = chi.modulus
+    n = np.arange(q)
+    lam = math.lcm(1, *(c.group_order for c in chi.components))
+    e = np.zeros(q, dtype=np.int64)
+    for c in chi.components:
+        logs = [table[n % c.pa] for table in character._build_log_tables(c.p, c.a)]
+        e += character._exponents(c.factors, c.digits, logs) * (lam // c.group_order)
+    units = np.gcd(n, q) == 1
+    return np.where(units, e % lam // (lam // chi.order), 0), units
 
 
-def test_log_tables_cache_is_bounded_by_bytes():
-    # the oldest results go first once the bytes held pass the limit; a result
-    # over the limit is returned but not kept
-    built = []
-    cache = character._BytesLRU(lambda n: built.append(n) or (np.zeros(n, dtype=np.int8),), 10)
-    for n in (4, 4, 5, 4, 3, 11, 11):
-        assert len(cache(n)[0]) == n
-    assert built == [4, 5, 3, 11, 11]  # the second hit on 4 left 5 the oldest: 3 evicted it
-    assert (cache.hits, cache.misses, cache.nbytes) == (2, 5, 7)
-    assert list(cache._entries) == [(4,), (3,)]
-    cache.cache_clear()
-    assert (cache.hits, cache.misses, cache.nbytes, len(cache._entries)) == (0, 0, 0, 0)
-    assert character._log_tables.limit == character._LOG_CACHE_BYTES == 1 << 20
+def _sample(q, count=12):
+    """About `count` characters mod q, spread over all of them, the last kept."""
+    chars = list(all_characters(q))
+    return chars[:: max(1, len(chars) // count)] + chars[-1:]
+
+
+# 2^a for a = 1..12, a 2-adic composite, an odd prime and an odd prime power
+@pytest.mark.parametrize("q", [2**a for a in range(1, 13)] + [120, 1009, 3**5])
+def test_points_need_no_log_table(q, monkeypatch):
+    # values_at, eval and complex_at at every residue mod q, as the tables give them
+    chars = _sample(q)
+    want = [_table_oracle(chi) for chi in chars]
+
+    def refuse(*args):
+        raise AssertionError("a point read built a digit-log table")
+
+    monkeypatch.setattr(character, "_build_log_tables", refuse)
+    n = np.arange(q)
+    for chi, (e, units) in zip(chars, want, strict=True):
+        got_e, got_units = chi.values_at(n)
+        assert np.array_equal(got_e, e) and np.array_equal(got_units, units), chi.char_id
+        roots = [RootOfUnity(chi.order, int(x)).to_complex() if u else 0j for x, u in zip(e, units)]
+        assert chi.complex_at(n).tolist() == roots, chi.char_id
+    chi, (e, units) = chars[-1], want[-1]
+    assert [chi.eval(int(x)) for x in n] == [
+        RootOfUnity(chi.order, int(x)) if u else RootOfUnity.zero() for x, u in zip(e, units)
+    ]
+
+
+@pytest.mark.parametrize("a,cap", [(10, 1 << 9), (30, None)])
+def test_two_adic_points_past_the_cap(a, cap, monkeypatch):
+    # n = (-1)^d0 5^d1 mod 2^a: d0 is read off the character with digits (1, 0),
+    # and d1 off the one with digits (0, 1), of order 2^(a-2)
+    if cap is not None:
+        monkeypatch.setattr(character, "_DLOG_TABLE_CAP", cap)
+    pa = 1 << a
+    assert pa > character._DLOG_TABLE_CAP
+    minus, five = (character_from_components(pa, {pa: t}) for t in (1 << (a - 2), 1))
+    assert minus.order == 2 and five.order == 1 << (a - 2)
+    n = np.array([1, 3, 5, 7, pa - 1, pa - 3, 12345, pa // 3, 2 * pa // 3 + 1, pa - 5] + [0, 2, pa // 2])
+    (d0, units), (d1, _) = minus.values_at(n), five.values_at(n)
+    assert units.tolist() == (n % 2 == 1).tolist()
+    for x, e0, e1 in zip(n[units].tolist(), d0[units].tolist(), d1[units].tolist()):
+        assert (-1) ** e0 * pow(5, e1, pa) % pa == x % pa
+    assert minus.parity() == -1 and minus.eval(pa - 1) == RootOfUnity(2, 1)
 
 
 def test_real_rows_are_the_real_part_of_the_complex_rows():
@@ -549,13 +585,15 @@ def test_real_rows_are_the_real_part_of_the_complex_rows():
 
 @pytest.mark.parametrize("q,t,cap", [(1009, 7, 1000), (3**7, 5, 2000)])
 def test_dlog_bsgs_matches_table(q, t, cap, monkeypatch):
-    # above the table cap, dlogs come from baby-step/giant-step
+    # every point's dlogs come from baby-step/giant-step, one pass per call,
+    # whatever the table cap
     chi = character_from_components(q, {q: t})
     ns = range(3 * q)
-    want = [chi.eval(n) for n in ns]
-    want_e, want_units = chi.values_at(np.array(ns))
+    want_e, want_units = (np.tile(x, 3) for x in _table_oracle(chi))
+    want = [RootOfUnity(chi.order, int(x)) if u else RootOfUnity.zero()
+            for x, u in zip(want_e, want_units)]
     monkeypatch.setattr(character, "_DLOG_TABLE_CAP", cap)
-    monkeypatch.setattr(character, "_log_tables", None)  # any table use fails
+    monkeypatch.setattr(character, "_build_log_tables", None)  # any table use fails
     built = []
     baby_steps = character._baby_steps
     monkeypatch.setattr(character, "_baby_steps", lambda *a: built.append(a) or baby_steps(*a))
@@ -583,7 +621,7 @@ def test_values_up_to_edges():
     assert list(values_up_to([], 10)) == []
     with pytest.raises(ValueError):
         list(values_up_to([character_from_index(13, 1), character_from_index(17, 1)], 10))
-    with pytest.raises(ConstraintError):  # 2-adic logs come only from tables
+    with pytest.raises(ConstraintError):  # the units mod 2^a are not cyclic
         list(values_up_to([kronecker_character(-4)], 10))
     with pytest.raises(ResourceError):  # int64 exponent products stay exact below 2**31
         list(values_up_to([character_from_index(2147483659, 3)], 10))
@@ -606,7 +644,7 @@ def test_dlog_bsgs_baby_table_sized_for_the_points(monkeypatch):
     monkeypatch.setattr(character, "_baby_steps", lambda *a: sizes.append(a[1]) or baby_steps(*a))
     x = character._dlog_bsgs(ns, g, m, q)
     assert sizes == [math.isqrt(m * len(ns)) + 1]  # ~sqrt(m * points), not sqrt(m)
-    assert np.array_equal(x, character._log_tables(q, 1)[0][ns])
+    assert np.array_equal(x, character._build_log_tables(q, 1)[0][ns])
     assert all(pow(g, int(e), q) == n for e, n in zip(x, ns.tolist()))
 
 
@@ -625,7 +663,7 @@ def test_dlog_bsgs_capped_passes(cap, monkeypatch):
     monkeypatch.setattr(np, "searchsorted", lambda *a, **k: passes.append(len(a[1])) or searchsorted(*a, **k))
     x = character._dlog_bsgs(ns, g, m, q)
     assert sizes == [cap] and len(passes) > 2 and sum(passes) == len(ns) * -(-m // cap)
-    assert np.array_equal(x, character._log_tables(q, 1)[0][ns])
+    assert np.array_equal(x, character._build_log_tables(q, 1)[0][ns])
     assert all(pow(g, int(e), q) == n for e, n in zip(x, ns.tolist()))
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from chx import character, families
-from chx.character import RootOfUnity, character_from_index, kronecker_character
+from chx.character import RootOfUnity, character_from_index, kronecker_character, psi_q
 from chx.errors import ConstraintError
 from chx.families import (
     OrderKFamilySpec,
@@ -88,6 +88,21 @@ def test_signature_of_exponents():
     assert all(e in (0, 1, 2) for e in sig3)
 
 
+@pytest.mark.parametrize("Q", [1e4, 2e5, 1e6])
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_signatures_are_psi_q_values(Q, k, monkeypatch):
+    # the power walk reads every window prime's signature as psi_q's values do
+    def refuse(*args):
+        raise AssertionError("a signature built a digit-log table")
+
+    spec = OrderKFamilySpec(Q, k)
+    sig_primes = [p for p in (2, 3, 5, 7, 11, 13) if p <= math.log(Q)]
+    want = [signature_of(psi_q(q, k), k, sig_primes) for q in spec.window_primes().tolist()]
+    monkeypatch.setattr(character, "_build_log_tables", refuse)
+    assert families._signatures(spec) == (sig_primes, spec.window_primes().tolist(), want)
+    assert len(want) > 1
+
+
 def test_pigeonhole_q1e4_bucket():
     res = pigeonhole_search(OrderKFamilySpec(1e4, 2))
     assert res.n_window_primes == 21
@@ -115,14 +130,16 @@ def test_pigeonhole_retry_lowers_y():
 
 
 def test_pigeonhole_retry_signs_each_window_prime_once(monkeypatch):
-    # k = 6 at Q = 1e6 retries down to y = 2 over 68 window primes
+    # k = 6 at Q = 1e6 retries down to y = 2 over 68 window primes: one power
+    # walk each
     calls = []
+    walk = families._psi_q_signature
 
-    def counting(psi, k, sig_primes):
-        calls.append(psi.modulus)
-        return signature_of(psi, k, sig_primes)
+    def counting(q, k, sig_primes):
+        calls.append(q)
+        return walk(q, k, sig_primes)
 
-    monkeypatch.setattr(families, "signature_of", counting)
+    monkeypatch.setattr(families, "_psi_q_signature", counting)
     res = pigeonhole_with_retry(OrderKFamilySpec(1e6, 6))
     assert res.substituted and res.n_window_primes == 68
     assert sorted(calls) == sorted(set(calls)) and len(calls) == 68

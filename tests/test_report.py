@@ -256,8 +256,8 @@ def test_half_period_guard_trips_on_a_corrupt_row(d, monkeypatch):
     # read it, and S(floor(q/2)) misses the half-period identity
     component_rows = character._component_rows
 
-    def corrupt(c, labels, roots):
-        vals = component_rows(c, labels, roots)
+    def corrupt(c, labels, roots, logs):
+        vals = component_rows(c, labels, roots, logs)
         vals[:, 1] *= -1
         return vals
 
