@@ -18,7 +18,6 @@ from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-import numpy.random  # noqa: F401 -- numpy loads it lazily; load it here, not in the first call
 
 from .character import (
     _DLOG_TABLE_CAP,
@@ -484,6 +483,7 @@ def random_l1_baseline(Q: float, count: int = 500, seed: int = 20260815) -> np.n
     modulus in (Q, 4Q) (conductors comparable to the family's q1*q2 in
     (Q, 4Q)): 25 moduli drawn first, then one index t in [1, q-1) per
     character, cycling through the moduli.  Deterministic for a fixed seed.
+    The first draw loads `numpy.random`, which `import chx` leaves unloaded.
     The values come from the smoothed approximate functional equation
     (`lfunction.l1_afe`), in O(sqrt q) per character."""
     rng = np.random.default_rng(seed)

@@ -20,7 +20,7 @@ from .families import (
     psi_q,
 )
 from .lfunction import PrimeSumSpec
-from .ntheory import factor, is_kth_power
+from .ntheory import factor
 
 _B_IDENTITY_MAX_PRIMES = 8
 _B_IDENTITY_MAX_T = 6
@@ -83,13 +83,11 @@ def _window_primes(window: PrimeSumSpec, cap: int, what: str) -> list[int]:
 
 
 def _multiset_products(ps: list[int], r: int):
-    """(n, b_r(n)) over all multisets of r window primes."""
+    """(exponents, n, b_r(n)) over all multisets of r window primes, the
+    exponents of n at each of `ps` in order."""
     for combo in combinations_with_replacement(ps, r):
-        n = math.prod(combo)
-        coef = math.factorial(r)
-        for p in set(combo):
-            coef //= math.factorial(combo.count(p))
-        yield n, coef
+        exps = tuple(combo.count(p) for p in ps)
+        yield exps, math.prod(combo), math.factorial(r) // math.prod(map(math.factorial, exps))
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,7 @@ def b_identity_check(t: int, alpha: int, window: PrimeSumSpec) -> BIdentityRecor
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     ps = _window_primes(window, _B_IDENTITY_MAX_PRIMES, "b_r identity check")
     lhs = sum(
-        (Fraction(coef, n**alpha) for n, coef in _multiset_products(ps, t)),
+        (Fraction(coef, n**alpha) for _, n, coef in _multiset_products(ps, t)),
         Fraction(0),
     )
     rhs = sum((Fraction(1, p**alpha) for p in ps), Fraction(0)) ** t
@@ -125,10 +123,10 @@ def b_product_inequality_check(
     ps = _window_primes(window, _B_IDENTITY_MAX_PRIMES, "product inequality sweep")
     binom = math.comb(r1 + r2, r1)
     violations = []
-    for n1, b1 in _multiset_products(ps, r1):
+    for _, n1, b1 in _multiset_products(ps, r1):
         if n1 > bound_n:
             continue
-        for n2, b2 in _multiset_products(ps, r2):
+        for _, n2, b2 in _multiset_products(ps, r2):
             if n2 > bound_n:
                 continue
             lhs = b_coefficient(r1 + r2, n1 * n2, window)
@@ -139,18 +137,22 @@ def b_product_inequality_check(
 
 def diagonal_terms(r: int, k: int, window: PrimeSumSpec) -> Fraction:
     """Exact diagonal sum over pairs with n1 n2^{k-1} a k-th power:
-    sum b_r(n1) b_r(n2) / (n1 n2), asserted <= 2^r r! (sum 1/p^2)^r."""
+    sum b_r(n1) b_r(n2) / (n1 n2), asserted <= 2^r r! (sum 1/p^2)^r.
+
+    n1 n2^{k-1} is a k-th power exactly when n1 and n2 have the same
+    exponents mod k at every window prime, so the sum is, over those
+    classes, (sum of b_r(n)/n in the class)^2: no factorization, and no
+    product n1 n2^{k-1} (which passes 2^63 already at r = 3, k = 6)."""
     if r > _DIAGONAL_MAX_R:
         raise ResourceError(f"diagonal sum capped at r <= {_DIAGONAL_MAX_R}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     ps = _window_primes(window, _DIAGONAL_MAX_PRIMES, "diagonal sum")
-    total = Fraction(0)
-    pairs = list(_multiset_products(ps, r))
-    for n1, b1 in pairs:
-        for n2, b2 in pairs:
-            if is_kth_power(n1 * n2 ** (k - 1), k):
-                total += Fraction(b1 * b2, n1 * n2)
+    classes: dict[tuple, Fraction] = {}
+    for exps, n, coef in _multiset_products(ps, r):
+        key = tuple(a % k for a in exps)
+        classes[key] = classes.get(key, Fraction(0)) + Fraction(coef, n)
+    total = sum((s * s for s in classes.values()), Fraction(0))
     bound = (
         2**r
         * math.factorial(r)

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import numpy.random  # noqa: F401 -- numpy loads it lazily; load it here, not in the first call
 
 from .character import CharacterMatrix, order_k_characters, order_witness
 from .charsum import _BRIDGE_SLACK, bridge_bounds, half_sum_check, max_partial_sum

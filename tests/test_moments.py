@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +75,44 @@ def test_diagonal_terms_exact_value():
     for r in (1, 2, 3):
         val = diagonal_terms(r, 2, PrimeSumSpec(2, 7))
         assert val <= 2**r * math.factorial(r) * s**r
+
+
+def _b_counts(ps: list[int], r: int) -> Counter:
+    """b_r(n) for every n, by counting the ordered r-tuples of `ps`."""
+    return Counter(math.prod(t) for t in itertools.product(ps, repeat=r))
+
+
+def test_diagonal_terms_past_2_63():
+    # r = 3, k = 6 on 3..13: n1 n2^5 reaches 13^18 > 2^63 (factor refuses it);
+    # every exponent is below k, so only n1 = n2 pairs count
+    want = sum((Fraction(b * b, n * n) for n, b in _b_counts([3, 5, 7, 11, 13], 3).items()), Fraction(0))
+    assert diagonal_terms(3, 6, W5) == want
+
+
+def _is_kth_power_over(n: int, k: int, ps: list[int]) -> bool:
+    """Whether n is a k-th power, n a product of the primes `ps`: divide each out."""
+    for p in ps:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e % k:
+            return False
+    return n == 1
+
+
+@pytest.mark.parametrize("window", [W5, PrimeSumSpec(2, 8)])
+def test_diagonal_terms_match_the_pairwise_sum(window):
+    ps = [int(p) for p in window.primes()]
+    for r in range(1, 5):
+        b = _b_counts(ps, r)
+        for k in range(2, 9):
+            want = sum(
+                (Fraction(b1 * b2, n1 * n2) for n1, b1 in b.items() for n2, b2 in b.items()
+                 if _is_kth_power_over(n1 * n2 ** (k - 1), k, ps)),
+                Fraction(0),
+            )
+            assert diagonal_terms(r, k, window) == want, (r, k)
 
 
 def test_diagonal_terms_caps():

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import chx
 
 SRC = Path(chx.__file__).parent
@@ -58,12 +60,47 @@ def test_deferred_imports_only_break_cycles():
     assert found == []
 
 
-def test_import_loads_no_scipy():
-    # the special functions are numpy kernels (chx._special): no scipy at import
-    code = "import chx, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _python(code: str) -> str:
+    """The last line `code` prints, run in a fresh interpreter on this chx."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy():
+    # the special functions are numpy kernels (chx._special): no scipy at import
+    assert _python("import chx, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))") == "[]"
+
+
+def test_import_loads_no_numpy_random():
+    # numpy loads numpy.random (~6 MB) on the first np.random access; only
+    # random_l1_baseline and verify's pair witness draw
+    assert _python("import chx, sys; print('numpy.random' in sys.modules)") == "False"
+
+
+def test_eval_and_search_load_no_numpy_random(tmp_path):
+    code = (
+        "import sys\n"
+        "from chx.cli import main\n"
+        "assert main(['eval', '--q', '13', '--t', '4']) == 0\n"
+        f"assert main(['search', '--mode', 'orderk', '--Q', '1e4', '--k', '3', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    assert _python(code) == "False"
+
+
+def test_random_baseline_drawn_on_first_use():
+    # the first draw loads numpy.random; the values are those drawn with it loaded first
+    code = (
+        "import sys\n"
+        "from chx.families import random_l1_baseline\n"
+        "loaded = 'numpy.random' in sys.modules\n"
+        "print(loaded, random_l1_baseline(1e3, 20, seed=7).tobytes().hex())\n"
+    )
+    fresh, first = _python(code).split(), _python("import numpy.random\n" + code).split()
+    assert fresh[0] == "False" and first[0] == "True"
+    values = [np.frombuffer(bytes.fromhex(run[1])) for run in (fresh, first)]
+    assert len(values[0]) == 20 and np.array_equal(*values)
 
 
 def _imported_names(tree: ast.Module, lines: list[str]) -> dict[str, int]:
