@@ -33,7 +33,12 @@ way search members are evaluated) and `CharacterMatrix.blocks` (row blocks
 of all characters mod q) all call it.
 `CharacterMatrix.sums(f)` gives sum_n chi(n) f[n] for every chi mod q with
 no table at all: one DFT of f read on the grid of digit logs (`_unit_grid`,
-which `_build_log_tables` inverts).
+which `_build_log_tables` inverts), taken as one ifft pass per axis of the
+grid, last axis first, as `np.fft.ifftn` takes it.
+A matrix reads each component's label facts and unit grid from a plan
+(`_plan(p, a)`); `character_matrices(moduli)` yields the matrices of a scan
+from one dict of plans, so each p^a is planned once per scan, and drops each
+plan after the last modulus it divides (there is no module cache).
 
 `values_up_to(chars, N)` gives chi(n) for n <= N only, for characters of
 one odd modulus, with no table of length q: the digit logs of the primes up
@@ -661,12 +666,30 @@ def values_up_to(chars: Sequence[DirichletCharacter], N: int) -> Iterator[np.nda
 # the value matrix of all characters of one modulus
 
 
-@lru_cache(maxsize=16)  # the small prime powers recur across the moduli of a scan
-def _label_facts(p: int, a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(value order, primitive, odd) for every index label mod p^a, in label
-    order."""
+def _plan(p: int, a: int) -> tuple:
+    """What every matrix with the component p^a reads of it: the (value
+    order, primitive, odd) arrays of all its index labels, in label order,
+    and its `_unit_grid`, all read-only."""
     order, conductor, first = _facts(p, a, np.arange(p**a // p * (p - 1)))
-    return order, conductor == p**a, first % 2 == 1
+    plan = (order, conductor == p**a, first % 2 == 1, _unit_grid(p, a))
+    for x in plan:
+        x.flags.writeable = False
+    return plan
+
+
+def character_matrices(moduli) -> Iterator[CharacterMatrix]:
+    """CharacterMatrix(q) for each q of `moduli` in turn, each prime power's
+    `_plan` built once for the scan and dropped after the last modulus it
+    divides, so a scan holds only the plans it will read again."""
+    moduli = list(moduli)
+    parts = [factor(q).factors for q in moduli]
+    last = {pa: i for i, pas in enumerate(parts) for pa in pas}
+    plans: dict = {}
+    for i, q in enumerate(moduli):
+        yield CharacterMatrix(q, plans)
+        for pa in parts[i]:
+            if last[pa] == i:
+                del plans[pa]
 
 
 class CharacterMatrix:
@@ -678,25 +701,32 @@ class CharacterMatrix:
     exact facts `primitive`, `parity` (chi(-1)) and `order` are arrays read
     from the labels, built with no table.  The values come from `blocks`, in
     row blocks of at most _BLOCK_ELEMENTS entries, by the same `_table_rows`.
+    Each component's label facts and unit grid come from `plans`, keyed
+    (p, a), built there on first use (`character_matrices` shares one dict
+    across a scan).
     """
 
-    def __init__(self, q: int):
+    def __init__(self, q: int, plans: dict | None = None):
         _check_table_size(q)
         self.modulus = q
         self.components = principal_character(q).components
-        facts = [_label_facts(c.p, c.a) for c in self.components]
-        self.shape = tuple(len(f[0]) for f in facts)
-        order = np.ones(self.shape, dtype=np.int64)
-        primitive = np.ones(self.shape, dtype=bool)
-        odd = np.zeros(self.shape, dtype=bool)
-        for axis, (o, prim, od) in enumerate(facts):
-            along = [-1 if i == axis else 1 for i in range(len(facts))]
-            order = np.lcm(order, o.reshape(along))
-            primitive = primitive & prim.reshape(along)
-            odd = odd ^ od.reshape(along)
-        self.order = order.ravel()
-        self.primitive = primitive.ravel()
-        self.parity = np.where(odd.ravel(), -1, 1)
+        plans = {} if plans is None else plans
+        for c in self.components:
+            if (c.p, c.a) not in plans:
+                plans[c.p, c.a] = _plan(c.p, c.a)
+        self._plans = [plans[c.p, c.a] for c in self.components]
+        self.shape = tuple(len(plan[0]) for plan in self._plans)
+        if len(self._plans) == 1:
+            self.order, self.primitive, odd, _ = self._plans[0]
+        else:
+            order = np.ones(1, dtype=np.int64)
+            primitive, odd = np.ones(1, dtype=bool), np.zeros(1, dtype=bool)
+            for o, prim, od, _ in self._plans:  # each component a new last axis
+                order = np.lcm(order[..., None], o)
+                primitive = primitive[..., None] & prim
+                odd = odd[..., None] ^ od
+            self.order, self.primitive, odd = order.ravel(), primitive.ravel(), odd.ravel()
+        self.parity = np.where(odd, -1, 1)
 
     def _labels(self, rows: np.ndarray) -> np.ndarray:
         """The index labels of `rows`: one row per component, one column per row."""
@@ -734,13 +764,14 @@ class CharacterMatrix:
         idempotent; the digits in C order are the row index."""
         q = self.modulus
         n = np.zeros((), dtype=np.int64)  # q = 1: the one point n = 0
-        for c in self.components:
+        for c, (*_, units) in zip(self.components, self._plans):
             lift = q // c.pa * pow(q // c.pa, -1, c.pa)  # 1 mod p^a, 0 mod q/p^a
-            grid = _unit_grid(c.p, c.a) * lift % q
+            grid = units * lift % q
             n = (n.reshape(n.shape + (1,) * grid.ndim) + grid) % q
-        f = np.asarray(f)
-        axes = tuple(range(f.ndim - 1, f.ndim - 1 + n.ndim))
-        return (np.fft.ifftn(f[..., n], axes=axes) * n.size).reshape(f.shape[:-1] + (n.size,))
+        f = np.asarray(f)[..., n]
+        for axis in range(-1, -1 - n.ndim, -1):  # ifftn's passes, last axis first: its bits
+            f = np.fft.ifft(f, axis=axis)
+        return (f * n.size).reshape(f.shape[: f.ndim - n.ndim] + (n.size,))
 
 
 # ---------------------------------------------------------------------------

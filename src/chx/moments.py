@@ -20,7 +20,7 @@ from .families import (
     psi_q,
 )
 from .lfunction import PrimeSumSpec
-from .ntheory import factor
+from .ntheory import sieve_primes
 
 _B_IDENTITY_MAX_PRIMES = 8
 _B_IDENTITY_MAX_T = 6
@@ -54,22 +54,49 @@ class MomentSpec:
             raise ValueError(f"moment order r must be >= 1, got {self.r}")
 
 
-def b_coefficient(r: int, n: int, window: PrimeSumSpec) -> int:
+def b_coefficient(r: int, n, window: PrimeSumSpec):
     """Number of ordered r-tuples of window primes with product n: the
-    multinomial r!/(a_1! ... a_s!) on its support, else 0."""
+    multinomial r!/(a_1! ... a_s!) on its support, else 0.
+
+    n is an int, for which an int comes back, or an int array, for which an
+    int64 array of its shape comes back; every entry must lie in [1, 2**63).
+    All entries are trial-divided at once by the window primes up to
+    sqrt(max n) (no prime past max n is sieved); what is left is 1, or primes outside the window times at
+    most one window prime above sqrt(max n), which is looked up.  b_r(n) is
+    non-zero only where the cofactor is 1 and Omega(n) = r, and there its
+    multinomial comes from a table of k! for k <= r; it fits in int64, as the
+    window primes are >= 3."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    f = factor(n)
-    if f.big_omega() != r:
-        return 0
-    coef = math.factorial(r)
-    for p, a in f.factors:
-        if not (window.y < p < window.z):
-            return 0
-        coef //= math.factorial(a)
-    return coef
+    ns = np.asarray(n)
+    if ns.dtype.kind not in "iu" or (ns.size and not 1 <= ns.min() <= ns.max() < 2**63):
+        got = n if ns.ndim == 0 else ns
+        raise ValueError(f"n must be positive integers below 2**63, got {got}")
+    rem = ns.astype(np.int64).ravel()
+    top = int(rem.max(initial=1))
+    ps = sieve_primes(max(2, math.ceil(min(window.z, top)))).in_range(window.y, window.z)
+    exps = []  # the exponent of each window prime up to sqrt(max n)
+    for p in ps[ps <= math.isqrt(top)].tolist():
+        a = np.zeros(len(rem), dtype=np.int64)
+        hit = rem % p == 0
+        while hit.any():
+            a += hit
+            rem[hit] //= p
+            hit = rem % p == 0
+        exps.append(a)
+    last = np.isin(rem, ps)  # a window prime above sqrt(max n) divides n once
+    rem[last] = 1
+    omega = sum(exps, last.astype(np.int64))
+    support = np.flatnonzero((rem == 1) & (omega == r))
+    out = np.zeros(len(rem), dtype=np.int64)
+    if len(support):  # so r = Omega(n) < 63
+        # r! passes int64 at 21: Python ints there
+        fact = np.array([math.factorial(k) for k in range(r + 1)],
+                        dtype=np.int64 if r <= 20 else object)
+        a = np.array(exps, dtype=np.int64).reshape(len(exps), len(rem))[:, support]
+        den = fact[a].prod(axis=0)
+        out[support] = fact[r] // den
+    return int(out[0]) if ns.ndim == 0 else out.reshape(ns.shape)
 
 
 def _window_primes(window: PrimeSumSpec, cap: int, what: str) -> list[int]:
@@ -106,10 +133,9 @@ def b_identity_check(t: int, alpha: int, window: PrimeSumSpec) -> BIdentityRecor
     if alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     ps = _window_primes(window, _B_IDENTITY_MAX_PRIMES, "b_r identity check")
-    lhs = sum(
-        (Fraction(coef, n**alpha) for _, n, coef in _multiset_products(ps, t)),
-        Fraction(0),
-    )
+    # each n is a product of t window primes, so n^alpha divides D
+    D = math.prod(ps) ** (alpha * t)
+    lhs = Fraction(sum(coef * (D // n**alpha) for _, n, coef in _multiset_products(ps, t)), D)
     rhs = sum((Fraction(1, p**alpha) for p in ps), Fraction(0)) ** t
     return BIdentityRecord(t, alpha, lhs, rhs, lhs == rhs)
 
@@ -122,17 +148,13 @@ def b_product_inequality_check(
     expected)."""
     ps = _window_primes(window, _B_IDENTITY_MAX_PRIMES, "product inequality sweep")
     binom = math.comb(r1 + r2, r1)
-    violations = []
-    for _, n1, b1 in _multiset_products(ps, r1):
-        if n1 > bound_n:
-            continue
-        for _, n2, b2 in _multiset_products(ps, r2):
-            if n2 > bound_n:
-                continue
-            lhs = b_coefficient(r1 + r2, n1 * n2, window)
-            if lhs > binom * b1 * b2:
-                violations.append((n1, n2, lhs, binom * b1 * b2))
-    return violations
+    side1 = [(n1, b1) for _, n1, b1 in _multiset_products(ps, r1) if n1 <= bound_n]
+    side2 = [(n2, b2) for _, n2, b2 in _multiset_products(ps, r2) if n2 <= bound_n]
+    pairs = [(n1, n2, binom * b1 * b2) for n1, b1 in side1 for n2, b2 in side2]
+    if not pairs:
+        return []
+    lhs = b_coefficient(r1 + r2, [n1 * n2 for n1, n2, _ in pairs], window)
+    return [(n1, n2, int(b), rhs) for (n1, n2, rhs), b in zip(pairs, lhs.tolist()) if b > rhs]
 
 
 def diagonal_terms(r: int, k: int, window: PrimeSumSpec) -> Fraction:
@@ -211,50 +233,61 @@ def empirical_moment(spec: MomentSpec) -> MomentRecord:
     quadratic families: the bound is on the family AVERAGE, main term
     (2r)!/r! (sum 1/p^2)^r; implied_constant = lhs_avg / rhs_main.
     """
-    primes = spec.window.primes()
+    return empirical_moments(spec.family, (spec.r,), spec.window)[0]
+
+
+def empirical_moments(family, rs, window: PrimeSumSpec) -> list[MomentRecord]:
+    """`empirical_moment` of `family` over `window` at each r of `rs`, in
+    order, from one build of the family's prime sums: only the power 2r
+    differs between them."""
+    specs = [MomentSpec(family, r, window) for r in rs]
+    primes = window.primes()
     p2 = float(np.sum(1.0 / primes.astype(np.float64) ** 2)) if len(primes) else 0.0
-    r = spec.r
-    loglogQ = math.log(max(math.e, math.log(spec.family.Q)))
-    logQ = math.log(spec.family.Q)
-    if isinstance(spec.family, OrderKFamilySpec):
+    loglogQ = math.log(max(math.e, math.log(family.Q)))
+    logQ = math.log(family.Q)
+    if isinstance(family, OrderKFamilySpec):
         kind = "orderk"
-        k = spec.family.k
-        if spec.window.y <= k:
-            warnings.warn(
-                f"window start y={spec.window.y} is not above k={k}", stacklevel=2
-            )
-        sums = _orderk_prime_sums(spec.family, primes)
-        rhs_main = 2**r * math.factorial(r) * spec.family.Q * p2**r
-        rhs_error = spec.family.Q ** (1.0 - 1.0 / (4.0 * k))
+        k = family.k
+        if window.y <= k:
+            warnings.warn(f"window start y={window.y} is not above k={k}", stacklevel=2)
+        sums = _orderk_prime_sums(family, primes)
+        rhs_error = family.Q ** (1.0 - 1.0 / (4.0 * k))
         r_max = logQ / (3.0 * _A * k * k * loglogQ)
-    elif isinstance(spec.family, QuadFamilySpec):
+    elif isinstance(family, QuadFamilySpec):
         kind = "quadratic"
-        sums = _quadratic_prime_sums(spec.family, primes)
-        rhs_main = math.factorial(2 * r) / math.factorial(r) * p2**r
-        rhs_error = spec.family.Q ** (-1.0 / 3.0)
+        sums = _quadratic_prime_sums(family, primes)
+        rhs_error = family.Q ** (-1.0 / 3.0)
         r_max = logQ / (6.0 * _A * loglogQ)
     else:
-        raise TypeError(f"unsupported family {type(spec.family).__name__}")
+        raise TypeError(f"unsupported family {type(family).__name__}")
     if len(sums) == 0:
         raise ValueError("moment experiment needs a nonempty family")
-    warned = r > r_max
-    if warned:
-        warnings.warn(
-            f"r={r} is outside the regime r <= {r_max:.2f} (A={_A})",
-            stacklevel=2,
-        )
-    powers = np.abs(sums) ** (2 * r)
-    lhs_sum = float(np.sum(powers))
-    lhs_avg = lhs_sum / len(sums)
-    implied = (lhs_sum if kind == "orderk" else lhs_avg) / rhs_main if rhs_main else 0.0
-    return MomentRecord(
-        family_kind=kind,
-        family_size=len(sums),
-        r=r,
-        lhs_avg=lhs_avg,
-        rhs_main=rhs_main,
-        rhs_error_term=rhs_error,
-        implied_constant=implied,
-        regime_r_max=r_max,
-        regime_warned=warned,
-    )
+    records = []
+    for spec in specs:
+        r = spec.r
+        if kind == "orderk":
+            rhs_main = 2**r * math.factorial(r) * family.Q * p2**r
+        else:
+            rhs_main = math.factorial(2 * r) / math.factorial(r) * p2**r
+        warned = r > r_max
+        if warned:
+            warnings.warn(
+                f"r={r} is outside the regime r <= {r_max:.2f} (A={_A})",
+                stacklevel=2,
+            )
+        powers = np.abs(sums) ** (2 * r)
+        lhs_sum = float(np.sum(powers))
+        lhs_avg = lhs_sum / len(sums)
+        implied = (lhs_sum if kind == "orderk" else lhs_avg) / rhs_main if rhs_main else 0.0
+        records.append(MomentRecord(
+            family_kind=kind,
+            family_size=len(sums),
+            r=r,
+            lhs_avg=lhs_avg,
+            rhs_main=rhs_main,
+            rhs_error_term=rhs_error,
+            implied_constant=implied,
+            regime_r_max=r_max,
+            regime_warned=warned,
+        ))
+    return records

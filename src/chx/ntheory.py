@@ -184,7 +184,8 @@ def factor(n: int) -> Factorization:
     return _factor(n)
 
 
-@lru_cache(maxsize=4096, typed=True)  # b_coefficient re-factors each n once per r
+# character_matrices and principal_character factor each scan modulus again
+@lru_cache(maxsize=4096, typed=True)
 def _factor(n: int) -> Factorization:
     out: dict[int, int] = {}
     rem = n

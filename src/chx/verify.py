@@ -2,7 +2,9 @@
 calibrations, each returning deterministic machine-readable check records.
 
 The character scans take all characters of one modulus at once, as the rows
-of its `character.CharacterMatrix`.  Each linear sum over n -- tau(chi) by
+of its `character.CharacterMatrix`, and walk their moduli through
+`character.character_matrices`, which plans each prime power (its label
+facts and unit grid) once per scan.  Each linear sum over n -- tau(chi) by
 its definition, L(1, chi) by the digamma weights and by the finite formulas,
 the half sum, the log of the Euler product -- is one `CharacterMatrix.sums`
 call per modulus, a DFT over the unit group; only M(chi), a row-wise
@@ -27,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .character import CharacterMatrix, order_k_characters, order_witness
+from .character import CharacterMatrix, character_matrices, order_k_characters, order_witness
 from .charsum import _BRIDGE_SLACK, bridge_bounds, half_sum_check, max_partial_sum
 from .families import (
     OrderKFamilySpec,
@@ -50,13 +52,12 @@ from .lfunction import (
     prime_sum,
 )
 from .moments import (
-    MomentSpec,
     QuadFamilySpec,
     b_coefficient,
     b_identity_check,
     b_product_inequality_check,
     diagonal_terms,
-    empirical_moment,
+    empirical_moments,
 )
 from .ntheory import sieve_primes
 
@@ -174,10 +175,9 @@ def _check_gauss_modulus(q_max: int = 1000) -> CheckResult:
     is also tied to gauss_sum, and so is the production tau."""
     worst = _Worst()
     spot = _Spot(997, _gauss_tie)
-    for q in range(1, q_max + 1):
-        if q > 1 and q % 4 == 2:
-            continue  # no primitive characters for q = 2 mod 4
-        cm = CharacterMatrix(q)
+    # no primitive characters for q = 2 mod 4
+    for cm in character_matrices(q for q in range(1, q_max + 1) if q == 1 or q % 4 != 2):
+        q = cm.modulus
         rows = np.flatnonzero(cm.primitive)
         rq = math.sqrt(q)
         worst.add(cm, rows, np.abs(np.abs(cm.sums(_phases(q))[rows]) - rq) / rq)
@@ -208,8 +208,8 @@ def _check_half_sum(q_max: int = 400) -> CheckResult:
     every 499th character is also tied to half_sum_check."""
     worst = _Worst()
     spot = _Spot(499, _half_sum_tie)
-    for q in range(3, q_max + 1, 2):
-        cm = CharacterMatrix(q)
+    for cm in character_matrices(range(3, q_max + 1, 2)):
+        q = cm.modulus
         rows = np.flatnonzero(cm.primitive & (cm.parity == -1))
         n = np.arange(q)
         f = np.stack([_phases(q), (1 <= n) & (n <= q // 2), n == 2, digamma_weights(q)])
@@ -243,10 +243,8 @@ def _check_exact_vs_series(q_max: int = 500) -> CheckResult:
     oracle."""
     worst = _Worst()
     spot = _Spot(499, _exact_vs_series_tie)
-    for q in range(3, q_max + 1):
-        if q % 4 == 2:
-            continue
-        cm = CharacterMatrix(q)
+    for cm in character_matrices(q for q in range(3, q_max + 1) if q % 4 != 2):
+        q = cm.modulus
         rows = np.flatnonzero(cm.primitive)
         a = np.arange(q, dtype=np.float64)
         logsin = np.zeros(q)
@@ -282,8 +280,7 @@ def _check_afe_vs_exact() -> CheckResult:
     first, middle and last primitive characters of each parity mod each of
     _AFE_SAMPLE_MODULI, each within the AFE's own error_bound."""
     chars = []
-    for q in _AFE_SAMPLE_MODULI:
-        cm = CharacterMatrix(q)
+    for cm in character_matrices(_AFE_SAMPLE_MODULI):
         for parity in (1, -1):
             rows = np.flatnonzero(cm.primitive & (cm.order > 1) & (cm.parity == parity))
             chars += [cm.character(r) for r in sorted({rows[0], rows[len(rows) // 2], rows[-1]})]
@@ -314,12 +311,12 @@ def _check_b_combinatorics() -> CheckResult:
     # b_r(n) against a direct count of the ordered r-tuples of window primes
     # with product n (at most 5**4 tuples, no factorization), bounded by r!
     ps = [int(p) for p in w.primes()]
-    tuples = {r: Counter(math.prod(t) for t in itertools.product(ps, repeat=r))
-              for r in (1, 2, 3, 4)}
-    for n in range(1, 2001):
-        for r in (1, 2, 3, 4):
-            b = b_coefficient(r, n, w)
-            ok &= b == tuples[r][n] and 0 <= b <= math.factorial(r)
+    ns = np.arange(1, 2001)
+    for r in (1, 2, 3, 4):
+        count = Counter(math.prod(t) for t in itertools.product(ps, repeat=r))
+        b = b_coefficient(r, ns, w)
+        ok &= b.tolist() == [count[n] for n in ns.tolist()]
+        ok &= 0 <= b.min() and b.max() <= math.factorial(r)
     details["multinomial_n_max"] = 2000
     # exact identities sum b_t(n)/n^alpha = (sum 1/p^alpha)^t
     ident = []
@@ -451,10 +448,8 @@ def _check_bridges(q_max: int = 400) -> CheckResult:
     min_margin = float("inf")
     third_gap = 0.0
     spot = _Spot(499, _bridge_tie)
-    for q in range(3, q_max + 1):
-        if q % 4 == 2:
-            continue
-        cm = CharacterMatrix(q)
+    for cm in character_matrices(q for q in range(3, q_max + 1) if q % 4 != 2):
+        q = cm.modulus
         keep = cm.primitive & (cm.order % 2 == 0)
         if q % 3 == 0:
             keep &= cm.parity == -1  # the even bridge needs 3 coprime to q
@@ -528,8 +523,8 @@ def _check_euler_calibration(q_lo: int = 1000, q_hi: int = 2000, z: float = 1e4)
 
     spot = _Spot(9973, tie)
     moduli = [int(q) for q in sieve_primes(q_hi).primes if q_lo <= q <= q_hi]
-    for q in moduli:
-        cm = CharacterMatrix(q)
+    for cm in character_matrices(moduli):
+        q = cm.modulus
         rows = np.flatnonzero(cm.order > 1)
         log_euler, lex = cm.sums(np.stack([_euler_logs(q, plist), digamma_weights(q)]))[:, rows]
         euler = np.exp(log_euler)
@@ -559,9 +554,9 @@ def _check_polya_vinogradov(q_max: int = 1000) -> CheckResult:
     every 9973rd character is also tied to max_partial_sum."""
     worst = _Worst()
     spot = _Spot(9973, lambda chi, M: abs(M - max_partial_sum(chi).M))
-    for q in range(3, q_max + 1):
+    for cm in character_matrices(range(3, q_max + 1)):
+        q = cm.modulus
         bound = math.sqrt(q) * math.log(q)
-        cm = CharacterMatrix(q)
         for rows, W in cm.blocks(np.flatnonzero(cm.order > 1)):
             M = _max_partial_sums(W)
             worst.add(cm, rows, M / bound)
@@ -584,12 +579,12 @@ def _check_polya_vinogradov(q_max: int = 1000) -> CheckResult:
 
 
 def _implied_constants(family, rs, window: PrimeSumSpec) -> tuple:
-    """empirical_moment of `family` at each r in rs over `window` (its regime
-    warnings silenced): the records by r, and their implied constants keyed
-    "r<r>"."""
+    """The empirical moments of `family` at each r in rs over `window`, from
+    one build of its prime sums (their regime warnings silenced): the records
+    by r, and their implied constants keyed "r<r>"."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        recs = {r: empirical_moment(MomentSpec(family, r, window)) for r in rs}
+        recs = {rec.r: rec for rec in empirical_moments(family, rs, window)}
     return recs, {f"r{r}": rec.implied_constant for r, rec in recs.items()}
 
 

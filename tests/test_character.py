@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from chx.character import (
     values_up_to,
 )
 from chx.errors import ConstraintError, ResourceError
+from chx.lfunction import _phases
 from chx.ntheory import factor, kronecker, sieve_primes, smallest_primitive_root_mod_pp
 
 
@@ -237,6 +239,88 @@ def test_character_matrix_sums_match_blocks(q):
     assert err.max() <= 1e-15
     x = f[0, 0].real  # one real f
     assert np.abs(cm.sums(x) - W @ x).max() <= 1e-15 * np.abs(x).sum()
+
+
+def test_character_matrices_plan_each_prime_power_once(monkeypatch):
+    # a scan builds each p^a's label facts and unit grid once, and its
+    # matrices agree with fresh ones, sums included
+    calls = []
+    facts, unit_grid = character._facts, character._unit_grid
+
+    def spy_facts(p, a, t):
+        calls.append(("facts", p, a))
+        return facts(p, a, t)
+
+    def spy_grid(p, a):
+        calls.append(("grid", p, a))
+        return unit_grid(p, a)
+
+    monkeypatch.setattr(character, "_facts", spy_facts)
+    monkeypatch.setattr(character, "_unit_grid", spy_grid)
+    scanned = [(cm, cm.sums(_phases(cm.modulus))) for cm in character.character_matrices(range(1, 361))]
+    monkeypatch.undo()
+    prime_powers = {pa for q in range(2, 361) for pa in factor(q).factors}
+    assert sorted(calls) == sorted((kind, p, a) for kind in ("facts", "grid") for p, a in prime_powers)
+    assert [cm.modulus for cm, _ in scanned] == list(range(1, 361))
+    for cm, sums in scanned:
+        fresh = character.CharacterMatrix(cm.modulus)
+        assert np.array_equal(cm.order, fresh.order)
+        assert np.array_equal(cm.primitive, fresh.primitive)
+        assert np.array_equal(cm.parity, fresh.parity)
+        assert np.array_equal(sums, fresh.sums(_phases(cm.modulus)))
+
+
+def test_character_matrices_drop_each_plan_after_its_last_modulus(monkeypatch):
+    # a plan lives while a later modulus of the scan still reads it
+    made = {}
+    plan = character._plan
+
+    def spy(p, a):
+        out = plan(p, a)
+        made[p, a] = weakref.ref(out[0])
+        return out
+
+    monkeypatch.setattr(character, "_plan", spy)
+    alive = []
+    for cm in character.character_matrices([7, 21, 5, 15, 9]):
+        alive.append(sorted(pa for pa, ref in made.items() if ref() is not None))
+    assert alive == [[(7, 1)], [(3, 1), (7, 1)], [(3, 1), (5, 1)], [(3, 1), (5, 1)], [(3, 2)]]
+
+
+def _sums_by_ifftn(cm, x):
+    """sum_n chi(n) x[..., n] for every row of cm, by one ifftn over the unit grid."""
+    q = cm.modulus
+    n = np.zeros((), dtype=np.int64)
+    for c in cm.components:
+        lift = q // c.pa * pow(q // c.pa, -1, c.pa)
+        grid = character._unit_grid(c.p, c.a) * lift % q
+        n = (n.reshape(n.shape + (1,) * grid.ndim) + grid) % q
+    axes = tuple(range(x.ndim - 1, x.ndim - 1 + n.ndim))
+    return (np.fft.ifftn(x[..., n], axes=axes) * n.size).reshape(x.shape[:-1] + (n.size,))
+
+
+def _assert_sums_match_ifftn(moduli):
+    rng = np.random.default_rng(7)
+    for q in moduli:
+        cm = character.CharacterMatrix(q)
+        f = rng.standard_normal((2, q)) + 1j * rng.standard_normal((2, q))
+        for x in (f, _phases(q), f[0].real):
+            got, want = cm.sums(x), _sums_by_ifftn(cm, x)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), q  # the same bits, signed zeros too
+
+
+def test_sums_one_axis_matches_ifftn():
+    # a cyclic unit group (odd p^a, and 2, 4) takes one ifft pass
+    moduli = [q for q in range(2, 401) if len(factor(q).factors) == 1 and (q % 2 or q <= 4)]
+    assert len(moduli) == 91  # 77 odd primes, 12 higher odd prime powers, 2 and 4
+    assert all(character._unit_grid(*factor(q).factors[0]).ndim == 1 for q in moduli)
+    _assert_sums_match_ifftn(moduli)
+
+
+def test_sums_axis_by_axis_match_ifftn():
+    # composites and 2^a, a >= 3: one ifft pass per axis, last axis first
+    _assert_sums_match_ifftn([q for q in range(1, 401) if len(factor(q).factors) != 1 or q % 8 == 0])
 
 
 def _peak_over_output(build):

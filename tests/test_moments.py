@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from chx import moments
 from chx.errors import ResourceError
 from chx.families import OrderKFamilySpec, _kronecker_column, generate_family
 from chx.lfunction import PrimeSumSpec, prime_sum
@@ -22,7 +23,9 @@ from chx.moments import (
     b_product_inequality_check,
     diagonal_terms,
     empirical_moment,
+    empirical_moments,
 )
+from chx.ntheory import sieve_primes
 
 W5 = PrimeSumSpec(2, 14)  # primes 3, 5, 7, 11, 13
 
@@ -43,6 +46,94 @@ def test_b_coefficient_bounds():
         for r in (1, 2, 3):
             b = b_coefficient(r, n, W5)
             assert 0 <= b <= math.factorial(r)
+
+
+def test_b_coefficient_arrays(monkeypatch):
+    ns = np.arange(1, 2001)
+    ps = [int(p) for p in W5.primes()]
+    for r in (1, 2, 3, 4):
+        got = b_coefficient(r, ns, W5)
+        assert got.dtype == np.int64 and got.shape == ns.shape
+        assert got.tolist() == [b_coefficient(r, n, W5) for n in ns.tolist()]
+        counts = _b_counts(ps, r)
+        assert got.tolist() == [counts[n] for n in ns.tolist()]
+    grid = b_coefficient(2, ns.reshape(40, 50), W5)
+    assert grid.tolist() == b_coefficient(2, ns, W5).reshape(40, 50).tolist()
+    assert type(b_coefficient(2, 15, W5)) is int and b_coefficient(2, 15, W5) == 2
+    # a wide window sieves only up to max(n), so it returns quickly
+    limits = []
+    sieve = moments.sieve_primes
+
+    def spy(limit):
+        limits.append(limit)
+        return sieve(limit)
+
+    monkeypatch.setattr(moments, "sieve_primes", spy)
+    wide = PrimeSumSpec(2, 1e6)
+    small = [int(p) for p in sieve_primes(2000).in_range(2, 2001)]
+    for r in (1, 2):
+        counts = _b_counts(small, r)
+        assert b_coefficient(r, ns, wide).tolist() == [counts[n] for n in ns.tolist()]
+    assert limits == [2000, 2000]
+    for bad in (np.array([5, 0, 7]), [3, -1], 0, 2**63, [2**63], 5.0, np.array([1.0])):
+        with pytest.raises(ValueError):
+            b_coefficient(1, bad, W5)
+    with pytest.raises(ValueError):
+        b_coefficient(0, ns, W5)
+
+
+def test_b_coefficient_past_int64_factorials():
+    # r! passes int64 from r = 21; b_r(n) itself stays far below it
+    w = PrimeSumSpec(2, 100)
+    for r, n in ((21, 3**21), (25, 3**20 * 5**5), (33, 3**30 * 5 * 89 * 97), (39, 3**39)):
+        want = math.factorial(r)
+        for p in (3, 5, 89, 97):
+            a = 0
+            while n % p**(a + 1) == 0:
+                a += 1
+            want //= math.factorial(a)
+        assert b_coefficient(r, n, w) == want
+        assert b_coefficient(r, np.array([n, n + 1]), w).tolist() == [want, 0]
+    assert b_coefficient(40, 3**39, w) == 0
+
+
+def test_product_inequality_reports_an_inflated_pair(monkeypatch):
+    real = moments.b_coefficient
+    window = PrimeSumSpec(2, 8)  # primes 3, 5, 7
+    # 27 = 9 * 3 is the one (r1, r2) = (2, 1) pair with that product; C(3, 2) b_2(9) b_1(3) = 3
+    monkeypatch.setattr(moments, "b_coefficient",
+                        lambda r, n, w: real(r, n, w) + 3 * (np.asarray(n) == 27))
+    assert b_product_inequality_check(2, 1, window, 10**6) == [(9, 3, 4, 3)]
+    # every pair inflated: all reported, n1-major, in multiset order
+    monkeypatch.setattr(moments, "b_coefficient", lambda r, n, w: real(r, n, w) + 100)
+    side1 = [(9, 1), (15, 2), (21, 2), (25, 1), (35, 2), (49, 1)]  # (n1, b_2(n1))
+    got = b_product_inequality_check(2, 1, window, 10**6)
+    want = [(n1, n2, real(3, n1 * n2, window) + 100, 3 * b1) for n1, b1 in side1 for n2 in (3, 5, 7)]
+    assert got == want
+
+
+def test_empirical_moments_match_one_r_at_a_time(monkeypatch):
+    # one build of the prime sums serves every r, with the same bits
+    built = []
+
+    def spy(fn):
+        def counted(*args):
+            built.append(fn.__name__)
+            return fn(*args)
+        return counted
+
+    for name in ("_quadratic_prime_sums", "_orderk_prime_sums"):
+        monkeypatch.setattr(moments, name, spy(getattr(moments, name)))
+    cases = ((QuadFamilySpec(1e4), PrimeSumSpec(10, 500), (1, 2, 3)),
+             (OrderKFamilySpec(1e4, 2), PrimeSumSpec(10, 300), (1, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for fam, window, rs in cases:
+            built.clear()
+            recs = empirical_moments(fam, rs, window)
+            assert len(built) == 1
+            assert recs == [empirical_moment(MomentSpec(fam, r, window)) for r in rs]
+            assert [rec.r for rec in recs] == list(rs)
 
 
 def test_b_identity_exact():

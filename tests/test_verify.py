@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chx import ntheory, verify
+from chx import character, verify
 from chx.character import CharacterMatrix
 from chx.lfunction import PrimeSumSpec
 from chx.moments import QuadFamilySpec
@@ -32,6 +32,22 @@ def test_scan_counts_and_pass(check, args, counts):
     res = check(*args)
     assert res.passed, res.detail
     assert {k: res.detail[k] for k in counts} == counts
+
+
+@pytest.mark.parametrize("check,args", [(c, a) for c, a, _ in SMALL] + [(verify._check_afe_vs_exact, ())],
+                         ids=IDS + ["_check_afe_vs_exact"])
+def test_scans_plan_each_prime_power_once(check, args, monkeypatch):
+    # every scan shares one dict of prime-power plans across its moduli
+    planned = []
+    plan = character._plan
+
+    def spy(p, a):
+        planned.append((p, a))
+        return plan(p, a)
+
+    monkeypatch.setattr(character, "_plan", spy)
+    check(*args)
+    assert planned and len(planned) == len(set(planned))
 
 
 def test_gauss_modulus_below_one_spot_period():
@@ -159,15 +175,15 @@ def test_afe_vs_exact_ties_and_fails_when_corrupted(monkeypatch):
     assert not verify._check_afe_vs_exact().passed
 
 
-def test_b_combinatorics_fails_when_factor_is_wrong(monkeypatch):
-    # a factor that leaves 15 = 3 * 5 whole makes b_2(15) = 0; the tuple count gives 2
+def test_b_combinatorics_fails_when_b_coefficient_is_wrong(monkeypatch):
+    # b_2(15) = 2 (3 * 5 and 5 * 3) by the tuple count; one too many fails the check
     assert verify._check_b_combinatorics().passed
-    original = ntheory._factor
+    real = verify.b_coefficient
 
-    def fused(n):
-        return ntheory.Factorization(15, ((15, 1),)) if n == 15 else original(n)
+    def off_by_one(r, n, w):
+        return real(r, n, w) + (r == 2) * (np.asarray(n) == 15)
 
-    monkeypatch.setattr(ntheory, "_factor", fused)
+    monkeypatch.setattr(verify, "b_coefficient", off_by_one)
     assert not verify._check_b_combinatorics().passed
 
 
