@@ -716,17 +716,14 @@ class CharacterMatrix:
                 plans[c.p, c.a] = _plan(c.p, c.a)
         self._plans = [plans[c.p, c.a] for c in self.components]
         self.shape = tuple(len(plan[0]) for plan in self._plans)
-        if len(self._plans) == 1:
-            self.order, self.primitive, odd, _ = self._plans[0]
-        else:
-            order = np.ones(1, dtype=np.int64)
-            primitive, odd = np.ones(1, dtype=bool), np.zeros(1, dtype=bool)
-            for o, prim, od, _ in self._plans:  # each component a new last axis
-                order = np.lcm(order[..., None], o)
-                primitive = primitive[..., None] & prim
-                odd = odd[..., None] ^ od
-            self.order, self.primitive, odd = order.ravel(), primitive.ravel(), odd.ravel()
-        self.parity = np.where(odd, -1, 1)
+        order = np.ones(1, dtype=np.int64)
+        primitive, odd = np.ones(1, dtype=bool), np.zeros(1, dtype=bool)
+        for o, prim, od, _ in self._plans:  # each component a new last axis
+            order = np.lcm(order[..., None], o)
+            primitive = primitive[..., None] & prim
+            odd = odd[..., None] ^ od
+        self.order, self.primitive = order.ravel(), primitive.ravel()
+        self.parity = np.where(odd.ravel(), -1, 1)
 
     def _labels(self, rows: np.ndarray) -> np.ndarray:
         """The index labels of `rows`: one row per component, one column per row."""

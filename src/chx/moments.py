@@ -20,13 +20,14 @@ from .families import (
     psi_q,
 )
 from .lfunction import PrimeSumSpec
-from .ntheory import sieve_primes
+from .ntheory import factor, sieve_primes
 
 _B_IDENTITY_MAX_PRIMES = 8
 _B_IDENTITY_MAX_T = 6
 _DIAGONAL_MAX_PRIMES = 6
 _DIAGONAL_MAX_R = 4
 _A = 2.0  # exponent in the z = (log Q)^A regime bookkeeping
+_TRIAL_BOUND = 2**10  # b_coefficient trial-divides by the primes up to here
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,12 @@ def b_coefficient(r: int, n, window: PrimeSumSpec):
 
     n is an int, for which an int comes back, or an int array, for which an
     int64 array of its shape comes back; every entry must lie in [1, 2**63).
-    All entries are trial-divided at once by the window primes up to
-    sqrt(max n) (no prime past max n is sieved); what is left is 1, or primes outside the window times at
-    most one window prime above sqrt(max n), which is looked up.  b_r(n) is
+    All entries are trial-divided at once by the primes up to
+    B = min(sqrt(max n), _TRIAL_BOUND): the window primes are divided out and
+    counted, any other prime marks its entries off the support.  What is left
+    then has no prime factor <= B, so below (B + 1)**2 it is 1 or one prime,
+    read off by the window's ends; only a cofactor past (B + 1)**2, which
+    needs n >= 2**20, is factored, once per distinct value.  b_r(n) is
     non-zero only where the cofactor is 1 and Omega(n) = r, and there its
     multinomial comes from a table of k! for k <= r; it fits in int64, as the
     window primes are >= 3."""
@@ -73,29 +77,40 @@ def b_coefficient(r: int, n, window: PrimeSumSpec):
         got = n if ns.ndim == 0 else ns
         raise ValueError(f"n must be positive integers below 2**63, got {got}")
     rem = ns.astype(np.int64).ravel()
-    top = int(rem.max(initial=1))
-    ps = sieve_primes(max(2, math.ceil(min(window.z, top)))).in_range(window.y, window.z)
-    exps = []  # the exponent of each window prime up to sqrt(max n)
-    for p in ps[ps <= math.isqrt(top)].tolist():
-        a = np.zeros(len(rem), dtype=np.int64)
+    bound = min(math.isqrt(int(rem.max(initial=1))), _TRIAL_BOUND)
+    exps = []  # the exponent of each window prime up to the bound
+    off = np.zeros(len(rem), dtype=bool)  # a prime outside the window divides n
+    for p in sieve_primes(max(2, bound)).in_range(1, bound + 1).tolist():
         hit = rem % p == 0
+        if not window.y < p < window.z:
+            off |= hit
+            continue
+        a = np.zeros(len(rem), dtype=np.int64)
         while hit.any():
             a += hit
             rem[hit] //= p
             hit = rem % p == 0
         exps.append(a)
-    last = np.isin(rem, ps)  # a window prime above sqrt(max n) divides n once
+    omega = sum(exps, np.zeros(len(rem), dtype=np.int64))
+    last = (rem < (bound + 1) ** 2) & (window.y < rem) & (rem < window.z)
+    omega += last  # one window prime above the bound
     rem[last] = 1
-    omega = sum(exps, last.astype(np.int64))
-    support = np.flatnonzero((rem == 1) & (omega == r))
+    den = np.ones(len(rem), dtype=np.int64)  # prod a! over a factored cofactor's primes
+    for v in set(rem[(rem >= (bound + 1) ** 2) & ~off & (omega < r)].tolist()):
+        fs = dict(factor(v).factors)
+        if all(window.y < p < window.z for p in fs):
+            at = rem == v
+            omega[at] += sum(fs.values())
+            den[at] = math.prod(map(math.factorial, fs.values()))
+            rem[at] = 1
+    support = np.flatnonzero((rem == 1) & ~off & (omega == r))
     out = np.zeros(len(rem), dtype=np.int64)
     if len(support):  # so r = Omega(n) < 63
         # r! passes int64 at 21: Python ints there
         fact = np.array([math.factorial(k) for k in range(r + 1)],
                         dtype=np.int64 if r <= 20 else object)
         a = np.array(exps, dtype=np.int64).reshape(len(exps), len(rem))[:, support]
-        den = fact[a].prod(axis=0)
-        out[support] = fact[r] // den
+        out[support] = fact[r] // (fact[a].prod(axis=0) * den[support])
     return int(out[0]) if ns.ndim == 0 else out.reshape(ns.shape)
 
 
@@ -233,13 +248,19 @@ def empirical_moment(spec: MomentSpec) -> MomentRecord:
     quadratic families: the bound is on the family AVERAGE, main term
     (2r)!/r! (sum 1/p^2)^r; implied_constant = lhs_avg / rhs_main.
     """
-    return empirical_moments(spec.family, (spec.r,), spec.window)[0]
+    return _moment_records(spec.family, (spec.r,), spec.window)[0]
 
 
 def empirical_moments(family, rs, window: PrimeSumSpec) -> list[MomentRecord]:
     """`empirical_moment` of `family` over `window` at each r of `rs`, in
     order, from one build of the family's prime sums: only the power 2r
     differs between them."""
+    return _moment_records(family, rs, window)
+
+
+def _moment_records(family, rs, window: PrimeSumSpec) -> list[MomentRecord]:
+    """The records of both public functions above, which call it directly:
+    its warnings take stacklevel=3, the line that called them."""
     specs = [MomentSpec(family, r, window) for r in rs]
     primes = window.primes()
     p2 = float(np.sum(1.0 / primes.astype(np.float64) ** 2)) if len(primes) else 0.0
@@ -249,7 +270,7 @@ def empirical_moments(family, rs, window: PrimeSumSpec) -> list[MomentRecord]:
         kind = "orderk"
         k = family.k
         if window.y <= k:
-            warnings.warn(f"window start y={window.y} is not above k={k}", stacklevel=2)
+            warnings.warn(f"window start y={window.y} is not above k={k}", stacklevel=3)
         sums = _orderk_prime_sums(family, primes)
         rhs_error = family.Q ** (1.0 - 1.0 / (4.0 * k))
         r_max = logQ / (3.0 * _A * k * k * loglogQ)
@@ -273,7 +294,7 @@ def empirical_moments(family, rs, window: PrimeSumSpec) -> list[MomentRecord]:
         if warned:
             warnings.warn(
                 f"r={r} is outside the regime r <= {r_max:.2f} (A={_A})",
-                stacklevel=2,
+                stacklevel=3,
             )
         powers = np.abs(sums) ** (2 * r)
         lhs_sum = float(np.sum(powers))

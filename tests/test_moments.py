@@ -25,7 +25,7 @@ from chx.moments import (
     empirical_moment,
     empirical_moments,
 )
-from chx.ntheory import sieve_primes
+from chx.ntheory import factor, sieve_primes
 
 W5 = PrimeSumSpec(2, 14)  # primes 3, 5, 7, 11, 13
 
@@ -60,7 +60,7 @@ def test_b_coefficient_arrays(monkeypatch):
     grid = b_coefficient(2, ns.reshape(40, 50), W5)
     assert grid.tolist() == b_coefficient(2, ns, W5).reshape(40, 50).tolist()
     assert type(b_coefficient(2, 15, W5)) is int and b_coefficient(2, 15, W5) == 2
-    # a wide window sieves only up to max(n), so it returns quickly
+    # a wide window sieves only up to sqrt(max n), so it returns quickly
     limits = []
     sieve = moments.sieve_primes
 
@@ -74,12 +74,44 @@ def test_b_coefficient_arrays(monkeypatch):
     for r in (1, 2):
         counts = _b_counts(small, r)
         assert b_coefficient(r, ns, wide).tolist() == [counts[n] for n in ns.tolist()]
-    assert limits == [2000, 2000]
+    assert limits == [44, 44]
     for bad in (np.array([5, 0, 7]), [3, -1], 0, 2**63, [2**63], 5.0, np.array([1.0])):
         with pytest.raises(ValueError):
             b_coefficient(1, bad, W5)
     with pytest.raises(ValueError):
         b_coefficient(0, ns, W5)
+
+
+def _b_by_factor(r, n, window):
+    fs = dict(factor(n).factors)
+    if sum(fs.values()) != r or not all(window.y < p < window.z for p in fs):
+        return 0
+    return math.factorial(r) // math.prod(map(math.factorial, fs.values()))
+
+
+def test_b_coefficient_large_n_in_a_wide_window(monkeypatch):
+    # n up to 2**63 in a window reaching 1e12: trial division stops at 2**10,
+    # and the cofactors past (2**10 + 1)**2 are factored
+    limits = []
+    sieve = moments.sieve_primes
+
+    def spy(limit):
+        limits.append(limit)
+        return sieve(limit)
+
+    monkeypatch.setattr(moments, "sieve_primes", spy)
+    wide = PrimeSumSpec(2, 1e12)
+    p, q, s = 10_000_000_019, 1_000_000_007, 4_999_999_937  # primes
+    assert b_coefficient(1, p, wide) == 1
+    assert b_coefficient(2, q * s, wide) == 2
+    assert b_coefficient(2, q * s, PrimeSumSpec(2, 2e9)) == 0  # s outside
+    ns = np.array([q * q, 3 * q, 1031 * 1033, 1031**2, 2 * q, q * s, 1021 * 1031,
+                   3 * 5 * q, 9 * q, 7 * 1031 * 1033, 2**62 + 1, 2**63 - 1, 1, 17])
+    for r in (1, 2, 3):
+        for window in (wide, PrimeSumSpec(1025, 1e12), PrimeSumSpec(2, 1032)):
+            got = b_coefficient(r, ns, window)
+            assert got.tolist() == [_b_by_factor(r, int(n), window) for n in ns.tolist()]
+    assert max(limits) == 2**10
 
 
 def test_b_coefficient_past_int64_factorials():
@@ -260,6 +292,19 @@ def test_moment_regime_warning_fires():
     # the kept-range guarantee scales like (log Q)^A; far outside it we warn
     with pytest.warns(UserWarning):
         empirical_moment(MomentSpec(QuadFamilySpec(1e4), 3, PrimeSumSpec(10, 5000)))
+
+
+def test_moment_warnings_point_at_the_caller():
+    # both public functions warn at the line that called them
+    quad = (QuadFamilySpec(1e4), PrimeSumSpec(10, 5000), 3)  # r past the regime
+    low = (OrderKFamilySpec(1e4, 3), PrimeSumSpec(2, 30), 1)  # y <= k
+    for fam, window, r in (quad, low):
+        for call in (lambda: empirical_moment(MomentSpec(fam, r, window)),
+                     lambda: empirical_moments(fam, (r,), window)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert caught and {w.filename for w in caught} == {__file__}
 
 
 def test_moment_rejects_empty_family():
