@@ -11,12 +11,12 @@ conductor has a closed form per p.
 
 Values are roots of unity carried as exact (order, exponent) pairs; nothing
 is embedded into floating point until a caller asks for a complex value or a
-bulk value table.  Each component has one point evaluator, `exponents(n)`
-for an int array n, read by `values_at`, `eval` and `complex_at`: it builds
-no table, but takes each point's digit logs by baby-step/giant-step
-(`_dlog_bsgs`), to g for odd p, and on 2^a, a >= 3, writes
-n = (-1)^d0 5^d1 with d0 read off n mod 4 and d1 the log of +-n to 5.
-The parity is read from the labels.
+bulk value table.  Each component reads points by one `logs(n)`, for an int
+array n: a digit log per cyclic factor, additive mod m_j, read by
+`values_at` (so `eval` and `complex_at`) and `values_up_to`.  It builds no
+table, but takes each point's logs by baby-step/giant-step (`_dlog_bsgs`),
+to g for odd p, and on 2^a, a >= 3, writes n = (-1)^d0 5^d1 with d0 read off
+n mod 4 and d1 the log of +-n to 5.  The parity is read from the labels.
 
 Value tables have one builder, `_table_rows`, which writes any column range
 [lo, hi) of them: each component's rows come from its roots of unity by a
@@ -40,13 +40,10 @@ A matrix reads each component's label facts and unit grid from a plan
 from one dict of plans, so each p^a is planned once per scan, and drops each
 plan after the last modulus it divides (there is no module cache).
 
-`values_up_to(chars, N)` gives chi(n) for n <= N only, for characters of
-one odd modulus, with no table of length q: the digit logs of the primes up
-to N (from `ntheory.sieve_primes`) by one vectorized baby-step/giant-step
-pass (`_dlog_bsgs`, the same one `exponents` uses, its
-baby-step table sized for the number of points; each pass, of at most
-_BABY_STEP_CAP / 4 giant-step keys, sorts them so that the table is
-searched in order), extended by complete multiplicativity.
+`values_up_to(chars, N)` gives chi(n) for n <= N only, for characters of one
+modulus below 2**31, with no table of length q: each component's `logs` of
+the primes up to N, in one `_dlog_bsgs` pass whose baby-step table is sized
+for the number of points, extended by complete multiplicativity.
 """
 
 from __future__ import annotations
@@ -360,11 +357,11 @@ class _Component:
     def conductor(self) -> int:
         return _facts(self.p, self.a, self.t)[1]
 
-    def exponents(self, n: np.ndarray) -> np.ndarray:
-        """e with chi(n) = zeta_phi^e, phi = phi(p^a), for an int array n >= 0;
-        entries at non-units are meaningless.  The digit logs come by
-        baby-step/giant-step with no table, of any p^a: a cyclic group's to
-        its generator, and on 2^a, a >= 3, n = (-1)^d0 5^d1 with d0 read off
+    def logs(self, n: np.ndarray) -> list:
+        """The digit logs of an int array n >= 0, one array per cyclic factor
+        (g_j, m_j), each additive mod m_j (meaningless at non-units), by
+        baby-step/giant-step with no table, of any p^a: to the generator of
+        a cyclic group, and on 2^a, a >= 3, n = (-1)^d0 5^d1 with d0 read off
         n mod 4 and d1 the log of +-n to 5, in the subgroup 1 mod 4."""
         n = n % self.pa
         units = n % self.p != 0
@@ -373,9 +370,8 @@ class _Component:
         if len(self.factors) > 1:
             logs[0][units] = u % 4 // 2
             u = np.where(u % 4 == 3, self.pa - u, u)
-        g, m = self.factors[-1]
-        logs[-1][units] = _dlog_bsgs(u, g, m, self.pa).astype(n.dtype, copy=False)
-        return _exponents(self.factors, self.digits, logs)
+        logs[-1][units] = _dlog_bsgs(u, *self.factors[-1], self.pa).astype(n.dtype, copy=False)
+        return logs
 
     def roots(self) -> np.ndarray:
         """zeta_phi^j for j < phi = phi(p^a), shared by every label."""
@@ -464,7 +460,7 @@ class DirichletCharacter:
         lam = math.lcm(1, *(c.group_order for c in self.components))
         e = np.zeros_like(n)
         for c in self.components:
-            e += c.exponents(n).astype(n.dtype, copy=False) * (lam // c.group_order)
+            e += _exponents(c.factors, c.digits, c.logs(n)) * (lam // c.group_order)
         units = np.gcd(n, q) == 1
         # on units chi(n) is an order-th root of unity, so lam/order divides e
         return np.where(units, e % lam // (lam // self.order), 0), units
@@ -524,7 +520,7 @@ class DirichletCharacter:
             factors = _factors(c.p, a0)
             gens = np.array([g for g, _ in factors], dtype=object)
             m, digits = c.group_order, []
-            for x, (_, mj) in zip(c.exponents(gens).tolist(), factors):
+            for x, (_, mj) in zip(_exponents(c.factors, c.digits, c.logs(gens)).tolist(), factors):
                 if x * mj % m:
                     raise AssertionError(f"zeta_{m}^{x} is not an {mj}-th root of unity")
                 digits.append(x * mj // m)
@@ -589,6 +585,16 @@ def _table_rows(rows: list, q: int, lo: int = 0, hi: int | None = None, out=None
     return out
 
 
+def _row_values(rows: list, n: np.ndarray) -> np.ndarray:
+    """chi(n) for an int array n from one character's component rows
+    (`DirichletCharacter._rows`): the product of the rows' entries at
+    n mod p^a, in component order, of the rows' dtype."""
+    out = np.ones(len(n), dtype=_dtype(rows))
+    for r in rows:
+        out *= r[0, n % r.shape[1]]
+    return out
+
+
 def _dtype(rows: list) -> np.dtype:
     """The dtype of the tables of `rows`: theirs (complex128 for q = 1)."""
     return rows[0].dtype if rows else np.dtype(np.complex128)
@@ -607,24 +613,19 @@ def _column_blocks(rows: list, q: int, stop: int | None = None) -> Iterator[tupl
 
 def values_up_to(chars: Sequence[DirichletCharacter], N: int) -> Iterator[np.ndarray]:
     """chi(n) for n = 0..N as complex128, one array per character of `chars`
-    (one modulus q, odd, below 2**31), in input order, with no table of
-    length q.
+    (one modulus q, below 2**31), in input order, with no table of length q.
 
-    Each component's digit logs are taken at the primes p <= N (from
-    `sieve_primes`) once for all of `chars` (`_dlog_bsgs`), and extended to
-    every n <= N by complete multiplicativity, log(n) = log(spf(n)) +
-    log(n / spf(n)), over the doubling ranges [2^k, 2^(k+1)): ~log2 N vector
-    steps; spf comes from the same primes, one vector step per p <= sqrt(N).
-    Raises ConstraintError for a 2-adic component, whose unit group is not
-    cyclic.
+    Each component's digit logs are taken at the primes p <= N once for all
+    of `chars` (`_Component.logs`), and each factor's extended to every
+    n <= N by complete multiplicativity, log(n) = log(spf(n)) + log(n/spf(n))
+    mod m_j, over the doubling ranges [2^k, 2^(k+1)): ~log2 N vector steps;
+    spf comes from the same primes, one vector step per p <= sqrt(N).
     """
     if len({chi.modulus for chi in chars}) > 1:
         raise ValueError("values_up_to needs characters of one modulus")
     if not chars:
         return
     q, comps = chars[0].modulus, chars[0].components
-    if any(c.p == 2 for c in comps):
-        raise ConstraintError(f"values_up_to needs an odd modulus, got {q}")
     if q >= _NUMPY_MODULUS_CAP:
         raise ResourceError(f"values_up_to needs a modulus below 2**31, got {q}")
     primes = sieve_primes(max(N, 2)).in_range(1, N + 1)
@@ -637,12 +638,11 @@ def values_up_to(chars: Sequence[DirichletCharacter], N: int) -> Iterator[np.nda
     units[0] = q == 1
     units[primes] = q % primes != 0
     coprime = primes[units[primes]]
-    logs = []
+    logs = []  # each component's digit logs, one array per cyclic factor
     for c in comps:
-        ((g, m),) = c.factors
-        log = np.zeros(N + 1, dtype=np.int64)
-        log[coprime] = _dlog_bsgs(coprime, g, m, c.pa)
-        logs.append(log)
+        logs.append([np.zeros(N + 1, dtype=np.int64) for _ in c.factors])
+        for log, at_primes in zip(logs[-1], c.logs(coprime)):
+            log[coprime] = at_primes
     lo = 4
     while lo <= N:
         # spf(n) <= sqrt(n) and n / spf(n) <= n / 2 lie below 2^k: both are done
@@ -650,13 +650,14 @@ def values_up_to(chars: Sequence[DirichletCharacter], N: int) -> Iterator[np.nda
         ns = ns[spf[ns] != ns]
         p, r = spf[ns], ns // spf[ns]
         units[ns] = units[p] & units[r]
-        for c, log in zip(comps, logs):
-            log[ns] = (log[p] + log[r]) % c.group_order
+        for c, comp_logs in zip(comps, logs):
+            for (_, m), log in zip(c.factors, comp_logs):
+                log[ns] = (log[p] + log[r]) % m
         lo *= 2
     lam = math.lcm(1, *(c.group_order for c in comps))
     for chi in chars:
-        e = sum((_exponents(c.factors, c.digits, [log]) * (lam // c.group_order)
-                 for c, log in zip(chi.components, logs)), np.zeros(N + 1, dtype=np.int64))
+        e = sum((_exponents(c.factors, c.digits, comp_logs) * (lam // c.group_order)
+                 for c, comp_logs in zip(chi.components, logs)), np.zeros(N + 1, dtype=np.int64))
         vals = np.exp((2j * math.pi / lam) * (e % lam))
         vals[~units] = 0
         yield vals

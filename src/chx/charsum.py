@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .character import DirichletCharacter, _column_blocks, kronecker_character, product_character
+from .character import DirichletCharacter, _column_blocks, _row_values, kronecker_character, product_character
 from .errors import ConstraintError
 from .lfunction import gauss_sum, l1_exact
 
@@ -78,10 +78,10 @@ def _half_period_sum(chi: DirichletCharacter, rows: list, tau: complex, l1: comp
     odd chi:  (2 - chi(2)) tau L(1, chi)/(i pi), the half-sum identity of
               `half_sum_check` (conj is moot for real chi), which holds for
               every primitive odd chi, 2-adic q included, where chi(2) = 0.
-    chi(2) is the product of the rows' entries at 2 mod p^a."""
+    chi(2) is read off the rows (`character._row_values`)."""
     if chi.parity() == 1:
         return 0.0
-    chi2 = math.prod(float(r[0, 2 % r.shape[1]]) for r in rows)
+    chi2 = float(_row_values(rows, np.array([2]))[0])
     return (2.0 - chi2) * tau * l1 / (1j * math.pi)
 
 

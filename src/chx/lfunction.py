@@ -58,7 +58,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._special import digamma, erfc_sqrt, exp1
-from .character import _DLOG_TABLE_CAP, DirichletCharacter, _column_blocks, _dtype, values_up_to
+from .character import _DLOG_TABLE_CAP, DirichletCharacter, _column_blocks, _row_values, values_up_to
 from .errors import ConstraintError, ResourceError
 from .ntheory import sieve_primes
 
@@ -252,18 +252,10 @@ def l1_truncated_euler(chi: DirichletCharacter, z: float) -> LValue:
 
 
 def _euler_from_rows(rows: list, q: int, z: float) -> LValue:
-    """`l1_truncated_euler` with chi(p) read from chi's component rows
-    (`DirichletCharacter._rows`): the product of the rows' entries at
-    p mod p^a, so no digit-log table is looked up again.  Within 1e-12 of
-    the oracle (a real chi's +-1 rows give its very chi(p))."""
-
-    def values(ps: np.ndarray):
-        out = np.ones(len(ps), dtype=_dtype(rows))
-        for r in rows:
-            out *= r[0, ps % r.shape[1]]
-        return out
-
-    return _truncated_euler(z, q, values)
+    """`l1_truncated_euler` with chi(p) read off chi's component rows
+    (`DirichletCharacter._rows`, by `character._row_values`), with no digit
+    log: within 1e-12 of the oracle (a real chi's +-1 rows give its chi(p))."""
+    return _truncated_euler(z, q, lambda ps: _row_values(rows, ps))
 
 
 def _truncated_euler(z: float, q: int, values) -> LValue:
@@ -527,8 +519,8 @@ def _afe_solve(A: list, B: list, err: list, i: int, j: int) -> tuple[complex, fl
 
 
 def l1_afe(chars: Sequence[DirichletCharacter]) -> list[LValue]:
-    """L(1, chi) for primitive non-principal characters of odd moduli below
-    2**31 by the smoothed approximate functional equation, in input order.
+    """L(1, chi) for primitive non-principal characters of moduli below 2**31
+    by the smoothed approximate functional equation, in input order.
 
     Each reads chi(n) only for n <= N = afe_length(q) ~ 5 sqrt(q)
     (`character.values_up_to`, which builds no table of length q), so it
@@ -540,8 +532,7 @@ def l1_afe(chars: Sequence[DirichletCharacter]) -> list[LValue]:
     parities present), so each costs four length-N dot products;
     a solve whose conditioning is below _AFE_MIN_CONDITIONING is redone
     with a third, wider delta over a longer sum (its `param` stays the
-    first N), keeping the best-conditioned pair.  A 2-adic
-    component raises ConstraintError.
+    first N), keeping the best-conditioned pair.
     """
     out: list = [None] * len(chars)
     by_q: dict[int, list[int]] = {}

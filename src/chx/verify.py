@@ -271,8 +271,8 @@ def _check_exact_vs_series(q_max: int = 500) -> CheckResult:
     )
 
 
-# primes, prime powers and odd composites with up to four prime factors
-_AFE_SAMPLE_MODULI = (45, 105, 125, 693, 1009, 1155, 2187, 4001, 10007)
+# primes, prime powers, odd composites of up to four primes, and 2-adic moduli
+_AFE_SAMPLE_MODULI = (40, 45, 105, 120, 125, 693, 1009, 1024, 1155, 2187, 4001, 8072, 10007)
 
 
 def _check_afe_vs_exact() -> CheckResult:
@@ -493,17 +493,16 @@ def _check_bridges(q_max: int = 400) -> CheckResult:
 _EULER_REL_TOL = 0.05  # the 5% of the "n_over_5pct" detail
 
 
-def _euler_logs(q: int, primes: np.ndarray) -> np.ndarray:
+def _euler_logs(q: int, primes: np.ndarray, weights: list) -> np.ndarray:
     """f with sum_n chi(n) f[n] = log prod_p (1 - chi(p)/p)^-1 over `primes`
-    for every chi mod q: sum_m chi(p^m)/(m p^m) puts 1/(m p^m) at p^m mod q,
-    for m up to the last power with p^-m >= 2^-60.  A p dividing q lands on
-    non-units, which no character reads."""
+    for every chi mod q: sum_m chi(p^m)/(m p^m) puts the row m of `weights`,
+    1/(m p^m) on a prefix of the primes, at p^m mod q.  A p dividing q lands
+    on non-units, which no character reads."""
     f = np.zeros(q)
-    p, pm, m = primes, primes % q, 1
-    while len(p):
-        f += np.bincount(pm, weights=1.0 / (m * p.astype(np.float64) ** m), minlength=q)
-        live = p.astype(np.float64) ** -(m + 1) >= 2.0**-60
-        p, pm, m = p[live], pm[live] * p[live] % q, m + 1
+    pm = np.ones(len(primes), dtype=np.int64)
+    for w in weights:
+        pm = pm[: len(w)] * primes[: len(w)] % q
+        f += np.bincount(pm, weights=w, minlength=q)
     return f
 
 
@@ -513,6 +512,11 @@ def _check_euler_calibration(q_lo: int = 1000, q_hi: int = 2000, z: float = 1e4)
     5% must be below 1%."""
     plist = sieve_primes(int(z)).primes.astype(np.int64)
     plist = plist[plist <= z]
+    # the weights 1/(m p^m), one row per m, over the p with p^-m >= 2^-60 (a prefix)
+    weights, p, m = [], plist.astype(np.float64), 1
+    while len(p):
+        weights.append(1.0 / (m * p**m))
+        p, m = p[p ** -(m + 1) >= 2.0**-60], m + 1
     n_bad = 0
     worst = _Worst()
 
@@ -526,7 +530,7 @@ def _check_euler_calibration(q_lo: int = 1000, q_hi: int = 2000, z: float = 1e4)
     for cm in character_matrices(moduli):
         q = cm.modulus
         rows = np.flatnonzero(cm.order > 1)
-        log_euler, lex = cm.sums(np.stack([_euler_logs(q, plist), digamma_weights(q)]))[:, rows]
+        log_euler, lex = cm.sums(np.stack([_euler_logs(q, plist, weights), digamma_weights(q)]))[:, rows]
         euler = np.exp(log_euler)
         rel = np.abs(euler - lex) / np.abs(lex)
         worst.add(cm, rows, rel)
@@ -591,13 +595,16 @@ def _implied_constants(family, rs, window: PrimeSumSpec) -> tuple:
 def _quad_moment_oracle_r1(fam: QuadFamilySpec, window: PrimeSumSpec) -> float:
     """sum_d |sum_p chi_d(p)/p|^2 / |family| by the swapped double sum over
     prime pairs: with C[i] = chi_d(p_i) over the family's d (exact 1, -1, 0),
-    the inner character sums are the Gram matrix C C^T."""
+    the inner character sums are the Gram matrix C C^T, added up over blocks
+    of 4096 columns (5 MB); its entries are integers, exact in float64, so
+    the blocks change no bit."""
     ds = fam.d_values()
     ps = window.primes().astype(np.float64)
-    C = np.empty((len(ps), len(ds)))
-    for i, p in enumerate(ps):
-        C[i] = _kronecker_column(ds, int(p))
-    return float(np.sum(C @ C.T / np.outer(ps, ps))) / len(ds)
+    gram = np.zeros((len(ps), len(ps)))
+    for lo in range(0, len(ds), 4096):
+        C = np.array([_kronecker_column(ds[lo : lo + 4096], int(p)) for p in ps], dtype=np.float64)
+        gram += C @ C.T
+    return float(np.sum(gram / np.outer(ps, ps))) / len(ds)
 
 
 def _check_quad_moments() -> CheckResult:

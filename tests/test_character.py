@@ -689,7 +689,7 @@ def test_dlog_bsgs_matches_table(q, t, cap, monkeypatch):
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("q", [13, 45, 1009, 1155, 2187])
+@pytest.mark.parametrize("q", [13, 45, 1009, 1155, 2187, 4, 8, 64, 120, 1024, 8072])
 def test_values_up_to_matches_value_table(q):
     # principal, imprimitive and primitive characters alike, past one period
     chars = list(itertools.islice(all_characters(q), 40))
@@ -705,10 +705,43 @@ def test_values_up_to_edges():
     assert list(values_up_to([], 10)) == []
     with pytest.raises(ValueError):
         list(values_up_to([character_from_index(13, 1), character_from_index(17, 1)], 10))
-    with pytest.raises(ConstraintError):  # the units mod 2^a are not cyclic
-        list(values_up_to([kronecker_character(-4)], 10))
+    # 2-adic components are read through their logs, one per cyclic factor
+    (vals,) = values_up_to([kronecker_character(-4)], 10)
+    assert np.abs(vals - [0, 1, 0, -1, 0, 1, 0, -1, 0, 1, 0]).max() <= 1e-15
+    (vals,) = values_up_to([kronecker_character(1)], 3)
+    assert vals.tolist() == [1, 1, 1, 1]
     with pytest.raises(ResourceError):  # int64 exponent products stay exact below 2**31
         list(values_up_to([character_from_index(2147483659, 3)], 10))
+
+
+@pytest.mark.parametrize("p,a", [(2, a) for a in range(1, 13)] + [(3, 7), (1009, 1)])
+def test_component_logs_are_additive(p, a):
+    # log_j(x y) = log_j(x) + log_j(y) mod m_j, and prod_j g_j^log_j(n) = n
+    c = character._Component(p, a, 0)
+    rng = np.random.default_rng(a)
+    x, y = rng.integers(0, 10 * c.pa, (2, 200))
+    units = (x % p != 0) & (y % p != 0)
+    x, y = x[units], y[units]
+    for (_, m), lx, ly, lxy in zip(c.factors, c.logs(x), c.logs(y), c.logs(x * y), strict=True):
+        assert np.array_equal(lxy, (lx + ly) % m) and lxy.min() >= 0 and lxy.max() < m
+    got = [math.prod(pow(g, int(log[i]), c.pa) for (g, _), log in zip(c.factors, c.logs(x))) % c.pa
+           for i in range(len(x))]
+    assert got == (x % c.pa).tolist()
+
+
+def test_row_values_read_the_table():
+    # a real chi's +-1 rows give every bit of its table; a complex chi's within 1e-15
+    n = np.arange(-50, 500)
+    for chi in (kronecker_character(-8), kronecker_character(-2999), kronecker_character(40),
+                character_from_index(1009, 7), character_from_id("q=8072;comps=2^3:3,1009:5")):
+        real = chi.order == 2
+        got = character._row_values(chi._rows(real), n)
+        want = chi.value_table()[n % chi.modulus]
+        assert got.dtype == (np.float64 if real else np.complex128)
+        if real:
+            assert np.array_equal(got, want.real)
+        else:
+            assert np.abs(got - want).max() <= 1e-15
 
 
 @pytest.mark.parametrize("g,m,pa", [(3, 1, 7), (2, 2, 5), (5, 1023, 1031), (7, 1024, 2053),

@@ -264,15 +264,12 @@ def test_l1_against_high_precision_oracle():
         for parity in (1, -1):
             sample.append(next(c for c in all_characters(q)
                                if c.is_primitive and c.order > 1 and c.parity() == parity))
-    # the AFE takes odd moduli: primes, a prime power and odd composites, both parities
-    odd_moduli = [chi for chi in sample if chi.modulus % 2]
-    assert {chi.modulus for chi in odd_moduli} >= {45, 81, 1009, 1155}
-    afe = dict(zip(odd_moduli, lfunction.l1_afe(odd_moduli)))
+    # the AFE takes every sample modulus, 2-adic ones included, both parities
+    afe = dict(zip(sample, lfunction.l1_afe(sample)))
     with mpmath.workdps(30):
         for chi in sample:
             want = _l1_digamma_oracle(chi, mpmath)
-            lvs = [l1_exact(chi), l1_finite(chi)[1]] + ([afe[chi]] if chi in afe else [])
-            for lv in lvs:
+            for lv in (l1_exact(chi), l1_finite(chi)[1], afe[chi]):
                 assert abs(lv.value - want) <= lv.error_bound, (chi.char_id, lv.method)
 
 
@@ -360,18 +357,25 @@ def test_l1_afe_third_delta_when_ill_conditioned(monkeypatch):
 
 def test_l1_afe_builds_no_log_table(monkeypatch):
     # the AFE takes every dlog by baby-step/giant-step, however small the modulus
-    chars = _primitive_sample(1009, 3) + _primitive_sample(1155, 3)
+    chars = _primitive_sample(1009, 3) + _primitive_sample(1155, 3) + _primitive_sample(8072, 3)
     want = [l1_exact(chi) for chi in chars]
     monkeypatch.setattr(character, "_build_log_tables", None)  # any table use fails
     values = lfunction.l1_afe(chars)
     assert all(abs(lv.value - w.value) <= lv.error_bound for lv, w in zip(values, want))
 
 
-def test_l1_afe_refuses_two_adic_and_imprimitive():
-    with pytest.raises(ConstraintError):
-        lfunction.l1_afe([next(c for c in all_characters(40) if c.is_primitive)])
-    with pytest.raises(ConstraintError):
-        lfunction.l1_afe([kronecker_character(-4)])
+@pytest.mark.parametrize("q,per_parity", [(8, None), (16, None), (40, None), (120, None), (1024, 20), (8072, 20)])
+def test_l1_afe_on_two_adic_moduli(q, per_parity):
+    # every primitive chi mod 8, 16, 40 and 120; mod 1024 and 8072 about
+    # per_parity of each parity, spread over the labels
+    chars = [c for c in all_characters(q) if c.is_primitive and c.order > 1]
+    groups = [[c for c in chars if c.parity() == p] for p in (1, -1)]
+    assert all(groups)
+    chars = [c for g in groups for c in g[:: len(g) // per_parity if per_parity else 1]]
+    _assert_afe_within_bound(chars, lfunction.l1_afe(chars))
+
+
+def test_l1_afe_refuses_principal_and_imprimitive():
     with pytest.raises(ConstraintError):
         lfunction.l1_afe([principal_character(13)])
     with pytest.raises(ConstraintError):

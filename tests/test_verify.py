@@ -165,7 +165,7 @@ def test_quad_moment_oracle_matches_exact_average():
 def test_afe_vs_exact_ties_and_fails_when_corrupted(monkeypatch):
     res = verify._check_afe_vs_exact()
     assert res.passed, res.detail
-    assert res.detail["n_characters"] == 54 and res.detail["worst_over_bound"] <= 1.0
+    assert res.detail["n_characters"] == 78 and res.detail["worst_over_bound"] <= 1.0
     original = verify.l1_afe
 
     def corrupt(chars):  # off by 1e-9 relative, far outside any AFE error_bound
