@@ -1,15 +1,15 @@
 """Character-sum maxima M(chi), the half-sum identity, and the bridges
 from M(chi) to L-values.
 
-max_partial_sum is one cumulative sum over a period, `_MScan`, which reads
-the complex value table in column blocks (`character._column_blocks`) and
-holds no array of length q; it returns only M(chi) and what is derived from
-it, and is the full-period reference for `report.evaluate_character`, which
-scans a real chi over half a period of a float64 table.  Each block `_MScan`
-has added holds its prefix sums, so `evaluate_character` reads
-S(floor(q/3)) there: for even chi with 3 coprime to q it is the even
-bridge's L-value, S(floor(q/3)) = sqrt(3) tau(chi) L(1, conj(chi) (./3))/(2 pi),
-so an even_sum member builds no table mod 3q.
+max_partial_sum is one cumulative sum over a period of chi's complex
+table, read in column blocks (`character._column_blocks`), with no array
+of length q held; it returns only M(chi) and what is derived from it.  It
+is the full-period reference for `report.evaluate_character`, whose one
+prefix scan (`report._PrefixScan`) reads M(chi), L(1, chi) and
+S(floor(q/3)) off the same prefix sums: for even chi with 3 coprime to q,
+S(floor(q/3)) = sqrt(3) tau(chi) L(1, conj(chi) (./3))/(2 pi) is the even
+bridge's L-value, so an even_sum member builds no table mod 3q; for a real
+chi that scan stops at ceil(q/2), guarded by `_half_period_sum`.
 half_sum_check builds its own table and sums its half period with fsum.
 """
 
@@ -46,7 +46,7 @@ class MsumRecord:
     """M(chi) = max_x |S(x)|, S(x) = sum_{n<=x} chi(n), the first maximizer
     of the computed |S(x)| (see max_partial_sum; for a real chi, whose sums
     are exact integers, the first maximizer itself, which lies below
-    ceil(q/2) -- see `_MScan`), and the normalized ratios
+    ceil(q/2) -- see `report._PrefixScan`), and the normalized ratios
 
     ratio_odd  = M*pi/(sqrt(q)*loglog q)        -- target e^gamma for odd chi
     ratio_even = M*pi*sqrt(3)/(sqrt(q)*loglog q) -- target e^gamma for even chi
@@ -91,64 +91,35 @@ def max_partial_sum(chi: DirichletCharacter) -> MsumRecord:
 
     argmax is the first maximizer of the computed |S(x)|: |S(q-1-x)| = |S(x)|,
     so for non-real chi roundoff picks which of the two is reported.  The
-    period-sum check |prefix(q)| ~ 0 guards against table corruption.  This
+    period-sum check |S(q-1)| ~ 0 guards against table corruption.  This
     is the full-period reference for `report.evaluate_character`, which
-    scans a real chi on [0, ceil(q/2)) only.
+    shares none of this loop and scans a real chi on [0, ceil(q/2)) only.
     """
     if chi.is_principal:
         raise ConstraintError(
             "M(chi) is undefined for principal characters (linear growth)"
         )
-    scan = _MScan(chi.modulus)
-    for lo, block in _column_blocks(chi._rows(), chi.modulus):
-        scan.add(lo, block)
-    return scan.record()
-
-
-class _MScan:
-    """M(chi) and its first maximizer over the columns [0, stop) of a value
-    table (complex128, or float64 for a real chi) read in column blocks, in
-    order.
-
-    stop = q scans a period: `max_partial_sum`, and every complex chi in
-    `report.evaluate_character`.  A real chi is scanned on its float64 table
-    over [0, ceil(q/2)) only: S(q-1-x) = -chi(-1) S(x) exactly, and its
-    prefix sums are integers, exact in float64, so M and the first maximizer
-    both lie there (the partner q-1-x of any x >= ceil(q/2) is smaller).
-
-    `add` turns each block into its prefix sums in place (the caller may
-    read S(x) at any of its columns afterwards): the running prefix
-    is added into the block's first entry before `np.cumsum`, so every sum
-    has the bits of one cumulative sum over the whole table.  The first
-    maximizer across blocks is kept.  `record(want)` checks the last sum,
-    S(stop - 1), against `want`: 0 over a period; over half a period
-    S(floor(q/2)) = `_half_period_sum`, which ties M to L(1, chi)."""
-
-    def __init__(self, q: int, stop: int | None = None):
-        self.q = q
-        self.stop = q if stop is None else stop
-        self.prefix = 0
-        self.M, self.argmax = -1.0, 0
-
-    def add(self, lo: int, block: np.ndarray) -> None:
-        block[0] += self.prefix
-        np.cumsum(block, out=block)  # block[x] = sum_{n<=lo+x} chi(n), as chi(0) = 0
+    q, prefix, M, argmax = chi.modulus, 0, -1.0, 0
+    for lo, block in _column_blocks(chi._rows(), q):
+        block[0] += prefix
+        np.cumsum(block, out=block)
         mags = np.abs(block)
-        i = int(np.argmax(mags))  # the first computed argmax in the block
-        if mags[i] > self.M:
-            self.M, self.argmax = float(mags[i]), lo + i
-        self.prefix = block[-1]
+        i = int(np.argmax(mags))
+        if mags[i] > M:
+            M, argmax = float(mags[i]), lo + i
+        prefix = block[-1]
+    _check_period_sum(prefix, q)
+    return _msum_record(q, M, argmax)
 
-    def record(self, want: complex = 0.0) -> MsumRecord:
-        q, M = self.q, self.M
-        what = "period sum" if self.stop == q else "half-period sum"
-        _check_period_sum(self.prefix, q, want, what)
-        ratio_odd = ratio_even = None
-        if q >= _RATIO_MIN_MODULUS:
-            norm = math.sqrt(q) * math.log(math.log(q))
-            ratio_odd = M * math.pi / norm
-            ratio_even = M * math.pi * math.sqrt(3.0) / norm
-        return MsumRecord(M=M, argmax=self.argmax, ratio_odd=ratio_odd, ratio_even=ratio_even)
+
+def _msum_record(q: int, M: float, argmax: int) -> MsumRecord:
+    """M(chi) and its argmax with the ratios, which are None below q = 16."""
+    ratio_odd = ratio_even = None
+    if q >= _RATIO_MIN_MODULUS:
+        norm = math.sqrt(q) * math.log(math.log(q))
+        ratio_odd = M * math.pi / norm
+        ratio_even = M * math.pi * math.sqrt(3.0) / norm
+    return MsumRecord(M=M, argmax=argmax, ratio_odd=ratio_odd, ratio_even=ratio_even)
 
 
 @dataclass(frozen=True)

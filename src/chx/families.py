@@ -257,10 +257,15 @@ def _kronecker_column(d_values: np.ndarray, p: int) -> np.ndarray:
         out[(r == 3) | (r == 5)] = -1
         out[np.mod(d_values, 2) == 0] = 0
         return out
+    return _legendre_table(p)[np.mod(d_values, p)]
+
+
+def _legendre_table(p: int) -> np.ndarray:
+    """kronecker(d, p) for d = 0..p-1, p an odd prime."""
     table = -np.ones(p, dtype=np.int64)
     table[np.mod(np.arange(p) ** 2, p)] = 1
     table[0] = 0
-    return table[np.mod(d_values, p)]
+    return table
 
 
 def signature_discriminants(

@@ -8,29 +8,22 @@ used by the extremal-search heuristics, and the smoothed approximate
 functional equation (`l1_afe`).
 
 Production values of tau(chi) and L(1, chi) come from the finite formulas
-as dot products (~1e-12 relative), by one kernel, `_FiniteScan`, which
-`report.evaluate_character` feeds (`l1_finite` runs it alone).  tau is a
-product of one short dot per prime power q_i || q, read straight from
+(~1e-12 relative), read by `report.evaluate_character`'s one prefix scan
+(`report._PrefixScan`) off the prefix sums S(x) it takes for M(chi).  tau
+is a product of one short dot per prime power q_i || q, read straight from
 chi's component rows at n q/q_i mod q_i (`_tau`, O(sum q_i), no table); a
 real chi's is sqrt(q) or i sqrt(q) by parity, with no dot.  L(1, chi)
-reads only the columns [0, ceil(q/2)) of chi's table, in column blocks
-(`character._column_blocks`):
-chi(q - a) = chi(-1) chi(a) folds the sum onto a < q/2, with the weights
-2a - q or 2 log sin(pi a/q) for the character's parity (the sines by the
-addition formula from one (cos, sin)(pi j/q) table per character, not
-np.sin per column), summed per block
-over that block's weights only, the partials added by fsum, so no array of
-length q is held past the prime powers' own.  A real chi (order 2) is read
-as a float64 table of exact 0/+-1, one real dot per block; the same half
-period is all that `report.evaluate_character` scans for its M(chi), with
-the half-period identity (`charsum._half_period_sum`) as the guard that
-ties the two scans.  For even chi, 3 coprime to q, L(1, chi (./3)) is
-read off the same scan's S(floor(q/3)) (`_twisted_l1_from_third`), and
-the truncated Euler product off chi's component rows (`_euler_from_rows`).
-`gauss_sum` and `l1_exact`
-evaluate the same formulas over the whole period with compensated sums;
-they are the kernel's oracles.  (All characters of one modulus at once:
-`character.CharacterMatrix.sums`.)
+needs only the columns [0, ceil(q/2)) of chi's table: chi(q - a) =
+chi(-1) chi(a) folds the sum onto a < q/2, with the weights 2a - q for odd
+chi, which Abel summation turns into sums of S(x) (no weights at all), and
+2 log sin(pi a/q) for even chi (the sines by the addition formula from one
+(cos, sin)(pi j/q) table per character, `_half_turns`, not np.sin per
+column).  For even chi, 3 coprime to q, L(1, chi (./3)) is read off the
+same scan's S(floor(q/3)) (`_twisted_l1_from_third`), and the truncated
+Euler product off chi's component rows (`_euler_from_rows`).  `gauss_sum`
+and `l1_exact` evaluate the same formulas over the whole period with
+compensated sums; they are the scan's oracles.  (All characters of one
+modulus at once: `character.CharacterMatrix.sums`.)
 
 The AFE reads chi(n) only for n <= N ~ 5 sqrt(q), so it costs O(sqrt q)
 time and memory per character where the finite formulas cost O(q): it
@@ -58,7 +51,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._special import digamma, erfc_sqrt, exp1
-from .character import _DLOG_TABLE_CAP, DirichletCharacter, _column_blocks, _row_values, values_up_to
+from .character import _DLOG_TABLE_CAP, DirichletCharacter, _row_values, values_up_to
 from .errors import ConstraintError, ResourceError
 from .ntheory import sieve_primes
 
@@ -283,8 +276,8 @@ def prime_sum(chi: DirichletCharacter, spec: PrimeSumSpec) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# the production kernel: the finite formulas of l1_exact as numpy dot
-# products (~1e-12 relative accuracy)
+# the pieces of the production scan (`report._PrefixScan`): the finite
+# formulas of l1_exact (~1e-12 relative accuracy)
 
 
 def _phases(n: int) -> np.ndarray:
@@ -325,67 +318,6 @@ def _half_turns(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return t.real.copy(), t.imag.copy()
 
 
-class _FiniteScan:
-    """(tau(chi), L(1, chi)) by the finite formulas of `l1_exact`, with tau
-    from chi's component rows (`_tau`) and L(1, chi) from the columns
-    [0, stop = ceil(q/2)) of chi's value table, read in blocks, in order.
-
-    A real chi's rows (float64, `DirichletCharacter._rows(real=True)`) give
-    its tau exactly, with no dot: tau = sqrt(q) for even chi and i sqrt(q)
-    for odd chi (Gauss; chi is primitive).
-
-    chi(q - a) = chi(-1) chi(a) folds each sum onto a < q/2: the weights are
-    2a - q for odd chi and 2 log sin(pi a/q) for even chi (for even q,
-    a = q/2 is not a unit).  A block's sines come from the angle theta0 =
-    pi first/q of its first column and one table of (cos, sin)(pi j/q) for
-    j below the block length, built once (`_half_turns`):
-    sin(theta0 + pi j/q) = sin theta0 cos(pi j/q) + cos theta0 sin(pi j/q),
-    both terms >= 0 on (0, pi/2], so no np.sin per column and nothing
-    cancels.  Each block's dot takes its own columns' weights; the partial
-    sums are added by fsum.  `add` only reads the block, and ignores its
-    columns past stop."""
-
-    def __init__(self, chi: DirichletCharacter, rows: list):
-        q = self.q = chi.modulus
-        self.odd = chi.parity() == -1
-        self.stop = (q + 1) // 2
-        if rows and rows[0].dtype == np.float64:
-            self.tau = complex(0.0, math.sqrt(q)) if self.odd else complex(math.sqrt(q))
-        else:
-            self.tau = _tau(rows, q)
-        self._turns = None
-        self._partials = []
-
-    def add(self, lo: int, block: np.ndarray) -> None:
-        first, hi = max(lo, 1), min(lo + len(block), self.stop)  # chi(0) = 0 has no weight
-        if first >= hi:
-            return
-        cols = block[first - lo : hi - lo].view(np.float64).reshape(hi - first, -1)
-        w = self._weights(first, hi, len(block))
-        self._partials.append(w @ cols)  # (re, im) dots, or one re dot for a real table
-
-    def _weights(self, first: int, hi: int, width: int) -> np.ndarray:
-        """The folded weights of the columns [first, hi), 0 < first < hi <= stop,
-        of a block `width` columns wide."""
-        if self.odd:
-            return 2.0 * np.arange(first, hi, dtype=np.float64) - self.q
-        n = hi - first
-        if self._turns is None or len(self._turns[0]) < n:
-            self._turns = _half_turns(self.q, width)
-        cos, sin = self._turns
-        theta0 = math.pi * first / self.q
-        w = math.sin(theta0) * cos[:n]
-        w += math.cos(theta0) * sin[:n]
-        np.log(w, out=w)
-        w *= 2.0
-        return w
-
-    def result(self) -> tuple[complex, LValue]:
-        re, *im = (math.fsum(p) for p in zip(*self._partials))
-        value = _finite_l1(self.tau, complex(re, -im[0] if im else 0.0), self.q, self.odd)
-        return self.tau, _finite_lvalue(complex(value), self.q)
-
-
 def _twisted_l1_from_third(tau: complex, s_third: complex, q: int) -> LValue:
     """L(1, chi chi_-3) for an even primitive chi mod q, 3 coprime to q, from
     tau = tau(chi) and s_third = S_chi(floor(q/3)) = sum_{n <= q/3} chi(n).
@@ -394,26 +326,16 @@ def _twisted_l1_from_third(tau: complex, s_third: complex, q: int) -> LValue:
     S_chi(floor(q/3)) = sqrt(3) tau(chi) L(1, conj(chi) chi_-3)/(2 pi)
     (Granville-Soundararajan, JAMS 2007), so with conj(tau) tau = q,
     L(1, chi chi_-3) = 2 pi tau conj(S)/(sqrt(3) q).  chi chi_-3 is primitive
-    mod 3q, and the value carries that modulus's `l1_finite` allowance."""
+    mod 3q, and the value carries that modulus's `_finite_lvalue` allowance."""
     value = 2.0 * math.pi * tau * complex(s_third).conjugate() / (math.sqrt(3.0) * q)
     return _finite_lvalue(value, 3 * q)
 
 
-def l1_finite(chi: DirichletCharacter) -> tuple[complex, LValue]:
-    """(tau(chi), L(1, chi)) for one character by the kernel: tau from its
-    component rows, L(1, chi) over the columns [0, ceil(q/2)) of its value
-    table in column blocks, a float64 table for a real chi."""
-    _require_primitive_nonprincipal(chi)
-    rows = chi._rows(real=chi.order == 2)
-    scan = _FiniteScan(chi, rows)
-    for lo, block in _column_blocks(rows, chi.modulus, scan.stop):
-        scan.add(lo, block)
-    return scan.result()
-
-
 def l1_exact_batch(chars: Sequence[DirichletCharacter]) -> np.ndarray:
-    """L(1, chi) by `l1_finite` for each of `chars`, in input order."""
-    return np.array([l1_finite(chi)[1].value for chi in chars], dtype=np.complex128)
+    """L(1, chi) by `report.evaluate_character` for each of `chars`, in input order."""
+    from .report import evaluate_character  # deferred: report imports us
+
+    return np.array([evaluate_character(chi).L1.value for chi in chars], dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Evaluation records, reference constants, and deterministic serialization.
 
+`evaluate_character` reads a character's value table once, in one prefix
+pass (`_PrefixScan`): M(chi), L(1, chi) and S(floor(q/3)) come off the
+same prefix sums S(x).
+
 All floats in serialized reports are rounded to 15 significant digits so
 that repeated runs produce byte-identical files; a non-finite float is
 written as null, so every report is strict JSON.
@@ -17,12 +21,15 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .character import DirichletCharacter, _check_table_size, _column_blocks
-from .charsum import CSV_COLUMNS, _MScan, _half_period_sum
+from .charsum import CSV_COLUMNS, MsumRecord, _check_period_sum, _half_period_sum, _msum_record
 from .lfunction import (
     LValue,
-    _FiniteScan,
     _euler_from_rows,
+    _finite_l1,
+    _finite_lvalue,
+    _half_turns,
     _require_primitive_nonprincipal,
+    _tau,
     _twisted_l1_from_third,
 )
 from .errors import ConstraintError
@@ -109,16 +116,8 @@ def evaluate_character(
     (exactly, for a real chi), as do the chi(p) of the Euler product
     (`lfunction._euler_from_rows`), and chi's value table is read from them
     once, in column blocks through one reused buffer
-    (`character._column_blocks`).  Each block below ceil(q/2) feeds the
-    L(1) sum, then every block becomes its own prefix sums for M(chi).  A
-    complex chi (order >= 3) is read over its whole period as complex128.
-    A real chi (order 2) is read as float64 rows of exact 0/+-1 over
-    [0, ceil(q/2)) only: its prefix sums are exact integers and
-    S(q-1-x) = -chi(-1) S(x), so M and the first maximizer argmax lie there
-    exactly (`charsum._MScan`).  Its guard is the half-period identity
-    (`charsum._half_period_sum`): S(floor(q/2)) is 0 for even chi and
-    (2 - chi(2)) tau L(1, chi)/(i pi) for odd chi, which ties the M scan to
-    the L(1) scan; a complex chi's is the period sum 0.
+    (`character._column_blocks`), by one `_PrefixScan`: M(chi), L(1, chi)
+    and S(floor(q/3)) are read off the prefix sums S(x).
 
     L(1, chi*xi) is read for xi = (./3), chi even and 3 coprime to q --
     every even_sum member -- from the same scan: the prefix sum
@@ -138,19 +137,14 @@ def evaluate_character(
             f"got chi {chi.char_id} (parity {chi.parity()}) and xi {xi.char_id}"
         )
     _require_primitive_nonprincipal(chi)
-    q, real = chi.modulus, chi.order == 2
-    rows = chi._rows(real)
-    finite = _FiniteScan(chi, rows)
-    sums = _MScan(q, finite.stop if real else q)
-    for lo, block in _column_blocks(rows, q, sums.stop):
-        finite.add(lo, block)  # the columns below ceil(q/2) only
-        sums.add(lo, block)  # overwrites the block with its prefix sums: last
-        if twisted and lo <= q // 3 < lo + len(block):
-            s_third = complex(block[q // 3 - lo])
-    tau, l1 = finite.result()
-    msum = sums.record(_half_period_sum(chi, rows, tau, l1.value) if real else 0.0)
+    q = chi.modulus
+    rows = chi._rows(chi.order == 2)
+    scan = _PrefixScan(chi, rows, twisted)
+    for lo, block in _column_blocks(rows, q, scan.stop):
+        scan.add(lo, block)
+    l1, msum = scan.result()
     l1_euler = _euler_from_rows(rows, q, z) if z is not None else None
-    l1_twisted = _twisted_l1_from_third(tau, s_third, q) if twisted else None
+    l1_twisted = _twisted_l1_from_third(scan.tau, scan.s_third, q) if twisted else None
     xi_id = xi.char_id if twisted else None
     return EvalRecord(
         char_id=chi.char_id,
@@ -164,10 +158,109 @@ def evaluate_character(
         xi_id=xi_id,
         M=msum.M,
         argmax=msum.argmax,
-        tau_abs=abs(tau),
+        tau_abs=abs(scan.tau),
         ratio_odd=msum.ratio_odd,
         ratio_even=msum.ratio_even,
     )
+
+
+class _PrefixScan:
+    """One pass over a primitive chi's value table in column blocks, in
+    order: `add` turns each block into its prefix sums S(x) in place (the
+    running prefix is added into its first entry before `np.cumsum`, so
+    every sum has the bits of one cumulative sum over the whole table), and
+    everything `evaluate_character` reports is read off them.
+
+    A complex chi is scanned over [0, stop = q).  A real chi (float64 rows
+    of exact 0/+-1) over [0, stop = H), H = ceil(q/2), only: its prefix
+    sums are exact integers and S(q-1-x) = -chi(-1) S(x), so M and its
+    first maximizer lie there.
+
+    - M(chi) and its first computed maximizer across blocks.
+    - tau(chi) by `lfunction._tau`; a real chi's is exactly sqrt(q) or
+      i sqrt(q) by parity (Gauss; chi is primitive).
+    - L(1, chi) by the finite formulas of `lfunction.l1_exact`, folded onto
+      a < H.  Odd chi needs no weights: by Abel summation
+      sum_{a<H} (2a - q) chi(a) = 2[(H-1) S(H-1) - sum_{x<H-1} S(x)] - q S(H-1),
+      so each block adds the sum of its prefix sums below H - 1 (exact for
+      a real chi, whose L(1) then carries one rounding).  Even chi's
+      weights 2 log sin(pi a/q) (`_weights`) meet each block before its
+      cumsum in one fixed-order numpy reduction, not a BLAS product, so the
+      bits do not depend on the BLAS pool.  The partials are added by fsum.
+    - S(floor(q/3)) when `third`: L(1, chi (./3)) for even chi
+      (`lfunction._twisted_l1_from_third`).
+
+    `result` checks S(stop - 1): 0 over a period; over half a period
+    S(floor(q/2)) = `charsum._half_period_sum`, which ties M to L(1, chi)."""
+
+    def __init__(self, chi: DirichletCharacter, rows: list, third: bool = False):
+        q = self.q = chi.modulus
+        self.chi, self.rows = chi, rows
+        self.odd = chi.parity() == -1
+        self.real = rows[0].dtype == np.float64
+        self.half = (q + 1) // 2
+        self.stop = self.half if self.real else q
+        self.third = q // 3 if third else None
+        if self.real:
+            self.tau = complex(0.0, math.sqrt(q)) if self.odd else complex(math.sqrt(q))
+        else:
+            self.tau = _tau(rows, q)
+        self.prefix = 0
+        self.M, self.argmax = -1.0, 0
+        self.s_half = self.s_third = None
+        self._turns = None
+        self._partials = []
+
+    def add(self, lo: int, block: np.ndarray) -> None:
+        n, h = len(block), self.half
+        first, hi = max(lo, 1), min(lo + n, h)  # chi(0) = 0 has no weight
+        if not self.odd and first < hi:
+            self._partials.append((block[first - lo : hi - lo] * self._weights(first, hi, n)).sum())
+        block[0] += self.prefix
+        np.cumsum(block, out=block)  # block[x] = S(lo + x), as chi(0) = 0
+        mags = np.abs(block)
+        i = int(np.argmax(mags))  # the first computed argmax in the block
+        if mags[i] > self.M:
+            self.M, self.argmax = float(mags[i]), lo + i
+        if self.odd and lo < h - 1:
+            self._partials.append(block[: h - 1 - lo].sum())
+        if self.odd and lo < h <= lo + n:
+            self.s_half = block[h - 1 - lo].item()
+        if self.third is not None and lo <= self.third < lo + n:
+            self.s_third = complex(block[self.third - lo])
+        self.prefix = block[-1]
+
+    def _weights(self, first: int, hi: int, width: int) -> np.ndarray:
+        """2 log sin(pi a/q) on the columns [first, hi), 0 < first < hi <= H,
+        of a block `width` wide: sin(theta0 + pi j/q) = sin theta0 cos(pi j/q)
+        + cos theta0 sin(pi j/q), theta0 = pi first/q, from one
+        (cos, sin)(pi j/q) table (`lfunction._half_turns`); both terms are
+        >= 0 on (0, pi/2], so nothing cancels."""
+        n = hi - first
+        if self._turns is None or len(self._turns[0]) < n:
+            self._turns = _half_turns(self.q, width)
+        cos, sin = self._turns
+        theta0 = math.pi * first / self.q
+        w = math.sin(theta0) * cos[:n]
+        w += math.cos(theta0) * sin[:n]
+        np.log(w, out=w)
+        w *= 2.0
+        return w
+
+    def result(self) -> tuple[LValue, MsumRecord]:
+        """(L(1, chi), M(chi)'s record), once every block is added."""
+        q, h, parts = self.q, self.half - 1, self._partials
+        if self.real:
+            total = math.fsum(parts)
+        else:
+            total = complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
+        s = 2.0 * (h * self.s_half - total) - q * self.s_half if self.odd else total
+        # the formulas take conj(chi(a)); a real chi's float s becomes complex(s),
+        # whose imaginary part is +0.0, not -0.0, and records print that sign
+        l1 = _finite_lvalue(_finite_l1(self.tau, complex(s.conjugate()), q, self.odd), q)
+        want = _half_period_sum(self.chi, self.rows, self.tau, l1.value) if self.real else 0.0
+        _check_period_sum(self.prefix, q, want, "half-period sum" if self.real else "period sum")
+        return l1, _msum_record(q, self.M, self.argmax)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .character import CharacterMatrix, character_matrices, order_k_characters, 
 from .charsum import _BRIDGE_SLACK, bridge_bounds, half_sum_check, max_partial_sum
 from .families import (
     OrderKFamilySpec,
-    _kronecker_column,
+    _legendre_table,
     count_fundamental_discriminants,
     generate_family,
     psi_tilde,
@@ -597,13 +597,17 @@ def _quad_moment_oracle_r1(fam: QuadFamilySpec, window: PrimeSumSpec) -> float:
     prime pairs: with C[i] = chi_d(p_i) over the family's d (exact 1, -1, 0),
     the inner character sums are the Gram matrix C C^T, added up over blocks
     of 4096 columns (5 MB); its entries are integers, exact in float64, so
-    the blocks change no bit."""
+    the blocks change no bit.  Each window prime's table of chi_d(p) over
+    d mod p is built once (the window's primes are odd, as y >= 2)."""
     ds = fam.d_values()
-    ps = window.primes().astype(np.float64)
-    gram = np.zeros((len(ps), len(ps)))
+    primes = window.primes().tolist()
+    tables = [_legendre_table(p) for p in primes]
+    gram = np.zeros((len(primes), len(primes)))
     for lo in range(0, len(ds), 4096):
-        C = np.array([_kronecker_column(ds[lo : lo + 4096], int(p)) for p in ps], dtype=np.float64)
+        block = ds[lo : lo + 4096]
+        C = np.array([t[np.mod(block, p)] for t, p in zip(tables, primes)], dtype=np.float64)
         gram += C @ C.T
+    ps = np.array(primes, dtype=np.float64)
     return float(np.sum(gram / np.outer(ps, ps))) / len(ds)
 
 

@@ -26,11 +26,11 @@ from chx.lfunction import (
     gauss_sum,
     l1_exact,
     l1_exact_batch,
-    l1_finite,
     l1_series_oracle,
     l1_truncated_euler,
     prime_sum,
 )
+from chx.report import _PrefixScan, evaluate_character
 
 
 def test_gauss_sum_closed_forms():
@@ -191,7 +191,7 @@ def test_l1_exact_batch_matches_pointwise():
     for chars in (grouped, interleaved):
         batch = l1_exact_batch(chars)
         for chi, b in zip(chars, batch, strict=True):
-            assert b == l1_finite(chi)[1].value
+            assert b == evaluate_character(chi).L1.value
             assert abs(l1_exact(chi).value - b) < 1e-11
 
 
@@ -209,18 +209,19 @@ def _assert_tied_to_oracles(chi, tau, l1):
 KERNEL_MODULI = [3, 4, 5, 8, 13, 45, 64, 120, 360, 840, 1009]
 
 
-# (tau, L(1)) by the one-character kernel and by the all-characters sums
+# (tau, L(1)) by the one-character scan and by the all-characters sums
 
 
 @pytest.mark.parametrize("q", KERNEL_MODULI)
 def test_tau_l1_one_table_matches_the_reference_formula(q):
-    """The kernel l1_finite on one table (one column block at these q)
-    agrees with the compensated reference formulas gauss_sum and l1_exact
-    on every primitive character."""
+    """tau from the component rows (`_tau`) and L(1) from evaluate_character's
+    one scan of one table (one column block at these q) agree with the
+    compensated reference formulas gauss_sum and l1_exact on every
+    primitive character."""
     chars = [chi for chi in all_characters(q) if chi.is_primitive]
     assert {chi.parity() for chi in chars} == ({-1} if q in (3, 4) else {1, -1})
     for chi in chars:
-        tau, lv = l1_finite(chi)
+        tau, lv = lfunction._tau(chi._rows(), q), evaluate_character(chi).L1
         assert type(tau) is complex and type(lv.value) is complex
         _assert_tied_to_oracles(chi, tau, lv.value)
 
@@ -229,13 +230,13 @@ def test_tau_l1_one_table_matches_the_reference_formula(q):
 def test_tau_l1_rows_matches_the_kernel(q):
     """tau = sum_n chi(n) e(n/q) and L(1, chi) = sum_n chi(n) w[n] (w the
     digamma weights) from CharacterMatrix.sums, for all rows at once, agree
-    with the kernel l1_finite on each primitive row and with the reference
-    formulas."""
+    with `_tau` and evaluate_character on each primitive row and with the
+    reference formulas."""
     cm = CharacterMatrix(q)
     tau, l1 = cm.sums(np.stack([lfunction._phases(q), digamma_weights(q)]))
     for row in np.flatnonzero(cm.primitive):
         chi = cm.character(row)
-        want_tau, want_l1 = l1_finite(chi)
+        want_tau, want_l1 = lfunction._tau(chi._rows(), q), evaluate_character(chi).L1
         assert abs(tau[row] - want_tau) < 1e-12 and abs(l1[row] - want_l1.value) < 1e-12
         _assert_tied_to_oracles(chi, tau[row], l1[row])
 
@@ -269,7 +270,7 @@ def test_l1_against_high_precision_oracle():
     with mpmath.workdps(30):
         for chi in sample:
             want = _l1_digamma_oracle(chi, mpmath)
-            for lv in (l1_exact(chi), l1_finite(chi)[1], afe[chi]):
+            for lv in (l1_exact(chi), evaluate_character(chi).L1, afe[chi]):
                 assert abs(lv.value - want) <= lv.error_bound, (chi.char_id, lv.method)
 
 
@@ -382,15 +383,15 @@ def test_l1_afe_refuses_principal_and_imprimitive():
         lfunction.l1_afe([next(c for c in all_characters(45) if not c.is_primitive and c.order > 1)])
 
 
-# the even weights 2 log sin(pi a/q) of _FiniteScan, from one (cos, sin) table
+# the even weights 2 log sin(pi a/q) of report._PrefixScan, from one (cos, sin) table
 
 
 def _scan_weights(chi, width):
-    """_FiniteScan's folded weights over [1, ceil(q/2)) in blocks of `width`
+    """_PrefixScan's folded weights over [1, ceil(q/2)) in blocks of `width`
     columns, as `add` asks for them."""
-    scan = lfunction._FiniteScan(chi, chi._rows(real=chi.order == 2))
-    return np.concatenate([scan._weights(max(lo, 1), min(lo + width, scan.stop), width)
-                           for lo in range(0, scan.stop, width)])
+    scan = _PrefixScan(chi, chi._rows(real=chi.order == 2))
+    return np.concatenate([scan._weights(max(lo, 1), min(lo + width, scan.half), width)
+                           for lo in range(0, scan.half, width)])
 
 
 @pytest.mark.parametrize("char_id", [

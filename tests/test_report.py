@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from chx.character import (
 from chx.charsum import max_partial_sum
 from chx.errors import ConstraintError
 from chx.families import psi_tilde
-from chx.lfunction import _phases, gauss_sum, l1_exact, l1_finite
+from chx.lfunction import _finite_l1, _phases, _tau, gauss_sum, l1_exact
 from chx.report import (
     REFERENCE_CONSTANTS,
     RunManifest,
@@ -92,10 +96,13 @@ def test_evaluate_character_builds_one_table_per_character(monkeypatch):
     evaluate_character(chi, z=100.0, xi=kronecker_character(-3))
     # chi is even and 3 does not divide 40: S(13) on chi's own table gives L(1, chi*xi)
     assert {q for q, _, _ in built} == {40} and covered(40, 40) == 6
-    built.clear()
-    for chi in (character_from_id("q=120;comps=2^3:3,3:1,5:1"), kronecker_character(-3)):
-        l1_finite(chi)  # [0, ceil(q/2)) once: 60 columns mod 120, 2 mod 3
-    assert covered(120, 60) == 9 and covered(3, 2) == 1
+    # M, tau and L(1) from one scan: a complex chi reads [0, q) once, a real
+    # chi [0, ceil(q/2)) once
+    for chi, stop, spans in ((character_from_id("q=120;comps=2^3:3,3:1,5:1"), 120, 18),
+                             (kronecker_character(-120), 60, 9), (kronecker_character(-3), 2, 1)):
+        built.clear()
+        evaluate_character(chi)
+        assert {q for q, _, _ in built} == {chi.modulus} and covered(chi.modulus, stop) == spans
 
 
 def _whole_table(chi):
@@ -129,7 +136,7 @@ def test_finite_scan_tau_reads_no_table(monkeypatch):
         raise AssertionError("tau built a value table")
 
     monkeypatch.setattr(character, "_table_rows", refuse)
-    got = [lfunction._FiniteScan(chi, chi._rows()).tau for chi in chars]
+    got = [_tau(chi._rows(), chi.modulus) for chi in chars]
     assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
     assert got[0] == 1.0 + 0.0j  # q = 1: no components
 
@@ -145,7 +152,7 @@ def _close(got, want, rel=1e-13):
 ])
 def test_streamed_member_matches_whole_table(char_id, xi, block, monkeypatch):
     # M, argmax and tau keep the bits of the whole table in any column blocks;
-    # L(1) sums its blocks' dots by fsum, so it is tied to l1_exact instead
+    # L(1) adds its blocks' partial sums by fsum, so it is tied to l1_exact instead
     chi = character_from_id(char_id)
     xi = kronecker_character(xi) if xi else None
     monkeypatch.setattr(character, "_BLOCK_ELEMENTS", block)
@@ -156,21 +163,35 @@ def test_streamed_member_matches_whole_table(char_id, xi, block, monkeypatch):
     if xi is not None:
         twisted = product_character(chi, xi)
         assert _close(rec.L1_twisted.value, l1_exact(twisted).value)
-        msum, (tau, l1) = max_partial_sum(twisted), l1_finite(twisted)
+        msum, tau = max_partial_sum(twisted), _tau(twisted._rows(), twisted.modulus)
         assert (msum.M, msum.argmax, tau) == _whole_table(twisted)
+        l1 = evaluate_character(twisted).L1
         # an even chi's L(1, chi*xi) comes from its own S(floor(q/3)), not chi*xi's table
         assert abs(l1.value - rec.L1_twisted.value) <= rec.L1_twisted.error_bound
         assert (l1.method, l1.error_bound) == (rec.L1_twisted.method, rec.L1_twisted.error_bound)
 
 
+def _hex(z: complex) -> tuple:
+    """z's two parts as float.hex, so the sign of a zero counts."""
+    return z.real.hex(), z.imag.hex()
+
+
 def _assert_real_path_matches_references(chi, xi=None):
     """evaluate_character on a real chi: M and argmax equal the full-period
     complex scan's exactly, and L(1) (and L(1, chi*xi)) lie within their
-    error_bound of l1_exact."""
+    error_bound of l1_exact.  An odd chi's L(1) is the finite formula at
+    the exact integer s = sum_{a<ceil(q/2)} (2a - q) chi(a), summed here in
+    Python ints: the scan's Abel sums over S(x) round nothing."""
     rec, ref = evaluate_character(chi, xi=xi), max_partial_sum(chi)
     assert (rec.M, rec.argmax) == (ref.M, ref.argmax), chi.char_id
     assert rec.argmax < (chi.modulus + 1) // 2
     assert abs(rec.L1.value - l1_exact(chi).value) <= rec.L1.error_bound, chi.char_id
+    if chi.parity() == -1:
+        q = chi.modulus
+        e, units = chi.values_at(np.arange((q + 1) // 2))
+        s = sum((2 * a - q) * (1 - 2 * x) for a, x in enumerate(e.tolist()) if units[a])
+        want = _finite_l1(complex(0.0, math.sqrt(q)), complex(s), q, True)
+        assert _hex(rec.L1.value) == _hex(want), chi.char_id
     if xi is not None:
         twisted = l1_exact(product_character(chi, xi)).value
         assert abs(rec.L1_twisted.value - twisted) <= rec.L1_twisted.error_bound, chi.char_id
@@ -184,7 +205,7 @@ def test_real_path_matches_references_on_every_small_discriminant():
     for d in ds:
         chi = kronecker_character(d)
         _assert_real_path_matches_references(chi)
-        tau = lfunction._FiniteScan(chi, chi._rows(real=True)).tau
+        tau = report._PrefixScan(chi, chi._rows(real=True)).tau
         assert tau == (math.sqrt(d) if d > 0 else 1j * math.sqrt(-d))
         assert abs(tau - gauss_sum(chi)) <= 1e-13 * math.sqrt(abs(d)), d
 
@@ -200,6 +221,36 @@ def test_real_path_matches_references_on_the_bench_search_members():
         _assert_real_path_matches_references(chi)
     for chi in even:
         _assert_real_path_matches_references(chi, spec.xi)
+
+
+@pytest.mark.parametrize("char_id", [
+    "q=1000037;comps=1000037:250009",  # order 4
+    "q=1000003;comps=1000003:166667",  # order 6
+    "q=1000003;comps=1000003:1",  # order q - 1
+    "q=4000037;comps=4000037:1000009",
+    "q=4000039;comps=4000039:666673",
+    "q=4000039;comps=4000039:1",
+])
+def test_odd_complex_l1_from_the_prefix_sums(char_id):
+    # a complex odd chi's L(1) by Abel summation over its prefix sums, which
+    # are not exact, still lies within its error_bound of l1_exact
+    chi = character_from_id(char_id)
+    assert chi.parity() == -1 and chi.order in (4, 6, chi.modulus - 1)
+    rec = evaluate_character(chi)
+    assert abs(rec.L1.value - l1_exact(chi).value) <= rec.L1.error_bound
+
+
+def test_real_member_bits_do_not_depend_on_the_blas_pool():
+    # an even member's weighted sum is a fixed-order numpy reduction, not a
+    # BLAS product, whose splitting follows the OpenBLAS pool size
+    code = ("from chx.character import character_from_id; from chx.report import evaluate_character; "
+            "rec = evaluate_character(character_from_id('q=6488689;comps=2017:1008,3217:1608')); "
+            "print(rec.L1.value.real.hex(), rec.L1.value.imag.hex(), rec.M, rec.argmax)")
+    src = str(Path(report.__file__).resolve().parents[1])
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+    assert outs[0] and outs[0] == outs[1]
 
 
 def _assert_twist_from_the_third(chi, xi, oracle=l1_exact):
@@ -224,13 +275,13 @@ def test_twist_from_the_third_on_every_small_even_discriminant():
 @pytest.mark.parametrize("k", [2, 4])
 def test_twist_from_the_third_on_the_even_sum_members(Q, k):
     # l1_exact mod 3q is the oracle at Q = 2e5; at Q = 1e6 (3q up to 5e6,
-    # where it takes 14 s and 330 MB in all) the table-mod-3q kernel is
+    # where it takes 14 s and 330 MB in all) evaluate_character mod 3q is
     spec = families.QuadTwistSpec(Q, k, 1)
     members = [m.chi for m in families.twisted_family(spec).members]
     assert len(members) == (5 if Q == 2e5 else 8)
     for chi in members:
         assert chi.parity() == 1 and chi.modulus % 3
-        _assert_twist_from_the_third(chi, spec.xi, l1_exact if Q == 2e5 else lambda c: l1_finite(c)[1])
+        _assert_twist_from_the_third(chi, spec.xi, l1_exact if Q == 2e5 else lambda c: evaluate_character(c).L1)
 
 
 def test_an_even_sum_member_builds_tables_mod_q_only(monkeypatch):
