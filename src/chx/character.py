@@ -40,10 +40,15 @@ A matrix reads each component's label facts and unit grid from a plan
 from one dict of plans, so each p^a is planned once per scan, and drops each
 plan after the last modulus it divides (there is no module cache).
 
-`values_up_to(chars, N)` gives chi(n) for n <= N only, for characters of one
-modulus below 2**31, with no table of length q: each component's `logs` of
-the primes up to N, in one `_dlog_bsgs` pass whose baby-step table is sized
-for the number of points, extended by complete multiplicativity.
+`values_up_to(chars, N, spf)` gives chi(n) for n <= N only, for characters of
+one modulus below 2**31, with no table of length q, as blocks of rows: each
+component's `logs` of the primes up to N (read off a least-prime-factor
+array, `_least_prime_factors`, which a caller may share across moduli), in
+one `_dlog_bsgs` pass whose baby-step table is sized for the number of
+points, extended by complete multiplicativity; a block's exponents are one
+int64 array, and its values the products of a coarse and a fine table of
+about sqrt(lam) roots each (`_root_tables`, lam the group exponent), so a
+row's bits depend on q alone, not on the characters beside it.
 """
 
 from __future__ import annotations
@@ -64,7 +69,6 @@ from .ntheory import (
     is_fundamental_discriminant,
     is_prime,
     kronecker,
-    sieve_primes,
     smallest_primitive_root_mod_pp,
 )
 
@@ -283,6 +287,15 @@ def _baby_steps(g: int, s: int, pa: int) -> tuple[np.ndarray, np.ndarray]:
     return powers[j], j
 
 
+def _merge_ranks(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """np.searchsorted(values, keys) for sorted `values` and sorted `keys`:
+    each key's position in one stable argsort of the runs [keys, values],
+    which timsort merges in a linear pass, less the keys before it (a key
+    sorts before the values equal to it, as the left side asks)."""
+    order = np.argsort(np.concatenate([keys, values]), kind="stable")
+    return np.flatnonzero(order < len(keys)) - np.arange(len(keys))
+
+
 def _dlog_bsgs(ns, g: int, m: int, pa: int) -> np.ndarray:
     """x < m with g^x = n mod p^a for each unit n of the int array `ns`, g of
     order m, by baby-step/giant-step over one shared baby-step table.
@@ -292,9 +305,9 @@ def _dlog_bsgs(ns, g: int, m: int, pa: int) -> np.ndarray:
     work in all, in a few numpy calls per pass.  A pass takes at most
     _BABY_STEP_CAP / 4 keys (32 MB), as four int64 arrays of them are live
     at once: the grid, its sort order, the sorted keys and their positions.
-    The keys are sorted before the search, which then walks the table in
-    order rather than at random (4x faster at 5e3 keys, 30x at 4e6), and
-    the positions are scattered back to the grid, so the first hit of each
+    The keys are sorted, and their positions in the table are read by
+    merging the two sorted runs (`_merge_ranks`) rather than by one search
+    per key, and are scattered back to the grid, so the first hit of each
     point is read as if the keys had been searched unsorted."""
     ns = np.asarray(ns) % pa
     s = min(m, math.isqrt(m * max(1, len(ns))) + 1, _BABY_STEP_CAP)
@@ -306,7 +319,7 @@ def _dlog_bsgs(ns, g: int, m: int, pa: int) -> np.ndarray:
         grid = (ns[lo : lo + chunk, None] * giants % pa).astype(np.int64, copy=False)
         order = np.argsort(grid, axis=None)
         keys = grid.ravel()[order]
-        found = np.searchsorted(values, keys)
+        found = _merge_ranks(values, keys)
         pos = keys.reshape(grid.shape)  # the sorted keys' buffer, reused for the positions
         keys[order] = found
         del order, keys, found
@@ -350,9 +363,6 @@ class _Component:
     @property
     def digits(self) -> list:
         return _digits(self.factors, self.t)
-
-    def value_order(self) -> int:
-        return _facts(self.p, self.a, self.t)[0]
 
     def conductor(self) -> int:
         return _facts(self.p, self.a, self.t)[1]
@@ -405,14 +415,20 @@ class DirichletCharacter:
     @property
     def order(self) -> int:
         if self._order is None:
-            self._order = math.lcm(1, *(c.value_order() for c in self.components))
+            self._read_facts()
         return self._order
 
     @property
     def conductor(self) -> int:
         if self._conductor is None:
-            self._conductor = math.prod(c.conductor() for c in self.components)
+            self._read_facts()
         return self._conductor
+
+    def _read_facts(self) -> None:
+        """The order and the conductor, from one `_facts` read per component."""
+        facts = [_facts(c.p, c.a, c.t) for c in self.components]
+        self._order = math.lcm(1, *(f[0] for f in facts))
+        self._conductor = math.prod(f[1] for f in facts)
 
     @property
     def is_principal(self) -> bool:
@@ -611,15 +627,49 @@ def _column_blocks(rows: list, q: int, stop: int | None = None) -> Iterator[tupl
         yield lo, _table_rows(rows, q, lo, hi, buf[:, : hi - lo])[0]
 
 
-def values_up_to(chars: Sequence[DirichletCharacter], N: int) -> Iterator[np.ndarray]:
-    """chi(n) for n = 0..N as complex128, one array per character of `chars`
-    (one modulus q, below 2**31), in input order, with no table of length q.
+def _least_prime_factors(N: int) -> np.ndarray:
+    """spf[n] for n = 0..N: the least prime factor of n >= 2, and n itself
+    below 2, so the primes up to N are the n >= 2 with spf[n] = n.  One
+    vector step per prime p <= sqrt(N), each found as spf[p] = p in turn."""
+    spf = np.arange(N + 1)
+    for p in range(2, math.isqrt(N) + 1):
+        if spf[p] == p:
+            view = spf[p * p :: p]
+            np.minimum(view, p, out=view)
+    return spf
+
+
+def _root_tables(lam: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(s, coarse, fine) with zeta_lam^e = coarse[e // s] * fine[e % s] for
+    0 <= e < lam, s = ceil(sqrt(lam)): coarse[k] = zeta_lam^(s k) and
+    fine[i] = zeta_lam^i, s direct values each, every angle taken in
+    (-pi, pi] (s k mod lam, less lam past lam/2) so that it is rounded at
+    most at pi, not 2 pi."""
+    s = math.isqrt(lam - 1) + 1
+    turns = s * np.arange(s) % lam
+    turns[2 * turns > lam] -= lam
+    step = 2j * math.pi / lam
+    return s, np.exp(step * turns), np.exp(step * np.arange(s))
+
+
+def values_up_to(chars: Sequence[DirichletCharacter], N: int, spf: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, block) with block[i, n] = chi(n) for chi = chars[lo + i] and
+    n = 0..N, as complex128, in blocks of at most max(1, _BLOCK_ELEMENTS //
+    (N + 1)) rows in input order, for characters of one modulus q below
+    2**31, with no table of length q.  Every block is written into one
+    buffer, so a block is read before the next is asked for.  `spf` is
+    `_least_prime_factors` of N or more (one array may serve many moduli);
+    its primes up to N are the points.
 
     Each component's digit logs are taken at the primes p <= N once for all
     of `chars` (`_Component.logs`), and each factor's extended to every
     n <= N by complete multiplicativity, log(n) = log(spf(n)) + log(n/spf(n))
-    mod m_j, over the doubling ranges [2^k, 2^(k+1)): ~log2 N vector steps;
-    spf comes from the same primes, one vector step per p <= sqrt(N).
+    mod m_j, over the doubling ranges [2^k, 2^(k+1)): ~log2 N vector steps.
+    A block's exponents e(n) = sum_j d_j (lam/m_j) log_j(n) mod lam (lam
+    the exponent of the unit group, d_j each row's digits) are one int64
+    array, exact: the sum is below lam sum_j m_j <= lam (phi(q) + 1) < 2**63.
+    chi(n) = zeta_lam^e is read off `_root_tables(lam)`, which depend only
+    on q, so a row has the same bits whichever characters share its call.
     """
     if len({chi.modulus for chi in chars}) > 1:
         raise ValueError("values_up_to needs characters of one modulus")
@@ -628,12 +678,9 @@ def values_up_to(chars: Sequence[DirichletCharacter], N: int) -> Iterator[np.nda
     q, comps = chars[0].modulus, chars[0].components
     if q >= _NUMPY_MODULUS_CAP:
         raise ResourceError(f"values_up_to needs a modulus below 2**31, got {q}")
-    primes = sieve_primes(max(N, 2)).in_range(1, N + 1)
+    spf = spf[: N + 1]
     n = np.arange(N + 1)
-    spf = n.copy()  # spf[n] = the least prime factor of n >= 2
-    for p in primes[primes <= math.isqrt(N)].tolist():
-        view = spf[p * p :: p]
-        np.minimum(view, p, out=view)
+    primes = np.flatnonzero(spf == n)[2:]
     units = np.ones(N + 1, dtype=bool)
     units[0] = q == 1
     units[primes] = q % primes != 0
@@ -655,12 +702,28 @@ def values_up_to(chars: Sequence[DirichletCharacter], N: int) -> Iterator[np.nda
                 log[ns] = (log[p] + log[r]) % m
         lo *= 2
     lam = math.lcm(1, *(c.group_order for c in comps))
-    for chi in chars:
-        e = sum((_exponents(c.factors, c.digits, comp_logs) * (lam // c.group_order)
-                 for c, comp_logs in zip(chi.components, logs)), np.zeros(N + 1, dtype=np.int64))
-        vals = np.exp((2j * math.pi / lam) * (e % lam))
-        vals[~units] = 0
-        yield vals
+    s, coarse, fine = _root_tables(lam)
+    nonunits = np.flatnonzero(~units)
+    step = min(max(1, _BLOCK_ELEMENTS // (N + 1)), len(chars))
+    # every block is written into the same four buffers, with no temporaries
+    e, t = np.empty((2, step, N + 1), dtype=np.int64)
+    vals, fine_vals = np.empty((2, step, N + 1), dtype=np.complex128)
+    for lo in range(0, len(chars), step):
+        block = chars[lo : lo + step]
+        k = len(block)
+        e_k, t_k, vals_k, fine_k = e[:k], t[:k], vals[:k], fine_vals[:k]
+        e_k[...] = 0
+        for j, (c, comp_logs) in enumerate(zip(comps, logs)):
+            digits = _digits(c.factors, np.array([chi.components[j].t for chi in block]))
+            for (_, m), d, log in zip(c.factors, digits, comp_logs):
+                e_k += np.multiply((d * (lam // m))[:, None], log, out=t_k)
+        e_k -= np.multiply(np.floor_divide(e_k, lam, out=t_k), lam, out=t_k)  # e mod lam
+        np.floor_divide(e_k, s, out=t_k)
+        np.take(coarse, t_k, out=vals_k, mode="clip")  # the indices are in range: no checked copy
+        np.subtract(e_k, np.multiply(t_k, s, out=t_k), out=t_k)
+        vals_k *= np.take(fine, t_k, out=fine_k, mode="clip")
+        vals_k[:, nonunits] = 0
+        yield lo, vals_k
 
 
 # ---------------------------------------------------------------------------
@@ -786,11 +849,18 @@ def principal_character(q: int) -> DirichletCharacter:
 def character_from_index(q: int, t: int) -> DirichletCharacter:
     """chi mod an odd prime q with chi(g) = zeta_{q-1}^t, g the least
     primitive root."""
+    return characters_from_indices(q, [t])[0]
+
+
+def characters_from_indices(q: int, ts: Sequence[int]) -> list[DirichletCharacter]:
+    """`character_from_index(q, t)` for each t of `ts`, in order, with the
+    modulus checked once."""
     if q < 3 or not is_prime(q):
         raise ValueError(f"modulus {q} is not an odd prime")
-    if not 0 <= t < q - 1:
-        raise ValueError(f"index {t} out of range [0, {q - 1})")
-    return DirichletCharacter(q, (_Component(q, 1, t),))
+    for t in ts:
+        if not 0 <= t < q - 1:
+            raise ValueError(f"index {t} out of range [0, {q - 1})")
+    return [DirichletCharacter(q, (_Component(q, 1, t),)) for t in ts]
 
 
 def character_from_components(q: int, labels: dict[int, int]) -> DirichletCharacter:

@@ -23,7 +23,7 @@ from .character import (
     _DLOG_TABLE_CAP,
     DirichletCharacter,
     _check_table_size,
-    character_from_index,
+    characters_from_indices,
     kronecker_character,
     principal_character,
     product_character,
@@ -495,9 +495,9 @@ def random_l1_baseline(Q: float, count: int = 500, seed: int = 20260815) -> np.n
     ps = sieve_primes(int(4 * Q) + 1).in_range(Q, 4 * Q)
     if len(ps) == 0:
         raise ConstraintError(f"no usable prime moduli in ({Q}, {4 * Q})")
-    moduli = rng.choice(ps, size=min(_BASELINE_MODULI, len(ps)), replace=False)
-    chars = []
-    for i in range(count):
-        q = int(moduli[i % len(moduli)])
-        chars.append(character_from_index(q, int(rng.integers(1, q - 1))))
-    return np.array([lv.abs for lv in l1_afe(chars)])
+    moduli = rng.choice(ps, size=min(_BASELINE_MODULI, len(ps)), replace=False).tolist()
+    k = len(moduli)
+    ts = [int(rng.integers(1, moduli[i % k] - 1)) for i in range(count)]
+    # modulus j holds the entries j, j + k, j + 2k, ...: each is checked once
+    columns = [characters_from_indices(q, ts[j::k]) for j, q in enumerate(moduli)]
+    return np.array([lv.abs for lv in l1_afe([columns[i % k][i // k] for i in range(count)])])

@@ -51,7 +51,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._special import digamma, erfc_sqrt, exp1
-from .character import _DLOG_TABLE_CAP, DirichletCharacter, _row_values, values_up_to
+from .character import (
+    _DLOG_TABLE_CAP,
+    DirichletCharacter,
+    _least_prime_factors,
+    _row_values,
+    values_up_to,
+)
 from .errors import ConstraintError, ResourceError
 from .ntheory import sieve_primes
 
@@ -416,28 +422,30 @@ def _afe_weights(q: int, odds, deltas: tuple, N: int) -> dict:
     return out
 
 
-def _afe_sums(X: np.ndarray, w: np.ndarray, err: list) -> tuple:
-    """(A, B, err), one entry per delta of `_afe_weights`' (w, err):
-    A = sum chi(n) w1(n), B = sum conj(chi(n)) w0(n) and err their
-    allowance, from chi(n) for n = 1..N in X."""
-    # (sum w re chi, sum w im chi) from X's float view, per row of w
-    re, im = (w @ X.view(np.float64).reshape(-1, 2)).T
-    A = [complex(r, s) for r, s in zip(re[0::2], im[0::2])]
-    B = [complex(r, -s) for r, s in zip(re[1::2], im[1::2])]
-    return A, B, err
+def _afe_sums(X: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B), one row per delta of `_afe_weights`' w and one column per row
+    of X (chi(n) for n = 1..N): A = sum chi(n) w1(n) and B = sum
+    conj(chi(n)) w0(n) = conj(sum chi(n) w0(n)).  Each is a contiguous
+    product (exact per part: a weight has no imaginary part) summed along
+    its row by numpy's pairwise sum, in a fixed order (no BLAS, so no
+    thread pool decides it), one weight row at a time."""
+    products = np.empty(X.shape, dtype=np.complex128)
+    sums = np.array([np.multiply(X, row, out=products).sum(axis=-1) for row in w.astype(np.complex128)])
+    return sums[0::2], sums[1::2].conj()
 
 
-def _afe_solve(A: list, B: list, err: list, i: int, j: int) -> tuple[complex, float, float]:
-    """(L(1, chi), error bound, conditioning) from the sums at deltas i, j:
-    A_i + eps B_i = A_j + eps B_j gives eps, then L = A_i + eps B_i.
+def _afe_solve(A: np.ndarray, B: np.ndarray, err: np.ndarray, i: int, j: int) -> tuple:
+    """(L(1, chi), error bound, conditioning), one entry per column, from the
+    sums at deltas i, j (rows of A, B and err): A_i + eps B_i = A_j + eps B_j
+    gives eps, then L = A_i + eps B_i.
 
     With |eps| = 1, errors e_k in the sums move L by at most
     (e_i + e_j)(1 + |B_i| / |B_j - B_i|); the conditioning is
     |B_j - B_i| / max(|A_i|, |B_i|)."""
     dB = B[j] - B[i]
     eps = (A[i] - A[j]) / dB
-    bound = (err[i] + err[j]) * (1.0 + abs(B[i]) / abs(dB))
-    return A[i] + eps * B[i], bound, abs(dB) / max(abs(A[i]), abs(B[i]))
+    bound = (err[i] + err[j]) * (1.0 + np.abs(B[i]) / np.abs(dB))
+    return A[i] + eps * B[i], bound, np.abs(dB) / np.maximum(np.abs(A[i]), np.abs(B[i]))
 
 
 def l1_afe(chars: Sequence[DirichletCharacter]) -> list[LValue]:
@@ -449,34 +457,55 @@ def l1_afe(chars: Sequence[DirichletCharacter]) -> list[LValue]:
     costs O(sqrt q) where the finite formulas cost O(q).  The root number
     eps(chi) is not computed from tau: L(1, chi) = A(delta) + eps B(delta)
     holds at every delta, so two deltas determine both (Rubinstein,
-    arXiv math/0412181).  The characters of one modulus share the values'
-    discrete logs and the weights (`_afe_weights`, built once for the
-    parities present), so each costs four length-N dot products;
-    a solve whose conditioning is below _AFE_MIN_CONDITIONING is redone
-    with a third, wider delta over a longer sum (its `param` stays the
-    first N), keeping the best-conditioned pair.
+    arXiv math/0412181).  One least-prime-factor array serves the whole
+    call.  The characters of one modulus share the values' discrete logs
+    and the weights (`_afe_weights`, built once for the parities present),
+    and are read as blocks of rows: each block's sums are one fixed-order
+    product and sum per weight row (`_afe_sums`) and its solve is one array
+    step, and a row's value has the same bits whichever characters share
+    the call.  A solve whose conditioning is below _AFE_MIN_CONDITIONING
+    is redone for its character alone with a third, wider delta over a
+    longer sum (its `param` stays the first N), keeping the
+    best-conditioned pair.
     """
     out: list = [None] * len(chars)
     by_q: dict[int, list[int]] = {}
     for i, chi in enumerate(chars):
         _require_primitive_nonprincipal(chi)
         by_q.setdefault(chi.modulus, []).append(i)
+    if not by_q:
+        return out
+    spf = _least_prime_factors(max(afe_length(q, _AFE_DELTAS[2]) for q in by_q))
     for q, idx in by_q.items():
         N = afe_length(q)
-        weights = _afe_weights(q, {chars[i].parity() == -1 for i in idx}, _AFE_DELTAS[:2], N)
+        # the even characters first, so each block holds at most two runs, one per parity
+        idx.sort(key=lambda i: chars[i].parity() == -1)
+        group = [chars[i] for i in idx]
+        odd = np.array([chi.parity() == -1 for chi in group])
+        weights = _afe_weights(q, set(odd.tolist()), _AFE_DELTAS[:2], N)
         wide: dict = {}  # the third delta's, per parity on first use
-        for i, row in zip(idx, values_up_to([chars[i] for i in idx], N)):
-            chi = chars[i]
-            odd = chi.parity() == -1
-            value, bound, cond = _afe_solve(*_afe_sums(row[1:], *weights[odd]), 0, 1)
-            if not cond >= _AFE_MIN_CONDITIONING:
-                N3 = afe_length(q, _AFE_DELTAS[2])
-                if odd not in wide:
-                    wide.update(_afe_weights(q, (odd,), _AFE_DELTAS, N3))
-                solved = _afe_sums(next(values_up_to([chi], N3))[1:], *wide[odd])
-                value, bound, cond = max(
-                    (_afe_solve(*solved, *pair) for pair in ((0, 1), (0, 2), (1, 2))),
-                    key=lambda v: v[2],
-                )
-            out[i] = LValue(value, SMOOTHED_AFE, float(N), bound, rigorous=False)
+        for lo, X in values_up_to(group, N, spf):
+            rows = odd[lo : lo + len(X)]
+            A = np.empty((2, len(X)), dtype=np.complex128)
+            B, err = np.empty_like(A), np.empty(A.shape)
+            split = int(np.count_nonzero(~rows))
+            for parity, at in ((False, slice(0, split)), (True, slice(split, None))):
+                if parity in rows:
+                    w, err[:, at] = weights[parity][0], np.array(weights[parity][1])[:, None]
+                    A[:, at], B[:, at] = _afe_sums(X[at, 1:], w)
+            for k, (value, bound, cond) in enumerate(zip(*_afe_solve(A, B, err, 0, 1))):
+                if not cond >= _AFE_MIN_CONDITIONING:
+                    N3 = afe_length(q, _AFE_DELTAS[2])
+                    parity = bool(rows[k])
+                    if parity not in wide:
+                        wide.update(_afe_weights(q, (parity,), _AFE_DELTAS, N3))
+                    ((_, X3),) = values_up_to([group[lo + k]], N3, spf)
+                    w, err3 = wide[parity]
+                    solved = (*_afe_sums(X3[:, 1:], w), np.array(err3)[:, None])
+                    value, bound, cond = max(
+                        (_afe_solve(*solved, *pair) for pair in ((0, 1), (0, 2), (1, 2))),
+                        key=lambda v: v[2][0],
+                    )
+                    value, bound = value[0], bound[0]
+                out[idx[lo + k]] = LValue(complex(value), SMOOTHED_AFE, float(N), float(bound), rigorous=False)
     return out

@@ -695,23 +695,57 @@ def test_values_up_to_matches_value_table(q):
     chars = list(itertools.islice(all_characters(q), 40))
     N = 3 * q + 7
     n = np.arange(N + 1)
-    for chi, vals in zip(chars, values_up_to(chars, N), strict=True):
+    blocks = values_up_to(chars, N, character._least_prime_factors(N))
+    rows = np.concatenate([block.copy() for _, block in blocks])  # one buffer serves every block
+    for chi, vals in zip(chars, rows, strict=True):
         want = chi.value_table()[n % q]
         assert np.array_equal(vals == 0, want == 0)
         assert np.abs(vals - want).max() <= 1e-13, chi.char_id
 
 
+@pytest.mark.parametrize("q", [13, 1009, 1155, 2187, 8072, 100003])
+def test_values_up_to_within_an_ulp_of_the_roots(q):
+    """Every block entry lies within 1e-15 of the exact root zeta_order^e
+    (its two table roots have angles in (-pi, pi]), and so within 2e-15 of
+    `complex_at`, whose angle 2 pi e / order is rounded at up to 2 pi (it is
+    up to 1.5e-15 off the exact roots of order 1458, mod 2187)."""
+    mpmath = pytest.importorskip("mpmath")
+    chars = list(itertools.islice(all_characters(q), 1, None, max(1, q // 12)))
+    N = min(3 * q + 7, 700)
+    n = np.arange(N + 1)
+    seen = 0
+    with mpmath.workdps(30):
+        exact_root = functools.lru_cache(maxsize=None)(
+            lambda e, order: complex(mpmath.expjpi(mpmath.mpf(2 * e) / order)))
+        for lo, block in values_up_to(chars, N, character._least_prime_factors(N)):
+            for chi, vals in zip(chars[lo:], block):
+                e, units = chi.values_at(n)
+                exact = [exact_root(x, chi.order) if u else 0j for x, u in zip(e.tolist(), units.tolist())]
+                assert np.abs(vals - exact).max() <= 1e-15, chi.char_id
+                assert np.abs(vals - chi.complex_at(n)).max() <= 2e-15, chi.char_id
+                seen += 1
+    assert seen == len(chars)
+
+
+def test_least_prime_factors():
+    spf = character._least_prime_factors(1000)
+    assert spf[:2].tolist() == [0, 1]
+    assert spf[2:].tolist() == [next(p for p in range(2, n + 1) if n % p == 0) for n in range(2, 1001)]
+    assert np.array_equal(np.flatnonzero(spf == np.arange(1001))[2:], sieve_primes(1000).primes)
+
+
 def test_values_up_to_edges():
-    assert list(values_up_to([], 10)) == []
+    spf = character._least_prime_factors(10)  # a longer array serves shorter N
+    assert list(values_up_to([], 10, spf)) == []
     with pytest.raises(ValueError):
-        list(values_up_to([character_from_index(13, 1), character_from_index(17, 1)], 10))
+        list(values_up_to([character_from_index(13, 1), character_from_index(17, 1)], 10, spf))
     # 2-adic components are read through their logs, one per cyclic factor
-    (vals,) = values_up_to([kronecker_character(-4)], 10)
-    assert np.abs(vals - [0, 1, 0, -1, 0, 1, 0, -1, 0, 1, 0]).max() <= 1e-15
-    (vals,) = values_up_to([kronecker_character(1)], 3)
-    assert vals.tolist() == [1, 1, 1, 1]
+    ((lo, (vals,)),) = values_up_to([kronecker_character(-4)], 10, spf)
+    assert lo == 0 and np.abs(vals - [0, 1, 0, -1, 0, 1, 0, -1, 0, 1, 0]).max() <= 1e-15
+    ((lo, (vals,)),) = values_up_to([kronecker_character(1)], 3, spf)
+    assert lo == 0 and vals.tolist() == [1, 1, 1, 1]
     with pytest.raises(ResourceError):  # int64 exponent products stay exact below 2**31
-        list(values_up_to([character_from_index(2147483659, 3)], 10))
+        list(values_up_to([character_from_index(2147483659, 3)], 10, spf))
 
 
 @pytest.mark.parametrize("p,a", [(2, a) for a in range(1, 13)] + [(3, 7), (1009, 1)])
@@ -775,9 +809,9 @@ def test_dlog_bsgs_capped_passes(cap, monkeypatch):
     ns = np.concatenate([[1, q - 1], primes, primes[::7], [q - 1, 1, 2]])
     monkeypatch.setattr(character, "_BABY_STEP_CAP", cap)
     sizes, passes = [], []
-    baby_steps, searchsorted = character._baby_steps, np.searchsorted
+    baby_steps, merge_ranks = character._baby_steps, character._merge_ranks
     monkeypatch.setattr(character, "_baby_steps", lambda *a: sizes.append(a[1]) or baby_steps(*a))
-    monkeypatch.setattr(np, "searchsorted", lambda *a, **k: passes.append(len(a[1])) or searchsorted(*a, **k))
+    monkeypatch.setattr(character, "_merge_ranks", lambda *a: passes.append(len(a[1])) or merge_ranks(*a))
     x = character._dlog_bsgs(ns, g, m, q)
     assert sizes == [cap] and len(passes) > 2 and sum(passes) == len(ns) * -(-m // cap)
     assert np.array_equal(x, character._build_log_tables(q, 1)[0][ns])

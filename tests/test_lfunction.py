@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,12 +339,13 @@ def test_l1_afe_third_delta_when_ill_conditioned(monkeypatch):
     delta over the longer sum; forcing the threshold sends every one there."""
     chars = _primitive_sample(1009, 4) + _primitive_sample(105, 2)
     plain = lfunction.l1_afe(chars)
-    lengths = []
+    lengths, tables = [], []
     values_up_to = lfunction.values_up_to
 
-    def record(group, N):
+    def record(group, N, spf):
         lengths.append((len(group), N))
-        return values_up_to(group, N)
+        tables.append(spf)
+        return values_up_to(group, N, spf)
 
     monkeypatch.setattr(lfunction, "values_up_to", record)
     monkeypatch.setattr(lfunction, "_AFE_MIN_CONDITIONING", math.inf)
@@ -351,9 +356,48 @@ def test_l1_afe_third_delta_when_ill_conditioned(monkeypatch):
         [(8, lfunction.afe_length(1009))] + [(1, N3[1009])] * 8
         + [(4, lfunction.afe_length(105))] + [(1, N3[105])] * 4
     )
+    # one least-prime-factor array per call, long enough for every N3
+    assert all(t is tables[0] for t in tables[:len(tables) // 2]) and len(tables[0]) > max(N3.values())
     _assert_afe_within_bound(chars, forced)
     assert all(abs(a.value - b.value) <= a.error_bound + b.error_bound
                for a, b in zip(plain, forced))
+
+
+def _bits(values) -> list:
+    return [(lv.value.real.hex(), lv.value.imag.hex(), lv.error_bound.hex()) for lv in values]
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_l1_afe_value_bits_do_not_depend_on_the_call(forced, monkeypatch):
+    """A character's value has the same bits alone as in a call with others,
+    in any order: mod 100003 (N = 1596, ten rows a block) the 26 characters
+    fill three blocks of mixed parity.  Forcing the threshold sends every
+    character through the third delta too."""
+    if forced:
+        monkeypatch.setattr(lfunction, "_AFE_MIN_CONDITIONING", math.inf)
+    big = [character_from_index(100003, t) for t in range(1, 100002, 3847)]
+    assert len(big) > character._BLOCK_ELEMENTS // (lfunction.afe_length(100003) + 1) * 2
+    assert {chi.parity() for chi in big} == {1, -1}
+    chars = big + _primitive_sample(1155, 3) + _primitive_sample(8072, 3)
+    together = _bits(lfunction.l1_afe(chars))
+    assert _bits(lfunction.l1_afe(chars[::-1]))[::-1] == together
+    assert [b for chi in chars for b in _bits(lfunction.l1_afe([chi]))] == together
+    _assert_afe_within_bound(chars[26:], lfunction.l1_afe(chars[26:]))
+
+
+def test_l1_afe_bits_do_not_depend_on_the_blas_pool():
+    # the sums are fixed-order numpy reductions, not BLAS products; this held
+    # before them too (at Q = 1e6), and stays pinned here
+    code = ("from chx.character import character_from_index; from chx.lfunction import l1_afe; "
+            "from chx.ntheory import sieve_primes; "
+            "ps = sieve_primes(4000000).primes[-200::40].tolist() + [100003]; "
+            "chars = [character_from_index(q, t) for q in ps for t in (1, 2, 3, 12345, 99999, q // 2)]; "
+            "print([(lv.value.real.hex(), lv.value.imag.hex(), lv.error_bound.hex()) for lv in l1_afe(chars)])")
+    src = str(Path(lfunction.__file__).resolve().parents[1])
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_l1_afe_builds_no_log_table(monkeypatch):

@@ -172,7 +172,6 @@ def test_blas_call_sites_are_listed():
     }
     assert found == {
         "lfunction._tau",
-        "lfunction._afe_sums",
         "moments._orderk_prime_sums",
         "verify._quad_moment_oracle_r1",
     }
