@@ -19,26 +19,28 @@ to g for odd p, and on 2^a, a >= 3, writes n = (-1)^d0 5^d1 with d0 read off
 n mod 4 and d1 the log of +-n to 5.  The parity is read from the labels.
 
 Value tables have one builder, `_table_rows`, which writes any column range
-[lo, hi) of them: each component's rows come from its roots of unity by a
-gather over its digit-log tables (`_component_rows`, p^a entries, built by
-`_build_log_tables` for the rows at hand and then dropped; a real
-character's are float64 rows of exact 0/+-1, and its table takes their
-dtype); the first component is written in and the others multiply in, in
-component order, through slices and period views that start at phase
-lo mod p^a, so an entry has the same bits whichever range it is built in.
+[lo, hi) of them: each component's rows come from its roots of unity,
+read at exponents written straight onto the units of its `_unit_grid`
+(`_component_rows`, p^a entries; the unit at grid index (i_0, i_1, ...) has
+digit logs i_j, so no inverse table is built; a real character's are
+float64 rows of exact 0/+-1, and its table takes their dtype); the first
+component is written in and the others multiply in, in component order,
+through slices and period views that start at phase lo mod p^a, so an
+entry has the same bits whichever range it is built in.
 `DirichletCharacter.value_table` (one row, all columns), `_column_blocks`
 (one row from its component rows, in column blocks of _BLOCK_ELEMENTS up
 to a stop column, through one reused buffer: O(block + sum p^a) bytes, the
 way search members are evaluated) and `CharacterMatrix.blocks` (row blocks
 of all characters mod q) all call it.
 `CharacterMatrix.sums(f)` gives sum_n chi(n) f[n] for every chi mod q with
-no table at all: one DFT of f read on the grid of digit logs (`_unit_grid`,
-which `_build_log_tables` inverts), taken as one ifft pass per axis of the
-grid, last axis first, as `np.fft.ifftn` takes it.
+no table at all: one DFT of f read on the grid of digit logs (`_unit_grid`),
+taken as one ifft pass per axis of the grid, last axis first, as
+`np.fft.ifftn` takes it.
 A matrix reads each component's label facts and unit grid from a plan
-(`_plan(p, a)`); `character_matrices(moduli)` yields the matrices of a scan
-from one dict of plans, so each p^a is planned once per scan, and drops each
-plan after the last modulus it divides (there is no module cache).
+(`_plan(p, a)`), for its `blocks` and its `sums` alike;
+`character_matrices(moduli)` yields the matrices of a scan from one dict of
+plans, so each p^a is planned once per scan, and drops each plan after the
+last modulus it divides (there is no module cache).
 
 `values_up_to(chars, N, spf)` gives chi(n) for n <= N only, for characters of
 one modulus below 2**31, with no table of length q, as blocks of rows: each
@@ -69,10 +71,11 @@ from .ntheory import (
     is_fundamental_discriminant,
     is_prime,
     kronecker,
+    sieve_primes,
     smallest_primitive_root_mod_pp,
 )
 
-_DLOG_TABLE_CAP = 1 << 26  # value and digit-log tables up to here; points have no cap
+_DLOG_TABLE_CAP = 1 << 26  # value tables and their component rows up to here; points have no cap
 _NUMPY_MODULUS_CAP = 1 << 31  # int64 products stay exact below this
 # baby-step table entries (64 MB with their indices); a pass of `_dlog_bsgs`
 # holds at most a quarter as many giant-step keys, 32 B each at once (32 MB)
@@ -143,7 +146,9 @@ class RootOfUnity:
             return -1 + 0j
         if self.order == 4:
             return 1j if self.exponent == 1 else -1j
-        return cmath.exp(2j * cmath.pi * self.exponent / self.order)
+        # the angle in (-pi, pi], as `_root_tables` takes it: rounded at most at pi, not 2 pi
+        e = self.exponent - self.order if 2 * self.exponent > self.order else self.exponent
+        return cmath.exp(2j * cmath.pi * e / self.order)
 
     def as_int(self) -> int:
         """The value as an integer, defined only for 0 and ±1."""
@@ -259,21 +264,6 @@ def _unit_grid(p: int, a: int) -> np.ndarray:
     for g, m in factors[1:]:
         units = units[..., None] * _power_table(g, m, pa) % pa
     return units
-
-
-def _build_log_tables(p: int, a: int) -> tuple[np.ndarray, ...]:
-    """One digit table per cyclic factor: n = prod_j g_j^log_j[n] mod p^a
-    (units only; -1 elsewhere), the inverse of `_unit_grid`."""
-    pa = p**a
-    _check_table_size(pa)
-    units = _unit_grid(p, a)
-    tables = []
-    for j, m in enumerate(units.shape):
-        table = np.full(pa, -1, dtype=np.int64)
-        # the digit d_j, broadcast along axis j of `units`
-        table[units] = np.arange(m, dtype=np.int64).reshape((m,) + (1,) * (units.ndim - 1 - j))
-        tables.append(table)
-    return tuple(tables)
 
 
 def _baby_steps(g: int, s: int, pa: int) -> tuple[np.ndarray, np.ndarray]:
@@ -507,8 +497,7 @@ class DirichletCharacter:
         all real) float64 rows of exact 0 and +-1.  A modulus past the table
         cap is refused first."""
         _check_table_size(self.modulus)
-        return [_component_rows(c, np.array([c.t]), None if real else c.roots(),
-                                _build_log_tables(c.p, c.a))
+        return [_component_rows(c, np.array([c.t]), None if real else c.roots(), _unit_grid(c.p, c.a))
                 for c in self.components]
 
     # -- algebra -----------------------------------------------------------
@@ -548,14 +537,23 @@ class DirichletCharacter:
 # value tables
 
 
-def _component_rows(c, labels: np.ndarray, roots: np.ndarray | None, logs: tuple) -> np.ndarray:
+def _component_rows(c, labels: np.ndarray, roots: np.ndarray | None, grid: np.ndarray) -> np.ndarray:
     """The values mod p^a of the component characters with index `labels`,
-    one row each, from the roots of unity `roots` = c.roots() and the digit
-    logs `logs` = _build_log_tables(c.p, c.a); `c` is any component of that
-    p^a.  For real characters, `roots` None gives float64 rows with no
-    roots: a unit's exponent is 0 or phi/2, so its value is 1 or -1 exactly."""
-    factors = c.factors
-    e = _exponents(factors, _digits(factors, labels[:, None]), logs)
+    one row each, from the roots of unity `roots` = c.roots() and the units
+    `grid` = _unit_grid(c.p, c.a); `c` is any component of that p^a.  The
+    unit grid[i_0, i_1, ...] has digit logs i_j, so its exponent
+    sum_j d_j (phi / m_j) i_j mod phi is written straight onto it: in place
+    for a cyclic group (i d_0 mod phi at g^i), with no inverse table.  For
+    real characters, `roots` None gives float64 rows with no roots: a unit's
+    exponent is 0 or phi/2, so its value is 1 or -1 exactly."""
+    e = np.zeros((len(labels), c.pa), dtype=np.int64)  # non-units are zeroed below
+    if grid.ndim == 1:  # in place: no second exponent array is held beside e
+        e[:, grid] = np.arange(len(grid))
+        e *= labels[:, None]
+        e %= len(grid)
+    else:
+        digits = _digits(c.factors, labels.reshape((-1,) + (1,) * grid.ndim))
+        e[:, grid] = _exponents(c.factors, digits, np.indices(grid.shape, sparse=True))
     vals = roots[e] if roots is not None else np.where(e == 0, 1.0, -1.0)
     vals[:, :: c.p] = 0
     return vals
@@ -630,12 +628,11 @@ def _column_blocks(rows: list, q: int, stop: int | None = None) -> Iterator[tupl
 def _least_prime_factors(N: int) -> np.ndarray:
     """spf[n] for n = 0..N: the least prime factor of n >= 2, and n itself
     below 2, so the primes up to N are the n >= 2 with spf[n] = n.  One
-    vector step per prime p <= sqrt(N), each found as spf[p] = p in turn."""
+    vector step per prime p <= sqrt(N), taken from `sieve_primes`."""
     spf = np.arange(N + 1)
-    for p in range(2, math.isqrt(N) + 1):
-        if spf[p] == p:
-            view = spf[p * p :: p]
-            np.minimum(view, p, out=view)
+    for p in sieve_primes(max(2, math.isqrt(N))).primes.tolist():
+        view = spf[p * p :: p]
+        np.minimum(view, p, out=view)
     return spf
 
 
@@ -808,11 +805,10 @@ class CharacterMatrix:
         rows = np.asarray(rows, dtype=np.int64)
         step = max(1, _BLOCK_ELEMENTS // q)
         roots = [c.roots() for c in self.components]
-        logs = [_build_log_tables(c.p, c.a) for c in self.components]
         for lo in range(0, len(rows), step):
             chunk = rows[lo : lo + step]
-            comp_rows = [_component_rows(c, lab, r, lg)
-                         for c, lab, r, lg in zip(self.components, self._labels(chunk), roots, logs)]
+            comp_rows = [_component_rows(c, lab, r, grid)
+                         for c, lab, r, (*_, grid) in zip(self.components, self._labels(chunk), roots, self._plans)]
             yield chunk, _table_rows(comp_rows, q)
 
     def sums(self, f: np.ndarray) -> np.ndarray:

@@ -159,17 +159,8 @@ def l1_exact(chi: DirichletCharacter) -> LValue:
     q = chi.modulus
     tau = gauss_sum(chi)
     vals = np.conj(chi.value_table()[1:])
-    a = np.arange(1, q, dtype=np.float64)
     odd = chi.parity() == -1
-    if odd:
-        s = _fsum_complex(vals * a)
-    else:
-        # sin(pi a/q) = sin(pi (q - a)/q): the argument is taken in (0, pi/2],
-        # where log sin keeps its accuracy; the sum stays over the whole period
-        x = (math.pi / q) * np.minimum(a, q - a)
-        if not (0.0 < x.min() and x.max() < math.pi):
-            raise AssertionError(f"log sin argument left (0, pi) for q={q}")
-        s = _fsum_complex(vals * np.log(np.sin(x)))
+    s = _fsum_complex(vals * (np.arange(1, q, dtype=np.float64) if odd else _log_sines(q)))
     return _finite_lvalue(_finite_l1(tau, s, q, odd), q)
 
 
@@ -289,6 +280,16 @@ def prime_sum(chi: DirichletCharacter, spec: PrimeSumSpec) -> complex:
 def _phases(n: int) -> np.ndarray:
     """e(k/n) = exp(2 pi i k/n) for k = 0..n-1."""
     return np.exp((2j * math.pi / n) * np.arange(n))
+
+
+def _log_sines(q: int) -> np.ndarray:
+    """log sin(pi a/q) for a = 1..q-1.  As sin(pi a/q) = sin(pi (q - a)/q),
+    the argument is taken in (0, pi/2], where log sin keeps its accuracy."""
+    a = np.arange(1, q, dtype=np.float64)
+    x = (math.pi / q) * np.minimum(a, q - a)
+    if not (0.0 < x.min() and x.max() < math.pi):
+        raise AssertionError(f"log sin argument left (0, pi) for q={q}")
+    return np.log(np.sin(x))
 
 
 def _finite_l1(tau, s, q: int, odd: bool):

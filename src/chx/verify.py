@@ -41,6 +41,7 @@ from .families import (
 from .lfunction import (
     PrimeSumSpec,
     _finite_l1,
+    _log_sines,
     _phases,
     _tau,
     digamma_weights,
@@ -246,11 +247,9 @@ def _check_exact_vs_series(q_max: int = 500) -> CheckResult:
     for cm in character_matrices(q for q in range(3, q_max + 1) if q % 4 != 2):
         q = cm.modulus
         rows = np.flatnonzero(cm.primitive)
-        a = np.arange(q, dtype=np.float64)
         logsin = np.zeros(q)
-        # sin(pi a/q) = sin(pi (q - a)/q), taken where the argument is at most pi/2
-        logsin[1:] = np.log(np.sin((math.pi / q) * np.minimum(a[1:], q - a[1:])))
-        f = np.stack([_phases(q), a, logsin, digamma_weights(q)])
+        logsin[1:] = _log_sines(q)
+        f = np.stack([_phases(q), np.arange(q, dtype=np.float64), logsin, digamma_weights(q)])
         tau, s_odd, s_even, oracle = cm.sums(f)[:, rows]
         # the weights are real: sum_a conj(chi(a)) w[a] is the conjugate of the sum
         lex = np.where(cm.parity[rows] == -1, _finite_l1(tau, np.conj(s_odd), q, True),

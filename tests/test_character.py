@@ -54,6 +54,18 @@ def test_root_of_unity_to_complex():
     assert abs(z - complex(math.cos(3 * math.pi / 4), math.sin(3 * math.pi / 4))) < 1e-15
 
 
+@pytest.mark.parametrize("order", [1458, 1024])
+def test_to_complex_within_an_ulp_of_the_root(order):
+    # the angle is taken in (-pi, pi], so it is rounded at most at pi: every
+    # exponent lies within 6.5e-16 of the exact root (1.3e-15 for an angle
+    # rounded at up to 2 pi, at order 1458)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        worst = max(abs(mpmath.mpc(RootOfUnity(order, e).to_complex())
+                        - mpmath.expjpi(mpmath.mpf(2 * e) / order)) for e in range(order))
+    assert worst <= 6.5e-16
+
+
 def _table_props(chi):
     q = chi.modulus
     vals = chi.value_table()
@@ -348,6 +360,41 @@ def test_value_table_peak_is_one_table():
     assert _peak_over_output(lambda: [w for _, w in cm.blocks(rows)]) <= 1.25
 
 
+@pytest.mark.parametrize("p,a", [(2, a) for a in range(1, 13)] + [(3, 5), (5, 4), (1009, 1), (3, 7)])
+def test_component_rows_match_the_gather(p, a):
+    # exponents written onto the unit grid give every label's row, complex
+    # and real, with the bits of the gather through the grid's inverse tables
+    c = character._Component(p, a, 0)
+    grid, roots = character._unit_grid(p, a), c.roots()
+    labels = np.arange(c.group_order)
+    step = max(1, (1 << 18) // c.pa)
+    for lo in range(0, len(labels), step):
+        chunk = labels[lo : lo + step]
+        for r in (roots, None):
+            got, want = character._component_rows(c, chunk, r, grid), _gathered_rows(c, chunk, r)
+            assert got.dtype == want.dtype and got.shape == want.shape == (len(chunk), c.pa)
+            assert got.tobytes() == want.tobytes(), (p, a, lo, r is None)
+
+
+@pytest.mark.parametrize("chi,real,per_entry", [
+    (character_from_index(1000003, 7), False, 48.0),  # int64 exponents, roots, values, grid: 8 + 16 + 16 + 8
+    (kronecker_character(-1000003), True, 25.0),  # exponents, signs, values, grid: 8 + 1 + 8 + 8
+])
+def test_rows_peak_holds_no_log_table(chi, real, per_entry):
+    # a prime modulus's one component row peaks at its exponents, values and
+    # unit grid, with no q-length digit-log table or second exponent array
+    chi._rows(real)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        chi._rows(real)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert round(peak / chi.modulus, 1) <= per_entry
+
+
 def test_character_matrix_checks_table_size(monkeypatch):
     monkeypatch.setattr(character, "_DLOG_TABLE_CAP", 1 << 9)
     with pytest.raises(ResourceError):
@@ -511,7 +558,7 @@ def test_parity_builds_no_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("parity built a table")
 
-    monkeypatch.setattr(character, "_build_log_tables", refuse)
+    monkeypatch.setattr(character, "_unit_grid", refuse)
     monkeypatch.setattr(character, "_power_table", refuse)
     assert [chi.parity() for chi in chars] == [-1, -1, 1]
 
@@ -594,15 +641,39 @@ def test_character_structure_properties():
     assert chi.is_primitive and chi.parity() == 1
 
 
+def _log_tables(p, a):
+    """One digit-log table per cyclic factor: n = prod_j g_j^log_j[n] mod p^a
+    (units only; -1 elsewhere), the inverse of `_unit_grid`."""
+    pa = p**a
+    units = character._unit_grid(p, a)
+    tables = []
+    for j, m in enumerate(units.shape):
+        table = np.full(pa, -1, dtype=np.int64)
+        # the digit d_j, broadcast along axis j of `units`
+        table[units] = np.arange(m, dtype=np.int64).reshape((m,) + (1,) * (units.ndim - 1 - j))
+        tables.append(table)
+    return tuple(tables)
+
+
+def _gathered_rows(c, labels, roots):
+    """`_component_rows` by a gather: each unit's exponent read through the
+    inverse tables of `_unit_grid`, then its root (or 1.0/-1.0 for roots None)."""
+    factors = c.factors
+    e = character._exponents(factors, character._digits(factors, labels[:, None]), _log_tables(c.p, c.a))
+    vals = roots[e] if roots is not None else np.where(e == 0, 1.0, -1.0)
+    vals[:, :: c.p] = 0
+    return vals
+
+
 def _table_oracle(chi):
     """(e, units) of chi at n = 0..q-1, as `values_at` gives them, but with
-    every digit log gathered from `_build_log_tables`."""
+    every digit log gathered from the inverse tables of `_unit_grid`."""
     q = chi.modulus
     n = np.arange(q)
     lam = math.lcm(1, *(c.group_order for c in chi.components))
     e = np.zeros(q, dtype=np.int64)
     for c in chi.components:
-        logs = [table[n % c.pa] for table in character._build_log_tables(c.p, c.a)]
+        logs = [table[n % c.pa] for table in _log_tables(c.p, c.a)]
         e += character._exponents(c.factors, c.digits, logs) * (lam // c.group_order)
     units = np.gcd(n, q) == 1
     return np.where(units, e % lam // (lam // chi.order), 0), units
@@ -622,9 +693,9 @@ def test_points_need_no_log_table(q, monkeypatch):
     want = [_table_oracle(chi) for chi in chars]
 
     def refuse(*args):
-        raise AssertionError("a point read built a digit-log table")
+        raise AssertionError("a point read built a unit grid")
 
-    monkeypatch.setattr(character, "_build_log_tables", refuse)
+    monkeypatch.setattr(character, "_unit_grid", refuse)
     n = np.arange(q)
     for chi, (e, units) in zip(chars, want, strict=True):
         got_e, got_units = chi.values_at(n)
@@ -677,7 +748,7 @@ def test_dlog_bsgs_matches_table(q, t, cap, monkeypatch):
     want = [RootOfUnity(chi.order, int(x)) if u else RootOfUnity.zero()
             for x, u in zip(want_e, want_units)]
     monkeypatch.setattr(character, "_DLOG_TABLE_CAP", cap)
-    monkeypatch.setattr(character, "_build_log_tables", None)  # any table use fails
+    monkeypatch.setattr(character, "_unit_grid", None)  # any grid or table use fails
     built = []
     baby_steps = character._baby_steps
     monkeypatch.setattr(character, "_baby_steps", lambda *a: built.append(a) or baby_steps(*a))
@@ -707,8 +778,7 @@ def test_values_up_to_matches_value_table(q):
 def test_values_up_to_within_an_ulp_of_the_roots(q):
     """Every block entry lies within 1e-15 of the exact root zeta_order^e
     (its two table roots have angles in (-pi, pi]), and so within 2e-15 of
-    `complex_at`, whose angle 2 pi e / order is rounded at up to 2 pi (it is
-    up to 1.5e-15 off the exact roots of order 1458, mod 2187)."""
+    `complex_at`, whose one angle is taken in (-pi, pi] too."""
     mpmath = pytest.importorskip("mpmath")
     chars = list(itertools.islice(all_characters(q), 1, None, max(1, q // 12)))
     N = min(3 * q + 7, 700)
@@ -732,6 +802,15 @@ def test_least_prime_factors():
     assert spf[:2].tolist() == [0, 1]
     assert spf[2:].tolist() == [next(p for p in range(2, n + 1) if n % p == 0) for n in range(2, 1001)]
     assert np.array_equal(np.flatnonzero(spf == np.arange(1001))[2:], sieve_primes(1000).primes)
+    # spf's primes are sieve_primes' at every N, squares of primes and their neighbours included
+    for N in [*range(2, 50), 120, 121, 122, 960, 961, 962, 10**5]:
+        spf = character._least_prime_factors(N)
+        assert np.array_equal(np.flatnonzero(spf == np.arange(N + 1))[2:], sieve_primes(N).primes), N
+        least = np.arange(N + 1)
+        for p in sieve_primes(N).primes[::-1].tolist():  # the least prime written last
+            least[p::p] = p
+        assert np.array_equal(spf, least), N
+    assert character._least_prime_factors(1).tolist() == [0, 1]
 
 
 def test_values_up_to_edges():
@@ -795,7 +874,7 @@ def test_dlog_bsgs_baby_table_sized_for_the_points(monkeypatch):
     monkeypatch.setattr(character, "_baby_steps", lambda *a: sizes.append(a[1]) or baby_steps(*a))
     x = character._dlog_bsgs(ns, g, m, q)
     assert sizes == [math.isqrt(m * len(ns)) + 1]  # ~sqrt(m * points), not sqrt(m)
-    assert np.array_equal(x, character._build_log_tables(q, 1)[0][ns])
+    assert np.array_equal(x, _log_tables(q, 1)[0][ns])
     assert all(pow(g, int(e), q) == n for e, n in zip(x, ns.tolist()))
 
 
@@ -814,7 +893,7 @@ def test_dlog_bsgs_capped_passes(cap, monkeypatch):
     monkeypatch.setattr(character, "_merge_ranks", lambda *a: passes.append(len(a[1])) or merge_ranks(*a))
     x = character._dlog_bsgs(ns, g, m, q)
     assert sizes == [cap] and len(passes) > 2 and sum(passes) == len(ns) * -(-m // cap)
-    assert np.array_equal(x, character._build_log_tables(q, 1)[0][ns])
+    assert np.array_equal(x, _log_tables(q, 1)[0][ns])
     assert all(pow(g, int(e), q) == n for e, n in zip(x, ns.tolist()))
 
 

@@ -93,12 +93,12 @@ def test_signature_of_exponents():
 def test_signatures_are_psi_q_values(Q, k, monkeypatch):
     # the power walk reads every window prime's signature as psi_q's values do
     def refuse(*args):
-        raise AssertionError("a signature built a digit-log table")
+        raise AssertionError("a signature built a unit grid")
 
     spec = OrderKFamilySpec(Q, k)
     sig_primes = [p for p in (2, 3, 5, 7, 11, 13) if p <= math.log(Q)]
     want = [signature_of(psi_q(q, k), k, sig_primes) for q in spec.window_primes().tolist()]
-    monkeypatch.setattr(character, "_build_log_tables", refuse)
+    monkeypatch.setattr(character, "_unit_grid", refuse)
     assert families._signatures(spec) == (sig_primes, spec.window_primes().tolist(), want)
     assert len(want) > 1
 
