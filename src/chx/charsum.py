@@ -28,18 +28,6 @@ from .lfunction import gauss_sum, l1_exact
 # log log q ratios are meaningless for tiny moduli; suppressed below this
 _RATIO_MIN_MODULUS = 16
 
-CSV_COLUMNS = (
-    "char_id",
-    "q",
-    "order",
-    "parity",
-    "M",
-    "argmax",
-    "L1_abs",
-    "ratio_odd",
-    "ratio_even",
-)
-
 
 @dataclass(frozen=True)
 class MsumRecord:

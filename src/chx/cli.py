@@ -14,6 +14,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+from . import __version__
 from .character import (
     _check_table_size,
     character_from_id,
@@ -43,8 +44,6 @@ _MODES = ("orderk", "odd_sum", "even_sum")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from . import __version__
-
     ap = argparse.ArgumentParser(
         prog="chx",
         description="exact Dirichlet characters, L(1) values, and "
@@ -83,8 +82,6 @@ def _utcnow() -> str:
 
 
 def _manifest(command, params, started, outputs) -> RunManifest:
-    from . import __version__
-
     return RunManifest(
         command=command,
         params=params,

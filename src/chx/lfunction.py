@@ -1,19 +1,19 @@
 """Evaluation of L(1, chi) and windowed prime sums.
 
-Four routes to L(1, chi) are provided: closed finite formulas, a partial
-sum of the defining series (`l1_series_oracle`: with its exact digamma
-tail it is what `verify` ties the finite formulas and `l1_exact` to; only
-its own test uses the rigorous tail bound), the truncated Euler product
-used by the extremal-search heuristics, and the smoothed approximate
-functional equation (`l1_afe`).
+Four routes to L(1, chi) are provided: closed finite formulas, the
+defining series telescoped with its exact digamma tail (`l1_series_oracle`,
+what `verify` ties the finite formulas and `l1_exact` to), the truncated
+Euler product used by the extremal-search heuristics, and the smoothed
+approximate functional equation (`l1_afe`).
 
 Production values of tau(chi) and L(1, chi) come from the finite formulas
 (~1e-12 relative), read by `report.evaluate_character`'s one prefix scan
 (`report._PrefixScan`) off the prefix sums S(x) it takes for M(chi).  tau
-is a product of one short dot per prime power q_i || q, read straight from
-chi's component rows at n q/q_i mod q_i (`_tau`, O(sum q_i), no table); a
-real chi's is sqrt(q) or i sqrt(q) by parity, with no dot.  L(1, chi)
-needs only the columns [0, ceil(q/2)) of chi's table: chi(q - a) =
+is a product of one short fixed-order dot (an einsum, not BLAS) per prime
+power q_i || q, read straight from chi's component rows at n q/q_i mod q_i
+(`_tau`, O(sum q_i), no table); a real chi's is sqrt(q) or i sqrt(q) by
+parity, with no dot.  L(1, chi) needs only the columns [0, ceil(q/2))
+of chi's table: chi(q - a) =
 chi(-1) chi(a) folds the sum onto a < q/2, with the weights 2a - q for odd
 chi, which Abel summation turns into sums of S(x) (no weights at all), and
 2 log sin(pi a/q) for even chi (the sines by the addition formula from one
@@ -74,16 +74,16 @@ SMOOTHED_AFE = "smoothed_afe"
 class LValue:
     """A computed value of L(1, chi) with provenance.
 
-    error_bound is a rigorous tail bound for the dirichlet_series method;
-    for euler_truncated it is an empirically calibrated band, for
-    exact_finite a roundoff allowance, and for smoothed_afe an explicit
-    Gamma-tail bound plus a roundoff allowance, both scaled by the solve's
-    conditioning -- the last three flagged via `rigorous`.
+    error_bound is a roundoff allowance for exact_finite and
+    dirichlet_series, an empirically calibrated band for euler_truncated,
+    and for smoothed_afe an explicit Gamma-tail bound plus a roundoff
+    allowance, both scaled by the solve's conditioning.  No method sets
+    `rigorous` yet: it is for a bound that is proved to hold.
     """
 
     value: complex
     method: str
-    param: Optional[float]  # N for the series and the AFE, z for the Euler product
+    param: Optional[float]  # N for the AFE, z for the Euler product, else None
     error_bound: float
     rigorous: bool
 
@@ -134,9 +134,7 @@ def gauss_sum(chi: DirichletCharacter) -> complex:
     q = chi.modulus
     if q == 1:
         return 1.0 + 0.0j
-    vals = chi.value_table()
-    a = np.arange(q, dtype=np.float64)
-    return _fsum_complex(vals * np.exp((2j * math.pi / q) * a))
+    return _fsum_complex(chi.value_table() * _phases(q))
 
 
 def _require_primitive_nonprincipal(chi: DirichletCharacter) -> None:
@@ -164,6 +162,12 @@ def l1_exact(chi: DirichletCharacter) -> LValue:
     return _finite_lvalue(_finite_l1(tau, s, q, odd), q)
 
 
+def l1_exact_batch(chars: Sequence[DirichletCharacter]) -> np.ndarray:
+    """L(1, chi) by `l1_exact`, the compensated finite formulas, for each of
+    `chars`, in input order."""
+    return np.array([l1_exact(chi).value for chi in chars], dtype=np.complex128)
+
+
 def _finite_lvalue(value: complex, q: int) -> LValue:
     err = 32.0 * _EPS * (1.0 + math.sqrt(q))  # roundoff allowance
     return LValue(value, EXACT_FINITE, None, err, rigorous=False)
@@ -183,44 +187,17 @@ def digamma_weights(q: int) -> np.ndarray:
     return w
 
 
-def l1_series_oracle(chi: DirichletCharacter, N: int, tail: str = "bound") -> LValue:
-    """Partial sum sum_{n<=N} chi(n)/n, with one of two tail treatments.
-
-    tail="bound":   plain partial sum; rigorous error bound 2*M(chi)/N by
-                    partial summation, M(chi) taken from the charsum module.
-    tail="digamma": the exact tail -(1/q) sum_a chi(a) digamma(K + a/q)
-                    (K = N//q) is added to the partial sum over n <= K*q;
-                    the two telescope to sum_a chi(a) * (-digamma(a/q)/q),
-                    so the result is exact up to roundoff for every N.
-    """
+def l1_series_oracle(chi: DirichletCharacter) -> LValue:
+    """sum_n chi(n)/n for a non-principal chi: the partial sum to K q plus
+    its exact tail -(1/q) sum_a chi(a) digamma(K + a/q) telescope to
+    sum_a chi(a) w[a] (`digamma_weights`) for every K, so the value is exact
+    up to roundoff."""
     if chi.is_principal:
         raise ConstraintError("series oracle needs a non-principal character")
     q = chi.modulus
-    N = int(N)
-    if N < q * q:
-        raise ConstraintError(f"oracle cutoff N={N} below q^2={q * q}")
-    vals = chi.value_table()
-    if tail == "digamma":
-        value = _fsum_complex(vals * digamma_weights(q))
-        err = 64.0 * _EPS * (2.0 + math.log(q))
-        return LValue(value, DIRICHLET_SERIES, float(N), err, rigorous=False)
-    if tail != "bound":
-        raise ValueError(f"unknown tail mode {tail!r}")
-    block = 1 << 22
-    re_parts, im_parts = [], []
-    for lo in range(1, N + 1, block):
-        n = np.arange(lo, min(lo + block, N + 1))
-        terms = vals[np.mod(n, q)] / n
-        re_parts.append(terms.real)
-        im_parts.append(terms.imag)
-    value = complex(
-        math.fsum(math.fsum(p) for p in re_parts),
-        math.fsum(math.fsum(p) for p in im_parts),
-    )
-    from .charsum import max_partial_sum  # deferred: charsum imports us
-
-    M = max_partial_sum(chi).M
-    return LValue(value, DIRICHLET_SERIES, float(N), 2.0 * M / N, rigorous=True)
+    value = _fsum_complex(chi.value_table() * digamma_weights(q))
+    err = 64.0 * _EPS * (2.0 + math.log(q))
+    return LValue(value, DIRICHLET_SERIES, None, err, rigorous=False)
 
 
 def check_euler_truncation(z: float) -> None:
@@ -306,12 +283,13 @@ def _tau(rows: list, q: int) -> complex:
 
     chi(m[n]) is the row's entry at n (q/q_i) mod q_i times the other
     components' exact 1 at 1, so each dot has the bits of the same dot over
-    the table, in O(sum q_i).  q = 1 has no components and tau = 1."""
+    the table, in O(sum q_i).  Each dot is an einsum, summed in an order no
+    BLAS thread pool decides.  q = 1 has no components and tau = 1."""
     dots = []
     for r in rows:
         qi = r.shape[1]
         entries = r[0] if qi == q else r[0, np.arange(qi) * (q // qi) % qi]
-        dots.append(np.dot(entries, _phases(qi)))
+        dots.append(np.einsum("i,i->", entries, _phases(qi)))
     return complex(math.prod(dots))
 
 
@@ -336,13 +314,6 @@ def _twisted_l1_from_third(tau: complex, s_third: complex, q: int) -> LValue:
     mod 3q, and the value carries that modulus's `_finite_lvalue` allowance."""
     value = 2.0 * math.pi * tau * complex(s_third).conjugate() / (math.sqrt(3.0) * q)
     return _finite_lvalue(value, 3 * q)
-
-
-def l1_exact_batch(chars: Sequence[DirichletCharacter]) -> np.ndarray:
-    """L(1, chi) by `report.evaluate_character` for each of `chars`, in input order."""
-    from .report import evaluate_character  # deferred: report imports us
-
-    return np.array([evaluate_character(chi).L1.value for chi in chars], dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,8 @@ def _orderk_prime_sums(spec: OrderKFamilySpec, primes: np.ndarray) -> np.ndarray
         return np.zeros(0, dtype=np.complex128)
     rows = np.array([psi_q(q, spec.k).complex_at(primes) for q in qs])
     t = rows * (1.0 / primes)  # row i scaled by 1/p
-    gram = t @ rows.conj().T  # gram[i, j] = S_{q_i q_j}
+    # gram[i, j] = S_{q_i q_j}, by einsum: no BLAS thread pool decides its bits
+    gram = np.einsum("ip,jp->ij", t, rows.conj())
     iu = np.triu_indices(len(qs), k=1)
     return gram[iu]
 

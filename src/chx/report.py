@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .character import DirichletCharacter, _check_table_size, _column_blocks
-from .charsum import CSV_COLUMNS, MsumRecord, _check_period_sum, _half_period_sum, _msum_record
+from .charsum import MsumRecord, _check_period_sum, _half_period_sum, _msum_record
 from .lfunction import (
     LValue,
     _euler_from_rows,
@@ -50,6 +50,20 @@ REFERENCE_CONSTANTS = {
     "two_e_gamma_over_pi": 2.0 * _E_GAMMA / math.pi,
     "two_e_gamma_over_pi_sqrt3": 2.0 * _E_GAMMA / (math.pi * math.sqrt(3.0)),
 }
+
+
+# the header of records.csv, one column per entry of `EvalRecord.csv_row`
+CSV_COLUMNS = (
+    "char_id",
+    "q",
+    "order",
+    "parity",
+    "M",
+    "argmax",
+    "L1_abs",
+    "ratio_odd",
+    "ratio_even",
+)
 
 
 @dataclass(frozen=True)
@@ -312,10 +326,10 @@ def write_jsonl(path, dicts: Iterable[dict]) -> None:
             fh.write(canonical_json(d) + "\n")
 
 
-def write_csv(path, rows: Iterable[list], header=CSV_COLUMNS) -> None:
+def write_csv(path, rows: Iterable[list]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(CSV_COLUMNS)
         writer.writerows(rows)
 
 

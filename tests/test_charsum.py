@@ -17,7 +17,6 @@ from chx.character import (
     principal_character,
 )
 from chx.charsum import (
-    CSV_COLUMNS,
     MsumRecord,
     bridge_bounds,
     half_sum_check,
@@ -25,6 +24,7 @@ from chx.charsum import (
 )
 from chx.errors import ConstraintError
 from chx.lfunction import l1_exact
+from chx.report import CSV_COLUMNS
 
 
 def test_msum_known_small_cases():

@@ -81,25 +81,9 @@ def test_l1_exact_rejects_principal_and_imprimitive():
 
 def test_series_oracle_digamma_matches_closed_form():
     chi = kronecker_character(-4)
-    lv = l1_series_oracle(chi, 16, tail="digamma")
+    lv = l1_series_oracle(chi)
     assert abs(lv.value - math.pi / 4) < 1e-14
     assert lv.method == "dirichlet_series"
-
-
-def test_series_oracle_bound_tail_encloses():
-    for d in (-4, 5, -3, 13, -8):
-        chi = kronecker_character(d)
-        q = chi.modulus
-        lv = l1_series_oracle(chi, 50 * q * q, tail="bound")
-        assert lv.rigorous
-        exact = l1_exact(chi).value
-        assert abs(lv.value - exact) <= lv.error_bound
-
-
-def test_series_oracle_rejects_small_n():
-    chi = kronecker_character(-4)
-    with pytest.raises(ConstraintError):
-        l1_series_oracle(chi, 10)  # N < q^2
 
 
 def test_digamma_weights_telescopes_partial_sums():
@@ -123,7 +107,7 @@ def test_exact_vs_oracle_sweep():
             if chi.is_principal or not chi.is_primitive:
                 continue
             a = l1_exact(chi).value
-            b = l1_series_oracle(chi, q * q, tail="digamma").value
+            b = l1_series_oracle(chi).value
             worst = max(worst, abs(a - b) / abs(b))
     assert worst < 1e-12
 
@@ -195,8 +179,8 @@ def test_l1_exact_batch_matches_pointwise():
     for chars in (grouped, interleaved):
         batch = l1_exact_batch(chars)
         for chi, b in zip(chars, batch, strict=True):
-            assert b == evaluate_character(chi).L1.value
-            assert abs(l1_exact(chi).value - b) < 1e-11
+            assert b == l1_exact(chi).value
+            assert abs(evaluate_character(chi).L1.value - b) < 1e-11
 
 
 def _assert_tied_to_oracles(chi, tau, l1):

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,3 +317,15 @@ def test_moment_rejects_empty_family():
         warnings.simplefilter("ignore")
         with pytest.raises(ValueError):
             empirical_moment(MomentSpec(spec, 1, PrimeSumSpec(2, 30)))
+
+
+def test_orderk_moments_do_not_depend_on_the_blas_pool():
+    # the Gram of the psi_q rows is an einsum: a BLAS zgemm splits its sums
+    # by the pool size, and the oracle's relative difference followed it
+    code = ("from chx.verify import _check_orderk_moments; d = _check_orderk_moments().detail; "
+            "print(d['oracle_rel_diff_r1'].hex(), [c.hex() for c in d['implied_constants'].values()])")
+    src = str(Path(moments.__file__).resolve().parents[1])
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+    assert outs[0] and outs[0] == outs[1]

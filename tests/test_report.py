@@ -27,6 +27,7 @@ from chx.errors import ConstraintError
 from chx.families import psi_tilde
 from chx.lfunction import _finite_l1, _phases, _tau, gauss_sum, l1_exact
 from chx.report import (
+    CSV_COLUMNS,
     REFERENCE_CONSTANTS,
     RunManifest,
     canonical_json,
@@ -115,10 +116,10 @@ def _whole_table(chi):
     i = int(np.argmax(mags))
     q, pas = chi.modulus, [c.pa for c in chi.components]
     if len(pas) == 1:
-        tau = np.dot(W, _phases(q))
+        tau = np.einsum("i,i->", W, _phases(q))
     else:
         lifts = [(np.arange(qi) * (q // qi) + qi * pow(qi, -1, q // qi)) % q for qi in pas]
-        tau = math.prod(np.dot(W[m], _phases(len(m))) for m in lifts)
+        tau = math.prod(np.einsum("i,i->", W[m], _phases(len(m))) for m in lifts)
     return float(mags[i]), i, complex(tau)
 
 
@@ -240,16 +241,31 @@ def test_odd_complex_l1_from_the_prefix_sums(char_id):
     assert abs(rec.L1.value - l1_exact(chi).value) <= rec.L1.error_bound
 
 
+def _under_pools(code: str) -> list[str]:
+    """What `code` prints in a fresh interpreter under OpenBLAS pools of 1 and 2."""
+    src = str(Path(report.__file__).resolve().parents[1])
+    return [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+
+
 def test_real_member_bits_do_not_depend_on_the_blas_pool():
     # an even member's weighted sum is a fixed-order numpy reduction, not a
     # BLAS product, whose splitting follows the OpenBLAS pool size
-    code = ("from chx.character import character_from_id; from chx.report import evaluate_character; "
-            "rec = evaluate_character(character_from_id('q=6488689;comps=2017:1008,3217:1608')); "
-            "print(rec.L1.value.real.hex(), rec.L1.value.imag.hex(), rec.M, rec.argmax)")
-    src = str(Path(report.__file__).resolve().parents[1])
-    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                           env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}).stdout
-            for threads in ("1", "2")]
+    outs = _under_pools(
+        "from chx.character import character_from_id; from chx.report import evaluate_character; "
+        "rec = evaluate_character(character_from_id('q=6488689;comps=2017:1008,3217:1608')); "
+        "print(rec.L1.value.real.hex(), rec.L1.value.imag.hex(), rec.M, rec.argmax)")
+    assert outs[0] and outs[0] == outs[1]
+
+
+def test_complex_tau_bits_do_not_depend_on_the_blas_pool():
+    # tau's dot over a prime's whole row is an einsum: a BLAS zdotu over
+    # 1e5 entries splits by the pool size, and tau_abs and L(1) follow it
+    outs = _under_pools(
+        "from chx.character import character_from_index; from chx.report import evaluate_character; "
+        "rec = evaluate_character(character_from_index(100003, 7)); "
+        "print(rec.tau_abs.hex(), rec.L1.value.real.hex(), rec.L1.value.imag.hex())")
     assert outs[0] and outs[0] == outs[1]
 
 
@@ -414,9 +430,10 @@ def test_canonical_json_handles_numpy_scalars():
 
 
 def test_write_helpers_roundtrip(tmp_path):
-    rows = [["a", 1], ["b", 2]]
-    write_csv(tmp_path / "t.csv", rows, header=("name", "x"))
-    assert (tmp_path / "t.csv").read_text().splitlines()[0] == "name,x"
+    rows = [["a", *range(len(CSV_COLUMNS) - 1)], ["b", *range(1, len(CSV_COLUMNS))]]
+    write_csv(tmp_path / "t.csv", rows)
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines == [",".join(CSV_COLUMNS), "a,0,1,2,3,4,5,6,7", "b,1,2,3,4,5,6,7,8"]
     write_json(tmp_path / "t.json", {"k": 0.5})
     assert json.loads((tmp_path / "t.json").read_text()) == {"k": 0.5}
     write_jsonl(tmp_path / "t.jsonl", [{"i": 1}, {"i": 2}])
@@ -425,8 +442,6 @@ def test_write_helpers_roundtrip(tmp_path):
 
 
 def test_csv_row_matches_header():
-    from chx.charsum import CSV_COLUMNS
-
     rec = evaluate_character(kronecker_character(-4))
     assert len(rec.csv_row()) == len(CSV_COLUMNS)
 

@@ -6,6 +6,7 @@ import ast
 import os
 import subprocess
 import sys
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 import numpy as np
@@ -38,26 +39,38 @@ def test_no_global_statements_in_library():
 
 
 def _relative_imports(nodes) -> list[ast.ImportFrom]:
-    """The `from .x import ...` statements among `nodes`."""
-    return [n for n in nodes if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module]
+    """The chx imports among `nodes`: `from .x import ...` and `from . import ...`."""
+    return [n for n in nodes if isinstance(n, ast.ImportFrom) and n.level == 1]
 
 
-def test_deferred_imports_only_break_cycles():
-    # a function-level `from .x import` is allowed only where x imports this
-    # module back at module level; anywhere else it belongs at the top
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    imported_at_top = {
-        name: {node.module for node in _relative_imports(tree.body)} for name, tree in trees.items()
-    }
+def test_no_function_level_chx_imports():
+    # every chx module imports the ones below it at the top, so none needs
+    # to defer an import to break a cycle
     found = [
-        f"{name}.{fn.name}: from .{node.module}"
-        for name, tree in trees.items()
-        for fn in ast.walk(tree)
+        f"{path.stem}.{fn.name}: from .{node.module or ''}"
+        for path in sorted(SRC.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in _relative_imports(ast.walk(fn))
-        if name not in imported_at_top.get(node.module, set())
     ]
     assert found == []
+
+
+def test_module_import_graph_is_acyclic():
+    # the module-level chx imports order the modules: no module imports one
+    # that imports it back (`from . import name` of a non-module is __init__)
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    graph = {
+        name: {
+            target
+            for node in _relative_imports(tree.body)
+            for target in ([node.module] if node.module else
+                           [a.name if a.name in modules else "__init__" for a in node.names])
+        }
+        for name, tree in modules.items()
+    }
+    assert graph["cli"] >= {"__init__", "report", "verify"}
+    TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
 
 
 def _python(code: str) -> str:
@@ -163,15 +176,13 @@ def _functions(body, prefix: str):
 
 def test_blas_call_sites_are_listed():
     # BLAS products may thread and round by their blocking: each one is a
-    # choice, so a new one is added here on purpose (an einsum is not BLAS)
+    # choice, so a new one is added here on purpose (an einsum is not BLAS).
+    # The one left sums a Gram matrix of exact integers, so no order of its
+    # sums changes a bit.
     found = {
         f"{path.stem}.{name}"
         for path in sorted(SRC.glob("*.py"))
         for name, fn in _functions(ast.parse(path.read_text()).body, "")
         if _blas_products(fn)
     }
-    assert found == {
-        "lfunction._tau",
-        "moments._orderk_prime_sums",
-        "verify._quad_moment_oracle_r1",
-    }
+    assert found == {"verify._quad_moment_oracle_r1"}
